@@ -2,8 +2,10 @@
 
 All subcommands print a machine-readable JSON summary on standard output
 (numbers with 12 significant digits) and use the exit codes
-0 = success, 1 = verification failure, 2 = input error.  Identical argv and
-input files produce byte-identical output.  The environment variable
+0 = success, 1 = verification failure, 2 = input error.  A result that is
+not a finite number cannot be written as JSON; it is reported as a JSON error
+on standard output with exit code 1.  Identical argv and input files produce
+byte-identical output.  The environment variable
 C2LOOP_THREADS is accepted as an upper bound on worker threads; every
 computation here runs single-threaded, which trivially respects the cap.
 """
@@ -16,16 +18,9 @@ import math
 import sys
 from fractions import Fraction
 
-from . import verify as verify_mod
-from .ffdimers import (
-    build_gq,
-    ff_decompose,
-    fig_octa_domain,
-    free_energy,
-    lobachevsky_free_energy,
-)
+from .ffdimers import fig_octa_domain, free_energy, lobachevsky_free_energy
 from .fixtures import cube_sphere, rational_ff_weights
-from .groves import cube_recurrence_solve, verify_grove_equality
+from .groves import verify_grove_equality
 from .kashaev import solve_origin, yang_baxter_row_check
 from .laurent import poly_to_json
 from .limitshape import (
@@ -35,7 +30,6 @@ from .limitshape import (
     lambda_param,
     rho_field,
     rs_from_abc,
-    s_from_r,
 )
 from .loopmodel import BoundarySpec, enumerate_configs, partition_function
 from .quadgraph import FaceWeights, QuadGraph, grid_quadgraph, \
@@ -47,6 +41,10 @@ from .verify import run_all
 
 
 class InputError(Exception):
+    pass
+
+
+class NonFiniteOutput(Exception):
     pass
 
 
@@ -71,7 +69,12 @@ def _jsonable(obj):
 
 
 def emit(payload):
-    print(json.dumps(_jsonable(payload), sort_keys=True, indent=1))
+    try:
+        text = json.dumps(_jsonable(payload), sort_keys=True, indent=1,
+                          allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteOutput(f"result is not finite: {exc}") from exc
+    print(text)
 
 
 def _load_json(path):
@@ -495,6 +498,9 @@ def main(argv=None):
     except InputError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
+    except NonFiniteOutput as exc:
+        print(json.dumps({"error": str(exc)}))
+        return 1
     except FileNotFoundError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2

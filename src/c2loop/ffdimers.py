@@ -30,7 +30,6 @@ import numpy as np
 
 from .loopmodel import (
     BoundarySpec,
-    FaceComplex,
     _as_complex,
     blue_data,
     enumerate_configs,
@@ -38,7 +37,7 @@ from .loopmodel import (
     weight as loop_weight,
 )
 from .quadfield import QuadVal
-from .quadgraph import FaceWeights, NotFreeFermionic
+from .quadgraph import NotFreeFermionic
 
 
 class FFDimersError(Exception):

@@ -10,13 +10,11 @@ recurrence g * g_top = g1 g23 + g2 g13 + g3 g12 instead of the full one.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .kashaev import KashaevError, NonPositive
+from .kashaev import NonPositive
 from .laurent import lp_div_exact
 from .loopmodel import LOCAL_CONFIGS, side_colors
-from .stepped import UNITS, fill_order, is_regular, surface_graph, vadd
-from .taut import build_taut_window, enumerate_taut, sigma0_type, taut_weight
+from .stepped import UNITS, fill_order, is_regular, vadd
+from .taut import build_taut_window, enumerate_taut, taut_weight
 
 
 class GrovesError(Exception):

@@ -24,12 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .laurent import LaurentPoly, VarRegistry, lp_div_exact
 from .stepped import (
     UNITS,
-    SteppedSolid,
     face_diagonals,
     fill_order,
     is_regular,

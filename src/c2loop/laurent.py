@@ -487,34 +487,6 @@ def lp_eval(p, assign, exact=False):
     return total
 
 
-def lp_eval_roots_formal(p, assign):
-    """Evaluate vertex variables, keeping root variables formal.
-
-    Returns {root_monomial: Fraction} where root_monomial is a sorted tuple
-    of root names (each present to the first power).  Useful for exact
-    identity checks in rings like Q[X,Y,Z]/(X^2-q1, ...).
-    """
-    reg = p.registry
-    out = {}
-    for m, c in p.terms.items():
-        val = Fraction(c)
-        roots = []
-        for n, e in m:
-            if reg.is_root(n):
-                roots.append(n)
-            else:
-                if n not in assign:
-                    raise MissingAssignment(n)
-                val *= Fraction(assign[n]) ** e
-        key = tuple(sorted(roots))
-        s = out.get(key, Fraction(0)) + val
-        if s == 0:
-            out.pop(key, None)
-        else:
-            out[key] = s
-    return out
-
-
 # -- canonical serialization ------------------------------------------------
 
 def poly_to_json(p):

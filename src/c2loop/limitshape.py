@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .stepped import height, slab_solid, surface_graph, vadd
-from .kashaev import cube_from_bottom, kashaev_relation_residual, solve_origin
+from .stepped import face_diagonals, height, slab_solid, surface_graph, vadd
+from .kashaev import solve_origin
 from .taut import build_taut_window, enumerate_taut, taut_weight
 from .loopmodel import LOCAL_CONFIGS
 
@@ -155,7 +154,6 @@ def rho_oracle(x, a, b, c):
     if N <= 2:
         return 1.0 if x == (0, 0, 0) else 0.0
     U = slab_solid(N)
-    win_r = None
     sg = surface_graph(U)
     poly = solve_origin(U, mode="symbolic", window_radius=sg.window_radius)
     target = tuple(-t for t in x)
@@ -169,7 +167,6 @@ def rho_oracle(x, a, b, c):
         rn = sg.face_root_name(key)
         if rn not in reg.root_vars:
             continue
-        from .stepped import face_diagonals
         (p1, p2), (q1, q2) = face_diagonals(*key)
         qval = point[p1] * point[p2] + point[q1] * point[q2]
         partner = None

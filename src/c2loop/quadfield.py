@@ -108,10 +108,3 @@ class QuadVal:
         if self.b == 0:
             return f"QuadVal({self.a})"
         return f"QuadVal({self.a} + {self.b}*sqrt({self.d}))"
-
-
-def as_number(x):
-    """Collapse a QuadVal that happens to be rational to its Fraction."""
-    if isinstance(x, QuadVal) and x.b == 0:
-        return x.a
-    return x

@@ -15,7 +15,7 @@ free-fermionic weights be rewritten in terms of vertex quantities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 

@@ -13,6 +13,13 @@ axis is the normal direction and base the lexicographically-least corner.
 The projection along (1,1,1) maps the surface to the familiar lozenge tiling
 of the plane; we use the integer projection basis (1,-1,0), (1,1,-2) so all
 2D positions are exact.
+
+A face is on the boundary exactly when one of its two cubes is in the solid.
+A cube is in the solid when it lies in the corner XOR it is removed, so, read
+mod 2, the boundary faces of U are the boundary faces of the flat corner
+(base[axis] = 0, the other two coordinates negative) XOR the six faces of
+every removed cube.  The window is built that way in O(faces), and a ball
+filter then keeps the faces with a corner inside the window.
 """
 
 from __future__ import annotations
@@ -148,11 +155,6 @@ def face_corners(axis, base):
     return (base, vadd(base, ei), vadd(base, vadd(ei, ej)), vadd(base, ej))
 
 
-def face_is_boundary(U, axis, base):
-    below = vadd(base, tuple(-x for x in UNITS[axis]))
-    return U.cube_in(below) != U.cube_in(base)
-
-
 def face_diagonals(axis, base):
     c = face_corners(axis, base)
     return (c[0], c[2]), (c[1], c[3])
@@ -223,24 +225,31 @@ def surface_graph(U, window_radius=None):
             f"window radius {window_radius} < R_U = {r_need}")
     rad2 = window_radius * window_radius
     lim = int(window_radius) + 3
-    sg = SurfaceGraph(U, window_radius)
+    keys = set()
     for axis in range(3):
-        for base in itertools.product(range(-lim, lim + 1), repeat=3):
-            if min(norm2(c) for c in face_corners(axis, base)) > rad2:
-                continue
-            if not face_is_boundary(U, axis, base):
-                continue
-            cyc = face_corners(axis, base)
-            for c in cyc:
-                if not U.on_surface(c):
-                    raise SteppedError(
-                        f"face {(axis, base)} has corner {c} off the surface")
-            pts = [project(c) for c in cyc]
-            if _shoelace(pts) > 0:
-                cyc = (cyc[0], cyc[3], cyc[2], cyc[1])
-            sg.faces[(axis, base)] = cyc
-            sg.vertices.update(cyc)
+        for a, b in itertools.product(range(-lim, 0), repeat=2):
+            base = [a, b]
+            base.insert(axis, 0)
+            keys.add((axis, tuple(base)))
+    for p in U.removed:
+        for axis, e in enumerate(UNITS):
+            keys ^= {(axis, p), (axis, vadd(p, e))}
+    # a translation keeps the orientation, so one shoelace per axis decides
+    # which corner cycles to reverse into clockwise order
+    reverse = [_shoelace([project(c) for c in face_corners(axis, (0, 0, 0))])
+               > 0 for axis in range(3)]
+    sg = SurfaceGraph(U, window_radius)
+    for axis, base in sorted(keys):
+        cyc = face_corners(axis, base)
+        if min(norm2(c) for c in cyc) > rad2:
+            continue
+        if reverse[axis]:
+            cyc = (cyc[0], cyc[3], cyc[2], cyc[1])
+        sg.faces[(axis, base)] = cyc
+        sg.vertices.update(cyc)
     for v in sg.vertices:
+        if not U.on_surface(v):
+            raise SteppedError(f"window corner {v} is off the surface")
         sg.positions[v] = project(v)
     return sg
 

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .kashaev import build_registry, solve_origin
-from .laurent import lp_eval
 from .loopmodel import FaceComplex, LOCAL_CONFIGS, side_colors
 from .stepped import (
     SteppedSolid,
@@ -104,21 +103,12 @@ def sigma0(sg):
             for key, cyc in sg.faces.items()}
 
 
-# type -> per-slot vertex exponent contribution (slot = corner position)
-_CORNER_EXP = {}
-for _row, _names in ROW_TYPES.items():
-    for _name in _names:
-        if _row == 1:
-            exps = (Fraction(1), Fraction(0), Fraction(1), Fraction(0))
-        elif _row == 2:
-            exps = (Fraction(0), Fraction(1), Fraction(0), Fraction(1))
-        elif _row == 3:
-            exps = (Fraction(1, 2), Fraction(0), Fraction(1, 2), Fraction(0))
-        elif _row == 4:
-            exps = (Fraction(0), Fraction(1, 2), Fraction(0), Fraction(1, 2))
-        else:
-            exps = (Fraction(1, 2),) * 4
-        _CORNER_EXP[_name] = exps
+# type -> per-slot vertex exponent contribution (slot = corner position), in
+# integer half-units: 2 stands for exponent 1, 1 for exponent 1/2
+_ROW_EXP = {1: (2, 0, 2, 0), 2: (0, 2, 0, 2), 3: (1, 0, 1, 0),
+            4: (0, 1, 0, 1), 5: (1, 1, 1, 1)}
+_CORNER_EXP = {name: _ROW_EXP[row]
+               for row, names in ROW_TYPES.items() for name in names}
 
 
 @dataclass
@@ -136,6 +126,7 @@ class TautWindow:
     target_pairing: dict          # interface edge -> partner edge
     registry: object
     vnames: dict
+    collar: dict                  # vertex -> frozen exponent - 2, half-units
 
 
 def _zone_faces(comp, r2):
@@ -189,8 +180,15 @@ def build_taut_window(U, extra_collar=4.0):
     target = _sigma0_pairing(flat_comp, set(flat_zone), iface)
     zone.sort(key=lambda k: (_face_level(comp, k), str(k)))
     registry, vnames = build_registry(sg)
+    # the frozen faces keep their reference pictures, so their share of each
+    # vertex exponent, net of the -2 renormalization, is fixed per window
+    collar = dict.fromkeys(sg.vertices, -4)
+    for key in frozen:
+        cyc = comp.corner_ids[key]
+        for v, e in zip(cyc, _CORNER_EXP[sigma0_type(cyc)]):
+            collar[v] += e
     return TautWindow(U, sg, comp, flat_sg, flat_comp, zone, frozen, iface,
-                      target, registry, vnames)
+                      target, registry, vnames, collar)
 
 
 def _sigma0_pairing(flat_comp, flat_zone, iface):
@@ -355,37 +353,19 @@ def enumerate_taut(U, window=None):
 # ---------------------------------------------------------------------------
 
 def _vertex_contributions(win, assignment):
-    """Total per-vertex exponent (before the -2 renormalization applies) and
-    the set of face roots used, over the zone plus the frozen collar."""
-    comp = win.comp
+    """Per-vertex exponent in half-units, after the -2 renormalization and
+    the frozen collar, at every vertex the assignment touches (zero entries
+    dropped), and the face roots used."""
+    corner_ids = win.comp.corner_ids
+    collar = win.collar
     exps = {}
     roots = []
-    zone_set = set(win.zone)
-    touched = set()
     for key, name in assignment.items():
-        cyc = comp.corner_ids[key]
-        contrib = _CORNER_EXP[name]
-        for s in range(4):
-            exps[cyc[s]] = exps.get(cyc[s], Fraction(0)) + contrib[s]
-            touched.add(cyc[s])
+        for v, e in zip(corner_ids[key], _CORNER_EXP[name]):
+            exps[v] = exps.get(v, collar[v]) + e
         if LOCAL_CONFIGS[name][0] in (3, 4):
             roots.append(key)
-    # frozen faces incident to any touched vertex contribute their reference
-    # exponents; vertices strictly inside the frozen flat region cancel
-    for key in win.frozen:
-        cyc = comp.corner_ids[key]
-        if not (set(cyc) & touched):
-            continue
-        contrib = _CORNER_EXP[sigma0_type(cyc)]
-        for s in range(4):
-            if cyc[s] in touched:
-                exps[cyc[s]] = exps.get(cyc[s], Fraction(0)) + contrib[s]
-    out = {}
-    for v, e in exps.items():
-        total = e - 2
-        if total != 0:
-            out[v] = total
-    return out, roots
+    return {v: e for v, e in exps.items() if e}, roots
 
 
 def _check_vertex_completeness(win, verts):
@@ -406,15 +386,15 @@ def taut_weight(win, config, symbolic=True, g_init=None):
     if symbolic:
         mono = {}
         for v, e in exps.items():
-            if e.denominator != 1:
+            if e % 2:
                 raise TautError(f"half-integer exponent survived at {v}")
-            mono[win.vnames[v]] = int(e)
+            mono[win.vnames[v]] = e // 2
         for key in roots:
             mono[win.sg.face_root_name(key)] = 1
         return reg.monomial(mono, Fraction(2) ** config.n_loops)
     val = float(2 ** config.n_loops)
     for v, e in exps.items():
-        val *= float(g_init[v]) ** float(e)
+        val *= float(g_init[v]) ** (e / 2)
     for key in roots:
         axis, base = key
         (a, c), (b, d) = face_diagonals(axis, base)
@@ -515,14 +495,12 @@ def reconstruct_from_monomial(U, monomial, window=None):
                            if win.sg.face_root_name(k) == name)
                 root_faces.add(key)
         else:
-            residual[name_to_vertex[name]] = Fraction(e)
+            residual[name_to_vertex[name]] = e
 
     assign = {}
-    # start from the reference values: residual tracks the exponent not yet
-    # explained by known faces; frozen faces and the +2 renormalization are
-    # folded in up front
-    known = {key: sigma0_type(comp.corner_ids[key]) for key in win.frozen}
-    res = {}
+    # res tracks, in half-units, the exponent not yet explained by known
+    # faces; the frozen collar and the +2 renormalization are folded in up
+    # front
     faces_at = {}
     for key in comp.face_ids():
         for c in comp.corner_ids[key]:
@@ -530,12 +508,7 @@ def reconstruct_from_monomial(U, monomial, window=None):
     touched = set()
     for key in zone_set:
         touched.update(comp.corner_ids[key])
-    for v in touched:
-        res[v] = residual.get(v, Fraction(0)) + 2
-        for key in faces_at[v]:
-            if key in known:
-                slot = comp.corner_ids[key].index(v)
-                res[v] -= _CORNER_EXP[known[key]][slot]
+    res = {v: 2 * residual.get(v, 0) - win.collar[v] for v in touched}
     edge_color = {e: "B" for e in win.interface_edges}
 
     def edge_of(key, s):
@@ -558,21 +531,22 @@ def reconstruct_from_monomial(U, monomial, window=None):
         on_black_diag = slot % 2 == 0
         r = res[v]
         if key in root_faces:
-            if r == Fraction(1, 2):
+            if r == 1:
                 row = 3 if on_black_diag else 4
             elif r == 0:
                 row = 4 if on_black_diag else 3
             else:
-                raise NotAMonomial(f"residual {r} at {v} with face root")
+                raise NotAMonomial(
+                    f"residual {Fraction(r) / 2} at {v} with face root")
         else:
-            if r == 1:
+            if r == 2:
                 row = 1 if on_black_diag else 2
             elif r == 0:
                 row = 2 if on_black_diag else 1
-            elif r == Fraction(1, 2):
+            elif r == 1:
                 row = 5
             else:
-                raise NotAMonomial(f"residual {r} at {v}")
+                raise NotAMonomial(f"residual {Fraction(r) / 2} at {v}")
         # variant from any known incident edge color
         name = None
         for cand in ROW_TYPES[row]:

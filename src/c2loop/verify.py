@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from .ffdimers import (
     build_gq,
-    char_poly_eval,
     dimer_partition_bruteforce,
     ff_decompose,
     fig_octa_domain,
@@ -23,14 +22,13 @@ from .ffdimers import (
     road_probability,
 )
 from .fixtures import cube_sphere, ff_fixture_weights, rational_ff_weights
-from .groves import cube_recurrence_solve, filter_no_loops, verify_grove_equality
+from .groves import verify_grove_equality
 from .kashaev import solve_origin, yang_baxter_row_check
 from .laurent import NotDivisible
 from .limitshape import (
     h_denominator,
     intrinsic_residual,
     lambda_param,
-    rho_coeffs,
     rho_field,
     rho_oracle,
     s_from_r,
@@ -39,10 +37,9 @@ from .loopmodel import BoundarySpec, complex_from_quadgraph, enumerate_configs, 
     weight as loop_weight
 from .quadgraph import grid_quadgraph, solve_parametrization, track_census, \
     QuadGraph
-from .stepped import SteppedSolid, enumerate_solids, random_fill_order, \
-    surface_graph
-from .taut import build_taut_window, enumerate_taut, \
-    reconstruct_from_monomial, taut_weight, verify_partition_identity, verify_monomial_bijection
+from .stepped import enumerate_solids, random_fill_order, surface_graph
+from .taut import build_taut_window, reconstruct_from_monomial, taut_weight, \
+    verify_partition_identity, verify_monomial_bijection
 
 
 def _report(name, passed, details=None, warnings=None):

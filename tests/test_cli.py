@@ -6,6 +6,7 @@ import math
 import pytest
 
 from c2loop.cli import main
+from c2loop.stepped import slab_solid
 
 
 def run(capsys, *argv):
@@ -99,6 +100,23 @@ def test_kashaev_solve_random_order(tmp_path, capsys):
                        str(tmp_path / "two_cube.json"), "--mode", "symbolic",
                        "--order", "random:3")
     assert json.loads(base) == json.loads(alt)
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_kashaev_solve_non_finite_is_json_error(tmp_path, capsys):
+    # all-ones data overflow the numeric recurrence on the 24-slab
+    solid, init = tmp_path / "slab24.json", tmp_path / "ones.json"
+    solid.write_text(json.dumps(slab_solid(24).to_json()))
+    init.write_text(json.dumps({"default": 1}))
+    code, out, _ = run(capsys, "kashaev", "solve", str(solid), str(init),
+                       "--mode", "numeric")
+    assert code == 1
+    assert "not finite" in _strict_json(out)["error"]
 
 
 def test_kashaev_yb(capsys):

@@ -1,6 +1,6 @@
 """Stepped solids, surfaces, fill orders and flips."""
 
-import math
+import itertools
 import random
 
 import pytest
@@ -15,9 +15,13 @@ from c2loop.stepped import (
     flip_vertex,
     height,
     is_regular,
+    norm2,
+    project,
     random_fill_order,
     slab_solid,
     surface_graph,
+    vadd,
+    UNITS,
     WindowTooSmall,
 )
 
@@ -125,3 +129,47 @@ def test_faces_have_two_diagonal_classes():
     cyc = face_corners(2, (-1, -1, -1))
     h = [height(c) for c in cyc]
     assert sorted(h) == [-3, -2, -2, -1]
+
+
+def _scan_window(U, window_radius):
+    """Reference window: scan every face of the cube [-lim, lim]^3 and keep
+    the boundary faces inside the ball, clockwise in the projection."""
+    rad2 = window_radius * window_radius
+    lim = int(window_radius) + 3
+    faces, vertices = {}, set()
+    for axis in range(3):
+        down = tuple(-x for x in UNITS[axis])
+        for base in itertools.product(range(-lim, lim + 1), repeat=3):
+            cyc = face_corners(axis, base)
+            if min(norm2(c) for c in cyc) > rad2:
+                continue
+            if U.cube_in(vadd(base, down)) == U.cube_in(base):
+                continue
+            assert all(U.on_surface(c) for c in cyc)
+            pts = [project(c) for c in cyc]
+            area2 = sum(pts[k][0] * pts[k - 3][1] - pts[k - 3][0] * pts[k][1]
+                        for k in range(4))
+            if area2 > 0:
+                cyc = (cyc[0], cyc[3], cyc[2], cyc[1])
+            faces[(axis, base)] = cyc
+            vertices.update(cyc)
+    positions = {v: project(v) for v in vertices}
+    return faces, vertices, positions
+
+
+def _window_cases():
+    for U in enumerate_solids(5):
+        yield U, None
+        yield U, is_regular(U)["R_U"] + 2.5
+    for n in (4, 8, 15):
+        yield slab_solid(n), None
+    yield U0, None
+
+
+def test_window_matches_scan():
+    for U, radius in _window_cases():
+        sg = surface_graph(U, radius)
+        faces, vertices, positions = _scan_window(U, sg.window_radius)
+        assert list(sg.faces.items()) == list(faces.items())
+        assert list(sg.vertices) == list(vertices)
+        assert list(sg.positions.items()) == list(positions.items())
