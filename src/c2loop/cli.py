@@ -2,8 +2,11 @@
 
 All subcommands print a machine-readable JSON summary on standard output
 (numbers with 12 significant digits) and use the exit codes
-0 = success, 1 = verification failure, 2 = input error.  A result that is
-not a finite number cannot be written as JSON; it is reported as a JSON error
+0 = success, 1 = verification failure, 2 = input error.  Input errors,
+including graphs, weights and solids the library rejects, are reported as a
+JSON error on standard error.  A result that is not a finite number cannot
+be written as JSON, and an exact Laurent computation can fail (for example
+a division that does not come out exact); both are reported as a JSON error
 on standard output with exit code 1.  Identical argv and input files produce
 byte-identical output.  The environment variable
 C2LOOP_THREADS is accepted as an upper bound on worker threads; every
@@ -22,7 +25,7 @@ from .ffdimers import fig_octa_domain, free_energy, lobachevsky_free_energy
 from .fixtures import cube_sphere, rational_ff_weights
 from .groves import verify_grove_equality
 from .kashaev import solve_origin, yang_baxter_row_check
-from .laurent import poly_to_json
+from .laurent import LaurentError, poly_to_json
 from .limitshape import (
     dual_curve,
     export_curve,
@@ -32,9 +35,11 @@ from .limitshape import (
     rs_from_abc,
 )
 from .loopmodel import BoundarySpec, enumerate_configs, partition_function
-from .quadgraph import FaceWeights, QuadGraph, grid_quadgraph, \
-    solve_parametrization, track_census, train_tracks, validate
-from .stepped import SteppedSolid, height, random_fill_order, surface_graph
+from .quadgraph import FaceWeights, QuadGraph, QuadGraphError, \
+    grid_quadgraph, solve_parametrization, track_census, train_tracks, \
+    validate
+from .stepped import SteppedError, SteppedSolid, height, random_fill_order, \
+    surface_graph
 from .taut import build_taut_window, enumerate_taut, sample_taut, \
     verify_partition_identity, verify_monomial_bijection, y_taut
 from .verify import run_all
@@ -99,17 +104,22 @@ def load_graph(path):
     data = _load_json(path)
     colors = {}
     positions = {}
-    for v in data["vertices"]:
-        vid = tuple(v["id"]) if isinstance(v["id"], list) else v["id"]
-        colors[vid] = v["color"]
-        if v.get("pos"):
-            positions[vid] = tuple(Fraction(p) for p in v["pos"])
-    faces = {}
-    for fid, cyc in data["faces"].items():
-        faces[fid] = tuple(tuple(c) if isinstance(c, list) else c
-                           for c in cyc)
-    return QuadGraph(colors, faces, positions, closed=data.get("closed",
-                                                               False))
+    try:
+        for v in data["vertices"]:
+            vid = tuple(v["id"]) if isinstance(v["id"], list) else v["id"]
+            colors[vid] = v["color"]
+            if v.get("pos"):
+                positions[vid] = tuple(Fraction(p) for p in v["pos"])
+        faces = {}
+        for fid, cyc in data["faces"].items():
+            faces[fid] = tuple(tuple(c) if isinstance(c, list) else c
+                               for c in cyc)
+        closed = data.get("closed", False)
+    except (KeyError, TypeError, ValueError, AttributeError,
+            ZeroDivisionError) as exc:
+        raise InputError(f"malformed graph file {path}: "
+                         f"{type(exc).__name__}: {exc}") from exc
+    return QuadGraph(colors, faces, positions, closed=closed)
 
 
 def load_weights(path, graph):
@@ -490,20 +500,25 @@ def build_parser():
     return p
 
 
+def _error(exc):
+    """The JSON error payload; library errors also name their type."""
+    if isinstance(exc, (InputError, NonFiniteOutput, FileNotFoundError)):
+        return {"error": str(exc)}
+    return {"error": f"{type(exc).__name__}: {exc}"}
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+    except (InputError, FileNotFoundError, QuadGraphError,
+            SteppedError) as exc:
+        print(json.dumps(_error(exc)), file=sys.stderr)
         return 2
-    except NonFiniteOutput as exc:
-        print(json.dumps({"error": str(exc)}))
+    except (NonFiniteOutput, LaurentError) as exc:
+        print(json.dumps(_error(exc)))
         return 1
-    except FileNotFoundError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -301,8 +301,8 @@ class MulValue:
 
     def value(self, bases):
         out = 1.0
-        for k, e in self.exps.items():
-            out *= float(bases[k]) ** float(e)
+        for k in sorted(self.exps, key=str):
+            out *= float(bases[k]) ** float(self.exps[k])
         return out
 
     def __eq__(self, other):
@@ -319,6 +319,18 @@ def solve_parametrization(graph, weights):
     product of the R_f with rational exponents (plus a float value), so the
     recovered face ratios are exact.  Also returns the per-face positive
     scalar relating the canonical parametrized weights to the input weights.
+
+    The face map has a kernel of dimension |T| + 1 (a base value plus one
+    increment h_right - h_left per oriented track, constant along the track),
+    so the solution returned is the canonical one: its exponent vector is
+    zero at the base vertex vertices()[0], and on every track the increment
+    is zero at the track's first edge in sorted key order.  It is built by
+    walking the tracks, with no linear solve.  Crossing face f from its side
+    i to side i + 2, a track's increment changes by exactly +e_f when the
+    corner after the entry side (cycle[i + 1]) is black and by -e_f when it
+    is white.  Each track is walked outward from its first edge, then one
+    traversal from the base vertex sets h_w = h_v +- increment along every
+    edge; a mismatch on any edge raises Inconsistent.
     """
     from .ffdimers import ff_check  # local import to avoid a cycle
 
@@ -329,52 +341,54 @@ def solve_parametrization(graph, weights):
     if any(t.is_loop for t in tracks):
         raise LoopTrackPresent("parametrization requires loop-free tracks")
 
-    fids = sorted(graph.faces, key=str)
+    ef = graph.edge_faces()
+    flank = {}      # edge -> (left, right, increment h_right - h_left)
+    for t in tracks:
+        path = t.dual_edge_path
+        steps = []      # +-e_f for each face the track crosses, in order
+        fid = ef[path[0]][0]
+        for e, nxt in zip(path, path[1:]):
+            cyc, sides = graph.faces[fid], graph.face_sides(fid)
+            i = sides.index(e)
+            sign = 1 if graph.colors[cyc[(i + 1) % 4]] == "black" else -1
+            steps.append(MulValue({fid: Fraction(sign)}))
+            # the clockwise cycles keep the flanks of an edge coherent
+            # between the two faces it separates
+            for edge, lr in ((e, (cyc[(i + 1) % 4], cyc[i])),
+                             (nxt, (cyc[(i + 2) % 4], cyc[(i + 3) % 4]))):
+                if flank.setdefault(edge, lr) != lr:
+                    raise Inconsistent(
+                        f"incoherent track flanks at {sorted(edge)}")
+            fid = next((f for f in ef[nxt] if f != fid), None)
+        k0 = min(range(len(path)), key=lambda k: sorted(map(str, path[k])))
+        inc = {path[k0]: MulValue()}
+        for k in range(k0, len(steps)):
+            inc[path[k + 1]] = inc[path[k]] * steps[k]
+        for k in range(k0 - 1, -1, -1):
+            inc[path[k]] = inc[path[k + 1]] / steps[k]
+        for edge, d in inc.items():
+            flank[edge] += (d,)
+
+    adj = {}
+    for left, right, d in flank.values():
+        adj.setdefault(left, []).append((right, d, True))
+        adj.setdefault(right, []).append((left, d, False))
     verts = graph.vertices()
-    vidx = {v: i for i, v in enumerate(verts)}
-    # Phi as a rational matrix: rows faces, columns vertices.
-    rows = []
-    for fid in fids:
-        x, u, y, v = graph.corner_labels(fid)
-        row = [Fraction(0)] * len(verts)
-        row[vidx[x]] += 1
-        row[vidx[y]] += 1
-        row[vidx[u]] -= 1
-        row[vidx[v]] -= 1
-        rows.append(row)
-    # Solve Phi Q = I by Gaussian elimination on [Phi | I].
-    m, n = len(fids), len(verts)
-    aug = [rows[i] + [Fraction(1 if j == i else 0) for j in range(m)]
-           for i in range(m)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    if r < m:
-        raise Inconsistent("face system is rank deficient")  # defensive
-    # Q[v][f]: exponent of R_f in g_v; zero on non-pivot columns.
-    q = {v: {} for v in verts}
-    for i, c in enumerate(pivots):
-        for j in range(m):
-            if aug[i][n + j] != 0:
-                q[verts[c]][fids[j]] = aug[i][n + j]
+    g_formal = {verts[0]: MulValue()}
+    stack = [verts[0]]
+    while stack:
+        a = stack.pop()
+        for b, d, forward in adj.get(a, ()):
+            val = g_formal[a] * d if forward else g_formal[a] / d
+            if b not in g_formal:
+                g_formal[b] = val
+                stack.append(b)
+            elif g_formal[b] != val:
+                raise Inconsistent(f"face system has no solution at {b}")
+    if len(g_formal) != len(verts):
+        raise Inconsistent("graph is not connected")
 
-    g_formal = {v: MulValue(q[v]) for v in verts}
-    g_formal = _pin_kernel(graph, g_formal)
-
+    fids = sorted(graph.faces, key=str)
     ratios = {fid: ff_ratio(weights[fid]) for fid in fids}
     g_num = {v: g_formal[v].value(ratios) for v in verts}
     scales = {}
@@ -384,101 +398,6 @@ def solve_parametrization(graph, weights):
         scales[fid] = prod.value(ratios) / float(weights[fid].w5)
     return {"g": g_num, "g_formal": g_formal, "scales": scales,
             "ratios": ratios}
-
-
-def track_annotations(graph):
-    """Orient every track and record, per crossed primal edge, which endpoint
-    lies on the track's left and which on its right.
-
-    For a kernel element of the face map, (h at right) - (h at left) is
-    constant along a track; these annotations let a kernel element be rebuilt
-    from its base value and one increment per track.
-    """
-    ef = graph.edge_faces()
-    ann = {}
-
-    def cross(fid, e_in, t_i):
-        cyc = graph.faces[fid]
-        sides = graph.face_sides(fid)
-        i = sides.index(e_in)
-        # clockwise-stored cycle: travelling from side i to side i+2 puts the
-        # corners of side i+1 on the left
-        left1, right1 = cyc[(i + 1) % 4], cyc[i]
-        left2, right2 = cyc[(i + 2) % 4], cyc[(i + 3) % 4]
-        for e, l, r in ((e_in, left1, right1),
-                        (sides[(i + 2) % 4], left2, right2)):
-            if e in ann and ann[e][1:] != (l, r):
-                raise Inconsistent(f"incoherent track flanks at {sorted(e)}")
-            ann[e] = (t_i, l, r)
-        return sides[(i + 2) % 4]
-
-    tracks = train_tracks(graph)
-    for t_i, t in enumerate(tracks):
-        e = t.dual_edge_path[0]
-        fid = sorted(ef[e], key=str)[0]
-        prev = e
-        while True:
-            nxt = cross(fid, prev, t_i)
-            fs = [f for f in ef[nxt] if f != fid]
-            if not fs or (t.is_loop and nxt == t.dual_edge_path[0]):
-                break
-            fid = fs[0]
-            prev = nxt
-    return tracks, ann
-
-
-def _pin_kernel(graph, g_formal):
-    """Canonicalize across the kernel of the face map: subtract the kernel
-    element matching the current base value and per-track increments, leaving
-    zero at the base vertex and zero increment along every track."""
-    verts = graph.vertices()
-    base = verts[0]
-    tracks, ann = track_annotations(graph)
-    first_edge = {}
-    for e, (t_i, l, r) in sorted(ann.items(),
-                                 key=lambda t: sorted(map(str, t[0]))):
-        first_edge.setdefault(t_i, (l, r))
-
-    def kernel_element(c0, alpha_vals):
-        h = {base: c0}
-        queue = [base]
-        adj = {}
-        for e in graph.edges():
-            a, b = sorted(e)
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-        while queue:
-            v = queue.pop()
-            for w_ in adj[v]:
-                t_i, l, r = ann[frozenset((v, w_))]
-                val = h[v] + alpha_vals[t_i] if v == l else \
-                    h[v] - alpha_vals[t_i]
-                if w_ not in h:
-                    h[w_] = val
-                    queue.append(w_)
-                elif h[w_] != val:
-                    raise Inconsistent("kernel reconstruction mismatch")
-        return h
-
-    out = {v: dict(g_formal[v].exps) for v in g_formal}
-    keys = set()
-    for v in verts:
-        keys |= set(g_formal[v].exps)
-    for key in sorted(keys, key=str):
-        c0 = g_formal[base].exps.get(key, Fraction(0))
-        avals = []
-        for t_i in range(len(tracks)):
-            l, r = first_edge[t_i]
-            avals.append(g_formal[r].exps.get(key, Fraction(0))
-                         - g_formal[l].exps.get(key, Fraction(0)))
-        h = kernel_element(c0, avals)
-        for v in out:
-            e = out[v].get(key, Fraction(0)) - h[v]
-            if e == 0:
-                out[v].pop(key, None)
-            else:
-                out[v][key] = e
-    return {v: MulValue(e) for v, e in out.items()}
 
 
 # -- simple constructors -----------------------------------------------------

@@ -119,6 +119,19 @@ def test_kashaev_solve_non_finite_is_json_error(tmp_path, capsys):
     assert "not finite" in _strict_json(out)["error"]
 
 
+BOX = [[i, j, k] for i in (-1, -2) for j in (-1, -2) for k in (-1, -2)]
+
+
+def test_kashaev_solve_not_divisible_is_json_error(tmp_path, capsys):
+    # the symbolic recurrence cannot divide exactly on the 2x2x2 box
+    solid = tmp_path / "box.json"
+    solid.write_text(json.dumps({"removed": BOX}))
+    code, out, _ = run(capsys, "kashaev", "solve", str(solid), "--mode",
+                       "symbolic")
+    assert code == 1
+    assert _strict_json(out)["error"].startswith("NotDivisible")
+
+
 def test_kashaev_yb(capsys):
     code, out, _ = run(capsys, "kashaev", "yb", "--row", "7", "--dual")
     assert code == 0
@@ -190,6 +203,33 @@ def test_input_error_exit_code(tmp_path, capsys):
     code, _out, err = run(capsys, "graph", "validate",
                           str(tmp_path / "missing.json"))
     assert code == 2
+
+
+def test_param_solve_loop_track_is_input_error(tmp_path, capsys):
+    # the cube's closed surface has closed tracks, which the solve rejects
+    run(capsys, "fixtures", "--out", str(tmp_path))
+    code, out, err = run(capsys, "param", "solve",
+                         str(tmp_path / "cube_graph.json"),
+                         str(tmp_path / "cube_weights.json"))
+    assert code == 2 and out == ""
+    assert _strict_json(err)["error"].startswith("LoopTrackPresent")
+
+
+def test_stepped_window_too_small_is_input_error(tmp_path, capsys):
+    solid = tmp_path / "slab12.json"
+    solid.write_text(json.dumps(slab_solid(12).to_json()))
+    code, out, err = run(capsys, "stepped", "surface", str(solid),
+                         "--window", "7.5")
+    assert code == 2 and out == ""
+    assert _strict_json(err)["error"].startswith("WindowTooSmall")
+
+
+def test_malformed_graph_is_input_error(tmp_path, capsys):
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({"vertices": []}))
+    code, out, err = run(capsys, "graph", "validate", str(graph))
+    assert code == 2 and out == ""
+    assert "'faces'" in _strict_json(err)["error"]
 
 
 def test_verify_all_quick(capsys):

@@ -8,10 +8,11 @@ import pytest
 from c2loop.fixtures import hexagon_y, rational_ff_weights
 from c2loop.quadgraph import (
     FaceWeights,
-    LoopTrackPresent,
+    MulValue,
     NotFreeFermionic,
     QuadGraph,
     degree2_boundary,
+    ff_ratio,
     grid_quadgraph,
     phi,
     single_quad,
@@ -23,10 +24,159 @@ from c2loop.quadgraph import (
 from c2loop.stepped import SteppedSolid, enumerate_solids, surface_graph
 
 
+ROW3 = [(-3, -1, -1), (-2, -1, -1), (-1, -1, -1)]
+ELL3 = [(-2, -1, -1), (-1, -2, -1), (-1, -1, -1)]
+
+
 def quadgraph_from_surface(sg):
     colors = {v: "black" if sum(v) % 2 == 0 else "white"
               for v in sg.vertices}
     return QuadGraph(colors, dict(sg.faces), dict(sg.positions))
+
+
+# -- reference: the dense solve the track walk replaced ----------------------
+
+def _dense_solve(graph):
+    """Gauss-Jordan on [Phi | I] gives a particular solution of
+    Phi(h) = e_f for every face f; returns {v: {f: exponent}}.  Rows are
+    stored as dicts of their nonzero entries; the pivots and the arithmetic
+    are those of the dense elimination."""
+    fids = sorted(graph.faces, key=str)
+    verts = graph.vertices()
+    vidx = {v: i for i, v in enumerate(verts)}
+    m, n = len(fids), len(verts)
+    aug = []
+    for i, fid in enumerate(fids):
+        x, u, y, v = graph.corner_labels(fid)
+        row = {n + i: Fraction(1)}
+        for c, s in ((x, 1), (y, 1), (u, -1), (v, -1)):
+            row[vidx[c]] = row.get(vidx[c], 0) + s
+        aug.append({j: a for j, a in row.items() if a != 0})
+    pivots = []
+    r = 0
+    for c in range(n):
+        pr = next((i for i in range(r, m) if c in aug[i]), None)
+        if pr is None:
+            continue
+        aug[r], aug[pr] = aug[pr], aug[r]
+        pv = aug[r][c]
+        aug[r] = {j: Fraction(a) / pv for j, a in aug[r].items()}
+        for i in range(m):
+            if i != r and c in aug[i]:
+                f = aug[i][c]
+                for j, b in aug[r].items():
+                    a = aug[i].get(j, 0) - f * b
+                    if a == 0:
+                        aug[i].pop(j, None)
+                    else:
+                        aug[i][j] = a
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    assert r == m, "face system is rank deficient"
+    q = {v: {} for v in verts}
+    for i, c in enumerate(pivots):
+        for j, a in sorted(aug[i].items()):
+            if j >= n:
+                q[verts[c]][fids[j - n]] = a
+    return q
+
+
+def _track_flanks(graph):
+    """Per primal edge: (track index, vertex on the track's left, vertex on
+    its right), each track walked from the first edge of its path."""
+    ef = graph.edge_faces()
+    ann = {}
+    for t_i, t in enumerate(train_tracks(graph)):
+        e = t.dual_edge_path[0]
+        fid = sorted(ef[e], key=str)[0]
+        while True:
+            cyc, sides = graph.faces[fid], graph.face_sides(fid)
+            i = sides.index(e)
+            nxt = sides[(i + 2) % 4]
+            ann[e] = (t_i, cyc[(i + 1) % 4], cyc[i])
+            ann[nxt] = (t_i, cyc[(i + 2) % 4], cyc[(i + 3) % 4])
+            fs = [f for f in ef[nxt] if f != fid]
+            if not fs:
+                break
+            e, fid = nxt, fs[0]
+    return ann
+
+
+def _pin_kernel(graph, q):
+    """Subtract, exponent key by key, the kernel element of the face map
+    with q's base value and q's increment at each track's first edge."""
+    verts = graph.vertices()
+    base = verts[0]
+    ann = _track_flanks(graph)
+    first_edge = {}
+    for e, (t_i, l, r) in sorted(ann.items(),
+                                 key=lambda t: sorted(map(str, t[0]))):
+        first_edge.setdefault(t_i, (l, r))
+    adj = {}
+    for e in graph.edges():
+        a, b = sorted(e)
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    out = {v: dict(q[v]) for v in verts}
+    for key in sorted({k for v in verts for k in q[v]}, key=str):
+        alpha = {t_i: q[r].get(key, 0) - q[l].get(key, 0)
+                 for t_i, (l, r) in first_edge.items()}
+        h = {base: q[base].get(key, Fraction(0))}
+        stack = [base]
+        while stack:
+            v = stack.pop()
+            for w in adj[v]:
+                t_i, l, r = ann[frozenset((v, w))]
+                val = h[v] + alpha[t_i] if v == l else h[v] - alpha[t_i]
+                if w not in h:
+                    h[w] = val
+                    stack.append(w)
+                assert h[w] == val, "kernel reconstruction mismatch"
+        for v in verts:
+            e = out[v].get(key, Fraction(0)) - h[v]
+            if e == 0:
+                out[v].pop(key, None)
+            else:
+                out[v][key] = e
+    return out
+
+
+def _value_in_dict_order(exps, bases):
+    out = 1.0
+    for k, e in exps.items():
+        out *= float(bases[k]) ** float(e)
+    return out
+
+
+def reference_parametrization(graph, weights):
+    """The canonical solution by the dense solve, with its floats taken in
+    exponent-dict order as the dense code computed them."""
+    q = _pin_kernel(graph, _dense_solve(graph))
+    g_formal = {v: MulValue(e) for v, e in q.items()}
+    ratios = {fid: ff_ratio(w) for fid, w in weights.items()}
+    scales = {}
+    for fid in graph.faces:
+        x, u, y, v = graph.corner_labels(fid)
+        prod = (g_formal[x] * g_formal[y] * g_formal[u] * g_formal[v]).root()
+        scales[fid] = _value_in_dict_order(prod.exps, ratios) / \
+            float(weights[fid].w5)
+    return {"g": {v: _value_in_dict_order(q[v], ratios) for v in q},
+            "g_formal": g_formal, "scales": scales}
+
+
+def parity_graphs():
+    yield "grid22", grid_quadgraph(2, 2)
+    yield "grid32", grid_quadgraph(3, 2)
+    yield "grid33", grid_quadgraph(3, 3)
+    yield "hexagon", hexagon_y()
+    yield "single", single_quad()
+    for k, U in enumerate(enumerate_solids(2)):
+        yield f"solid2_{k}", quadgraph_from_surface(surface_graph(U))
+    for name, cubes in (("row3", ROW3), ("ell3", ELL3)):
+        yield name, quadgraph_from_surface(
+            surface_graph(SteppedSolid.from_removed(cubes)))
 
 
 def test_validate_grid():
@@ -140,9 +290,17 @@ def test_parametrization_single_quad():
 
 def test_parametrization_roundtrip_exact():
     rng = random.Random(99)
-    for graph in (grid_quadgraph(2, 2), grid_quadgraph(3, 2), hexagon_y()):
+    for name, graph in parity_graphs():
         W = {fid: rational_ff_weights(rng) for fid in graph.faces}
         res = solve_parametrization(graph, W)
+        ref = reference_parametrization(graph, W)
+        assert res["g_formal"] == ref["g_formal"], name
+        # the floats derive from g_formal; only the product order differs
+        for key in ("g", "scales"):
+            assert res[key].keys() == ref[key].keys()
+            for k, val in ref[key].items():
+                assert res[key][k] == pytest.approx(val, rel=1e-12), \
+                    (name, key, k)
         for fid in graph.faces:
             x, u, y, v = graph.corner_labels(fid)
             gf = res["g_formal"]
