@@ -3,11 +3,12 @@
 All subcommands print a machine-readable JSON summary on standard output
 (numbers with 12 significant digits) and use the exit codes
 0 = success, 1 = verification failure, 2 = input error.  Input errors,
-including graphs, weights and solids the library rejects, are reported as a
-JSON error on standard error.  A result that is not a finite number cannot
-be written as JSON, and an exact Laurent computation can fail (for example
-a division that does not come out exact); both are reported as a JSON error
-on standard output with exit code 1.  Identical argv and input files produce
+including malformed input files and the graphs, weights, solids, initial
+values and parameters the library rejects, are reported as a JSON error on
+standard error.  A result that is not a finite number cannot be written as
+JSON, and an exact Laurent computation can fail (for example a division
+that does not come out exact); both are reported as a JSON error on
+standard output with exit code 1.  Identical argv and input files produce
 byte-identical output.  The environment variable
 C2LOOP_THREADS is accepted as an upper bound on worker threads; every
 computation here runs single-threaded, which trivially respects the cap.
@@ -16,17 +17,20 @@ computation here runs single-threaded, which trivially respects the cap.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
 from fractions import Fraction
 
-from .ffdimers import fig_octa_domain, free_energy, lobachevsky_free_energy
+from .ffdimers import FFDimersError, fig_octa_domain, free_energy, \
+    lobachevsky_free_energy
 from .fixtures import cube_sphere, rational_ff_weights
 from .groves import verify_grove_equality
-from .kashaev import solve_origin, yang_baxter_row_check
+from .kashaev import KashaevError, solve_origin, yang_baxter_row_check
 from .laurent import LaurentError, poly_to_json
 from .limitshape import (
+    LimitShapeError,
     dual_curve,
     export_curve,
     export_heatmap,
@@ -82,6 +86,17 @@ def emit(payload):
     print(text)
 
 
+@contextlib.contextmanager
+def _reading(what):
+    """Turn a malformed input's parse error into an InputError."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, AttributeError,
+            ZeroDivisionError) as exc:
+        raise InputError(f"malformed {what}: "
+                         f"{type(exc).__name__}: {exc}") from exc
+
+
 def _load_json(path):
     try:
         with open(path) as fh:
@@ -104,7 +119,7 @@ def load_graph(path):
     data = _load_json(path)
     colors = {}
     positions = {}
-    try:
+    with _reading(f"graph file {path}"):
         for v in data["vertices"]:
             vid = tuple(v["id"]) if isinstance(v["id"], list) else v["id"]
             colors[vid] = v["color"]
@@ -115,20 +130,17 @@ def load_graph(path):
             faces[fid] = tuple(tuple(c) if isinstance(c, list) else c
                                for c in cyc)
         closed = data.get("closed", False)
-    except (KeyError, TypeError, ValueError, AttributeError,
-            ZeroDivisionError) as exc:
-        raise InputError(f"malformed graph file {path}: "
-                         f"{type(exc).__name__}: {exc}") from exc
     return QuadGraph(colors, faces, positions, closed=closed)
 
 
 def load_weights(path, graph):
     data = _load_json(path)
     out = {}
-    for fid, ws in data["faces"].items():
-        if len(ws) != 5:
-            raise InputError(f"face {fid} needs five weights")
-        out[fid] = FaceWeights(*[_parse_number(w) for w in ws])
+    with _reading(f"weights file {path}"):
+        for fid, ws in data["faces"].items():
+            if len(ws) != 5:
+                raise InputError(f"face {fid} needs five weights")
+            out[fid] = FaceWeights(*[_parse_number(w) for w in ws])
     missing = set(map(str, graph.faces)) - set(out)
     if missing:
         raise InputError(f"weights missing for faces {sorted(missing)}")
@@ -144,21 +156,24 @@ def load_solid(path):
 
 
 def load_init(path, vertices):
+    if path is None:
+        raise InputError("numeric mode needs an initial-value file")
     data = _load_json(path)
-    default = data.get("default")
-    by_height = {int(k): v for k, v in data.get("by_height", {}).items()}
-    values = {tuple(json.loads(k)): v
-              for k, v in data.get("values", {}).items()}
     out = {}
-    for v in vertices:
-        if v in values:
-            out[v] = float(values[v])
-        elif height(v) in by_height:
-            out[v] = float(by_height[height(v)])
-        elif default is not None:
-            out[v] = float(default)
-        else:
-            raise InputError(f"no initial value for vertex {v}")
+    with _reading(f"initial-value file {path}"):
+        default = data.get("default")
+        by_height = {int(k): v for k, v in data.get("by_height", {}).items()}
+        values = {tuple(json.loads(k)): v
+                  for k, v in data.get("values", {}).items()}
+        for v in vertices:
+            if v in values:
+                out[v] = float(values[v])
+            elif height(v) in by_height:
+                out[v] = float(by_height[height(v)])
+            elif default is not None:
+                out[v] = float(default)
+            else:
+                raise InputError(f"no initial value for vertex {v}")
     return out
 
 
@@ -200,18 +215,20 @@ def _boundary_from_file(path):
     if path is None:
         return BoundarySpec.free()
     data = _load_json(path)
-    mode = data.get("mode", "free")
-    if mode == "free":
-        return BoundarySpec.free()
-    if mode == "closed_surface":
-        return BoundarySpec.closed()
-    if mode == "fixed_colors":
-        colors = {tuple(json.loads(k)): v for k, v in data["colors"].items()}
-        return BoundarySpec.fixed_colors(colors)
-    if mode == "fixed_connections":
-        conns = [((tuple(a), tuple(b)), c)
-                 for (a, b), c in data["connections"]]
-        return BoundarySpec.fixed_connections(conns)
+    with _reading(f"boundary file {path}"):
+        mode = data.get("mode", "free")
+        if mode == "free":
+            return BoundarySpec.free()
+        if mode == "closed_surface":
+            return BoundarySpec.closed()
+        if mode == "fixed_colors":
+            colors = {tuple(json.loads(k)): v
+                      for k, v in data["colors"].items()}
+            return BoundarySpec.fixed_colors(colors)
+        if mode == "fixed_connections":
+            conns = [((tuple(a), tuple(b)), c)
+                     for (a, b), c in data["connections"]]
+            return BoundarySpec.fixed_connections(conns)
     raise InputError(f"unknown boundary mode {mode!r}")
 
 
@@ -250,11 +267,12 @@ def cmd_dimers(args):
 
 
 def _domain_from_arg(spec):
-    if spec.startswith("integrable:"):
-        return fig_octa_domain(float(spec.split(":", 1)[1]))
-    data = _load_json(spec)
-    if data.get("type") == "integrable":
-        return fig_octa_domain(float(data["theta"]))
+    with _reading(f"domain {spec}"):
+        if spec.startswith("integrable:"):
+            return fig_octa_domain(float(spec.split(":", 1)[1]))
+        data = _load_json(spec)
+        if data.get("type") == "integrable":
+            return fig_octa_domain(float(data["theta"]))
     raise InputError("domain must be integrable:<theta> or a JSON with "
                      '{"type": "integrable", "theta": ...}')
 
@@ -265,7 +283,6 @@ def cmd_kashaev(args):
         emit({"row": args.row, "dual": args.dual, "holds": ok})
         return 0 if ok else 1
     U = load_solid(args.solid)
-    sg = surface_graph(U)
     order = None
     if args.order and args.order != "canonical":
         if not args.order.startswith("random:"):
@@ -274,13 +291,13 @@ def cmd_kashaev(args):
         rng = _random.Random(int(args.order.split(":", 1)[1]))
         order = random_fill_order(U, rng)
     if args.mode == "numeric":
+        sg = surface_graph(U)
         init = load_init(args.init, sg.vertices)
         val = solve_origin(U, g_init=init, mode="numeric", order=order,
                            window_radius=sg.window_radius)
         emit({"origin_value": val})
     else:
-        poly = solve_origin(U, mode="symbolic", order=order,
-                            window_radius=sg.window_radius)
+        poly = solve_origin(U, mode="symbolic", order=order)
         emit({"origin_polynomial": poly_to_json(poly),
               "n_monomials": poly.num_terms()})
     return 0
@@ -512,8 +529,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InputError, FileNotFoundError, QuadGraphError,
-            SteppedError) as exc:
+    except (InputError, FileNotFoundError, QuadGraphError, SteppedError,
+            KashaevError, FFDimersError, LimitShapeError) as exc:
         print(json.dumps(_error(exc)), file=sys.stderr)
         return 2
     except (NonFiniteOutput, LaurentError) as exc:

@@ -101,10 +101,6 @@ class DecoratedDimerGraph:
     cities: dict                   # fid -> [corners]
     road_of: dict                  # glue key -> edge index
 
-    def edge_index(self):
-        return {(min(e[0], e[1], key=str), max(e[0], e[1], key=str)): i
-                for i, e in enumerate(self.edges)}
-
     def incident(self):
         inc = {v: [] for v in self.vertices}
         for i, (u, v, _w, _k) in enumerate(self.edges):
@@ -410,20 +406,15 @@ def _solve_parity(n_edges, constraints):
     return bits
 
 
-def kasteleyn_orientation(gq, comp=None, skip_one_face=True):
+def kasteleyn_orientation(gq, comp):
     """Edge orientation with an odd number of clockwise edges around every
     constrained face (all cities and closed vertex links; on a closed sphere
     one face is left unconstrained, as in the planar picture where the outer
     face is free).  Returns {"bits": ..., "faces": ...}; bit 0 means the edge
     points from its white endpoint to its black endpoint."""
-    if comp is None:
-        raise FFDimersError("kasteleyn_orientation needs the face complex")
     color = _gq_colors(gq)
     faces = gq_faces(comp, gq)
-    if skip_one_face and comp.is_closed():
-        constrained = faces[:-1]
-    else:
-        constrained = faces
+    constrained = faces[:-1] if comp.is_closed() else faces
     cons = []
     for _kind, _key, cycle in constrained:
         idxs = []
@@ -444,11 +435,11 @@ def kasteleyn_orientation(gq, comp=None, skip_one_face=True):
     return {"bits": bits, "faces": faces, "color": color}
 
 
-def kasteleyn_valid(gq, data, comp, skip_one_face=True):
+def kasteleyn_valid(gq, data, comp):
     """Independent checker for the odd-clockwise property."""
     color = data["color"]
     faces = gq_faces(comp, gq)
-    if skip_one_face and comp.is_closed():
+    if comp.is_closed():
         faces = faces[:-1]
     for _kind, _key, cycle in faces:
         clockwise = 0

@@ -10,10 +10,9 @@ recurrence g * g_top = g1 g23 + g2 g13 + g3 g12 instead of the full one.
 
 from __future__ import annotations
 
-from .kashaev import NonPositive
-from .laurent import lp_div_exact
+from .kashaev import fill_corners, lift_state
 from .loopmodel import LOCAL_CONFIGS, side_colors
-from .stepped import UNITS, fill_order, is_regular, vadd
+from .stepped import fill_order, is_regular
 from .taut import build_taut_window, enumerate_taut, taut_weight
 
 
@@ -70,31 +69,18 @@ def grove_to_types(window, grove):
     return out
 
 
+def _all_plus_step(_p, corners):
+    g, g1, g2, g3, g12, g13, g23 = corners
+    return (g1 * g23 + g2 * g13 + g3 * g12) / g
+
+
 def cube_recurrence_solve(U, g_init=None, mode="symbolic", window=None):
     """Origin value of the all-plus-sign recurrence along the fill order."""
     if not is_regular(U)["regular"]:
         raise GrovesError("requires a regular solid")
     win = window or build_taut_window(U)
-    sg = win.sg
-    reg = win.registry
-    if mode == "symbolic":
-        g = {v: reg.var(win.vnames[v]) for v in sg.vertices}
-    else:
-        g = {v: float(g_init[v]) for v in sg.vertices}
-        if any(x <= 0 for x in g.values()):
-            raise NonPositive("initial values must be positive")
-    for p in fill_order(U):
-        g1 = g[vadd(p, UNITS[0])]
-        g2 = g[vadd(p, UNITS[1])]
-        g3 = g[vadd(p, UNITS[2])]
-        g12 = g[vadd(p, (1, 1, 0))]
-        g13 = g[vadd(p, (1, 0, 1))]
-        g23 = g[vadd(p, (0, 1, 1))]
-        num = g1 * g23 + g2 * g13 + g3 * g12
-        if mode == "symbolic":
-            g[vadd(p, (1, 1, 1))] = lp_div_exact(num, g[p])
-        else:
-            g[vadd(p, (1, 1, 1))] = num / g[p]
+    g = lift_state(win.sg, g_init, mode, win.registry).g_values
+    fill_corners(fill_order(U), g, _all_plus_step)
     return g[(0, 0, 0)]
 
 

@@ -8,16 +8,21 @@ corner relation:
     g123 = (2 g1 g2 g3 + g (g1 g23 + g2 g13 + g3 g12) + 2 X Y Z) / g^2
     X1 = (g1 X + Y Z) / g,   Y2 = (g2 Y + X Z) / g,   Z3 = (g3 Z + X Y) / g.
 
-In symbolic mode every division goes through exact Laurent division; a
-failed division is a hard error rather than a fallback, because the result
-is guaranteed to be a Laurent polynomial.
+The formulas are written once for both value types: positive floats
+(numeric mode) and Laurent polynomials (symbolic mode), whose `/` is exact
+division.  A division that leaves a remainder is a hard error rather than a
+fallback, because the result is guaranteed to be a Laurent polynomial.  The
+value type is chosen once, when the initial data are lifted onto the window
+(`lift_state`); only the float positivity guards and the cross-multiplied
+symbolic duality check look at it again, and `agree` compares values of
+either type.
 
-`solve_origin` iterates the completion over a regular stepped solid: cubes
-are added back in a fill order, each step consuming the three pit faces at
-the cube and producing the three new ones, until the value at the origin is
-known.  Face values of the original surface are first-class root variables;
-propagated faces carry the polynomials from the items above, so no new root
-symbols ever appear.
+`solve_origin` iterates the completion over a regular stepped solid:
+`fill_corners` adds cubes back in a fill order, each step reading the seven
+bottom corners, consuming the three pit faces at the cube and producing the
+three new ones, until the value at the origin is known.  Face values of the
+original surface are first-class root variables; propagated faces carry the
+polynomials from the items above, so no new root symbols ever appear.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .laurent import LaurentPoly, VarRegistry, lp_div_exact
+from .laurent import LaurentPoly, VarRegistry
 from .stepped import (
     UNITS,
     face_diagonals,
@@ -78,6 +83,16 @@ def _is_poly(x):
     return isinstance(x, LaurentPoly)
 
 
+def agree(got, want, tol=1e-9, size=None):
+    """Exact values must be equal; floats must agree to tol times
+    |size| + 1, where size defaults to want."""
+    if _is_poly(got) or _is_poly(want):
+        return got == want
+    if size is None:
+        size = want
+    return abs(got - want) <= tol * (abs(size) + 1)
+
+
 def kashaev_step(c):
     """Complete the cube from its bottom data, in place; returns c.
 
@@ -89,21 +104,16 @@ def kashaev_step(c):
     X, Y, Z = c.X, c.Y, c.Z
     num = (2 * g1 * g2 * g3 + g * (g1 * g23 + g2 * g13 + g3 * g12)
            + 2 * X * Y * Z)
-    if _is_poly(num):
-        gsq = g * g
-        c.g123 = lp_div_exact(num, gsq)
-        c.X1 = lp_div_exact(g1 * X + Y * Z, g)
-        c.Y2 = lp_div_exact(g2 * Y + X * Z, g)
-        c.Z3 = lp_div_exact(g3 * Z + X * Y, g)
-        return c
-    for name in ("g", "g1", "g2", "g3", "g12", "g13", "g23"):
-        if getattr(c, name) <= 0:
-            raise NonPositive(f"{name} <= 0 in numeric mode")
+    numeric = not _is_poly(num)
+    if numeric:
+        for name in ("g", "g1", "g2", "g3", "g12", "g13", "g23"):
+            if getattr(c, name) <= 0:
+                raise NonPositive(f"{name} <= 0 in numeric mode")
     c.g123 = num / (g * g)
     c.X1 = (g1 * X + Y * Z) / g
     c.Y2 = (g2 * Y + X * Z) / g
     c.Z3 = (g3 * Z + X * Y) / g
-    if c.g123 <= 0:
+    if numeric and c.g123 <= 0:
         raise NonPositive("completed corner is not positive")
     return c
 
@@ -157,20 +167,15 @@ class HexState:
         self.face_values = face_values
         self.registry = registry
 
-    def check_face_invariant(self, rng_point=None):
+    def check_face_invariant(self):
         """Every face value squared equals the sum of its two diagonal
-        g-products.  Symbolic values are checked by evaluation at a random
-        rational point when one is supplied."""
+        g-products: exactly for symbolic values, to 1e-9 for floats."""
         for key, val in self.face_values.items():
             axis, base = key
             (a, c), (b, d) = face_diagonals(axis, base)
             want = (self.g_values[a] * self.g_values[c]
                     + self.g_values[b] * self.g_values[d])
-            got = val * val
-            if _is_poly(val):
-                if got != want:
-                    return False
-            elif abs(got - want) > 1e-9 * (abs(want) + 1):
+            if not agree(val * val, want):
                 return False
         return True
 
@@ -191,20 +196,26 @@ def build_registry(surface):
     return reg, vnames
 
 
-def initial_state(U, g_init=None, mode="symbolic", window_radius=None):
-    sg = surface_graph(U, window_radius)
+def lift_state(sg, g_init=None, mode="symbolic", registry=None, faces=()):
+    """Initial data on a window: a value at every vertex of sg and at each
+    face key in faces.
+
+    Symbolic mode lifts into the registry (built from sg when not given):
+    a vertex takes the exact constant g_init gives for it, or else its
+    variable, and a face takes its root variable.  Numeric mode reads a
+    positive float for every vertex from g_init, and a face takes the
+    square root of its two diagonal products.
+    """
     if mode == "symbolic":
-        reg, vnames = build_registry(sg)
-        g_values = {}
-        for v in sg.vertices:
-            if g_init is not None and v in g_init:
-                val = g_init[v]
-                g_values[v] = val if _is_poly(val) else reg.const(val)
-            else:
-                g_values[v] = reg.var(vnames[v])
-        face_values = {key: reg.var(sg.face_root_name(key))
-                       for key in sg.faces}
-        return HexState(sg, g_values, face_values, reg)
+        if registry is None:
+            registry, _ = build_registry(sg)
+        g_init = g_init or {}
+        g_values = {v: registry.zero() + g_init[v] if v in g_init
+                    else registry.var(sg.vertex_var_name(v))
+                    for v in sg.vertices}
+        face_values = {key: registry.var(sg.face_root_name(key))
+                       for key in faces}
+        return HexState(sg, g_values, face_values, registry)
     if g_init is None:
         raise KashaevError("numeric mode requires initial values")
     g_values = {}
@@ -214,12 +225,31 @@ def initial_state(U, g_init=None, mode="symbolic", window_radius=None):
             raise NonPositive(f"initial value at {v} is not positive")
         g_values[v] = val
     face_values = {}
-    for key in sg.faces:
+    for key in faces:
         axis, base = key
         (a, c), (b, d) = face_diagonals(axis, base)
         face_values[key] = math.sqrt(g_values[a] * g_values[c]
                                      + g_values[b] * g_values[d])
     return HexState(sg, g_values, face_values, None)
+
+
+def initial_state(U, g_init=None, mode="symbolic", window_radius=None):
+    sg = surface_graph(U, window_radius)
+    return lift_state(sg, g_init, mode, faces=sg.faces)
+
+
+# offsets of a cube's seven bottom corners, in CubeData order
+_BOTTOM = ((0, 0, 0), UNITS[0], UNITS[1], UNITS[2],
+           (1, 1, 0), (1, 0, 1), (0, 1, 1))
+
+
+def fill_corners(order, g_values, complete):
+    """Add the cubes back in order: complete(p, corners) gets the values at
+    cube p's seven bottom corners (g, g1, g2, g3, g12, g13, g23) and returns
+    the value at its top corner p + (1, 1, 1)."""
+    for p in order:
+        corners = [g_values[vadd(p, d)] for d in _BOTTOM]
+        g_values[vadd(p, (1, 1, 1))] = complete(p, corners)
 
 
 def solve_state(U, g_init=None, mode="symbolic", order=None,
@@ -232,35 +262,20 @@ def solve_state(U, g_init=None, mode="symbolic", order=None,
         order = list(order)
         if sorted(order) != sorted(U.removed):
             raise KashaevError("order must enumerate the removed cubes")
-    for p in order:
-        gv, fv = state.g_values, state.face_values
-        top = vadd(p, (1, 1, 1))
-        c = CubeData(
-            g=gv[p],
-            g1=gv[vadd(p, UNITS[0])],
-            g2=gv[vadd(p, UNITS[1])],
-            g3=gv[vadd(p, UNITS[2])],
-            g12=gv[vadd(p, (1, 1, 0))],
-            g13=gv[vadd(p, (1, 0, 1))],
-            g23=gv[vadd(p, (0, 1, 1))],
-            X=fv.pop((0, p)),
-            Y=fv.pop((1, p)),
-            Z=fv.pop((2, p)),
-        )
-        kashaev_step(c)
-        if check_residuals:
-            res = kashaev_relation_residual(c)
-            if _is_poly(res):
-                if res.terms:
-                    raise KashaevError(f"symbolic residual nonzero at {p}")
-            else:
-                scale = abs(c.g * c.g123) + 1
-                if abs(res) > 1e-9 * scale:
-                    raise KashaevError(f"residual {res} too large at {p}")
-        gv[top] = c.g123
+    fv = state.face_values
+
+    def complete(p, corners):
+        c = kashaev_step(CubeData(*corners, X=fv.pop((0, p)),
+                                  Y=fv.pop((1, p)), Z=fv.pop((2, p))))
+        if check_residuals and not agree(kashaev_relation_residual(c), 0,
+                                         size=c.g * c.g123):
+            raise KashaevError(f"corner relation residual nonzero at {p}")
         fv[(0, vadd(p, UNITS[0]))] = c.X1
         fv[(1, vadd(p, UNITS[1]))] = c.Y2
         fv[(2, vadd(p, UNITS[2]))] = c.Z3
+        return c.g123
+
+    fill_corners(order, state.g_values, complete)
     return state
 
 

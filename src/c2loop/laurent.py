@@ -11,7 +11,8 @@ After every operation a polynomial is kept in canonical form: no zero
 coefficients, and every root variable appears with exponent 0 or 1.  A root
 variable is never allowed to acquire a negative exponent; an operation that
 would need s^-1 raises NotDivisible, since in the intended computations all
-divisions are by vertex monomials.
+divisions are by vertex monomials.  `p / q` is exact division
+(lp_div_exact): it raises NotDivisible on a remainder and never rounds.
 
 Representation:
 
@@ -178,8 +179,10 @@ class LaurentPoly:
             if e % 2:
                 rest[name] = 1
             base = tuple(sorted(rest.items(), key=lambda t: reg.index(t[0])))
-            square = reg.root_square(name)
-            expanded = _mono_poly_power_mul(base, coeff, square, e // 2, reg)
+            expanded = {base: coeff}
+            for _ in range(e // 2):
+                expanded = _mul_terms(expanded, reg.root_square(name).terms,
+                                      reg)
             for m2, c2 in expanded.items():
                 pending[m2] = pending.get(m2, Fraction(0)) + c2
         out = {m: c for m, c in out.items() if c != 0}
@@ -221,22 +224,14 @@ class LaurentPoly:
     def __mul__(self, other):
         other = self._check(other)
         reg = self.registry
-        out = {}
-        for m1, c1 in self.terms.items():
-            d1 = dict(m1)
-            for m2, c2 in other.terms.items():
-                d = dict(d1)
-                for n, e in m2:
-                    e2 = d.get(n, 0) + e
-                    if e2 == 0:
-                        d.pop(n, None)
-                    else:
-                        d[n] = e2
-                mono = tuple(sorted(d.items(), key=lambda t: reg.index(t[0])))
-                out[mono] = out.get(mono, Fraction(0)) + c1 * c2
-        return LaurentPoly(out, reg)._reduce_roots()
+        return LaurentPoly(_mul_terms(self.terms, other.terms, reg),
+                           reg)._reduce_roots()
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        """Exact division; see lp_div_exact."""
+        return lp_div_exact(self, other)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -274,13 +269,6 @@ class LaurentPoly:
         total = -sum(exps.values())
         return (total, vec)
 
-    def leading(self):
-        """Leading (mono, coeff) in graded lex order, None for zero."""
-        if not self.terms:
-            return None
-        mono = min(self.terms, key=self._order_key)
-        return mono, self.terms[mono]
-
     def is_monomial(self):
         return len(self.terms) == 1
 
@@ -291,41 +279,23 @@ class LaurentPoly:
         reg = self.registry
         return any(reg.is_root(n) for m in self.terms for n, _ in m)
 
-    def vertex_exponent_range(self, name):
-        """(min, max) exponent of a vertex variable over all terms."""
-        exps = [dict(m).get(name, 0) for m in self.terms]
-        return (min(exps), max(exps)) if exps else (0, 0)
 
-
-def _mono_poly_power_mul(base_mono, coeff, poly, power, reg):
-    """Terms of coeff * base_mono * poly**power, as a raw dict."""
-    acc = {base_mono: coeff}
-    for _ in range(power):
-        nxt = {}
-        for m1, c1 in acc.items():
-            d1 = dict(m1)
-            for m2, c2 in poly.terms.items():
-                d = dict(d1)
-                for n, e in m2:
-                    e2 = d.get(n, 0) + e
-                    if e2 == 0:
-                        d.pop(n, None)
-                    else:
-                        d[n] = e2
-                mono = tuple(sorted(d.items(), key=lambda t: reg.index(t[0])))
-                nxt[mono] = nxt.get(mono, Fraction(0)) + c1 * c2
-        acc = nxt
-    return acc
-
-
-# -- spec-level operation names -------------------------------------------
-
-def lp_add(p, q):
-    return p + q
-
-
-def lp_mul(p, q):
-    return p * q
+def _mul_terms(terms1, terms2, reg):
+    """Raw (unreduced) term dict of the product of two term dicts."""
+    out = {}
+    for m1, c1 in terms1.items():
+        d1 = dict(m1)
+        for m2, c2 in terms2.items():
+            d = dict(d1)
+            for n, e in m2:
+                e2 = d.get(n, 0) + e
+                if e2 == 0:
+                    d.pop(n, None)
+                else:
+                    d[n] = e2
+            mono = tuple(sorted(d.items(), key=lambda t: reg.index(t[0])))
+            out[mono] = out.get(mono, Fraction(0)) + c1 * c2
+    return out
 
 
 def lp_div_exact(p, q):
@@ -344,20 +314,12 @@ def lp_div_exact(p, q):
         raise DivZero("division by zero polynomial")
     reg = p.registry
     if q.is_monomial():
+        # multiply by the inverse monomial; a root variable left with a
+        # negative exponent makes the reduction raise NotDivisible
         (qmono, qcoeff), = q.terms.items()
-        qd = dict(qmono)
-        out = {}
-        for m, c in p.terms.items():
-            d = dict(m)
-            for n, e in qd.items():
-                e2 = d.get(n, 0) - e
-                if e2 == 0:
-                    d.pop(n, None)
-                else:
-                    d[n] = e2
-            mono = tuple(sorted(d.items(), key=lambda t: reg.index(t[0])))
-            out[mono] = c / qcoeff
-        return LaurentPoly(out, reg)._reduce_roots()
+        inverse = {tuple((n, -e) for n, e in qmono): 1 / qcoeff}
+        return LaurentPoly(_mul_terms(p.terms, inverse, reg),
+                           reg)._reduce_roots()
     if q.has_roots():
         raise NotDivisible("general divisor must be free of root variables")
     # Split the dividend into sectors by square-free root monomial; each

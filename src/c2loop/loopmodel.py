@@ -86,26 +86,34 @@ class FaceComplex:
     def is_closed(self):
         return not self.half_edges()
 
+    def edge_of(self, fid, s):
+        """The primal edge under side s of face fid: its two corners."""
+        cyc = self.corner_ids[fid]
+        return frozenset((cyc[s], cyc[(s + 1) % 4]))
+
+    @classmethod
+    def from_corners(cls, corner_ids):
+        """Glue the two face sides over each primal edge, visiting faces in
+        corner_ids order; an edge may bound at most two faces."""
+        comp = cls(corner_ids)
+        incid = {}
+        for fid in corner_ids:
+            for s in range(4):
+                incid.setdefault(comp.edge_of(fid, s), []).append((fid, s))
+        for e, slots in incid.items():
+            if len(slots) > 2:
+                raise LoopModelError(
+                    f"edge {sorted(e)} bounds {len(slots)} faces")
+            if len(slots) == 2:
+                comp.gluing[slots[0]] = slots[1]
+                comp.gluing[slots[1]] = slots[0]
+        return comp
+
 
 def complex_from_quadgraph(graph):
     """Slot-glued view of a QuadGraph; edges must bound at most two faces."""
-    corner_ids = {}
-    for fid in sorted(graph.faces, key=str):
-        corner_ids[fid] = graph.corner_labels(fid)
-    incid = {}
-    for fid in sorted(graph.faces, key=str):
-        cyc = corner_ids[fid]
-        for s in range(4):
-            e = frozenset((cyc[s], cyc[(s + 1) % 4]))
-            incid.setdefault(e, []).append((fid, s))
-    gluing = {}
-    for e, slots in incid.items():
-        if len(slots) > 2:
-            raise LoopModelError(f"edge {sorted(e)} bounds {len(slots)} faces")
-        if len(slots) == 2:
-            gluing[slots[0]] = slots[1]
-            gluing[slots[1]] = slots[0]
-    return FaceComplex(corner_ids, gluing)
+    return FaceComplex.from_corners({fid: graph.corner_labels(fid)
+                                     for fid in sorted(graph.faces, key=str)})
 
 
 def _as_complex(graph):

@@ -90,10 +90,6 @@ class SteppedSolid:
     def to_json(self):
         return {"removed": sorted(list(c) for c in self.removed)}
 
-    @staticmethod
-    def from_json(data):
-        return SteppedSolid.from_removed(data["removed"])
-
 
 def is_regular(U):
     """Regularity report: finite upward-closed removed set, plus the radius
@@ -144,10 +140,6 @@ def random_fill_order(U, rng):
     return order
 
 
-def cube_corners(p):
-    return [vadd(p, d) for d in itertools.product((0, 1), repeat=3)]
-
-
 def face_corners(axis, base):
     """Corner 4-cycle of the unit square with normal `axis` at `base`."""
     i, j = [k for k in range(3) if k != axis]
@@ -192,23 +184,6 @@ class SurfaceGraph:
 
     def vertex_var_name(self, v):
         return f"g[{v[0]},{v[1]},{v[2]}]"
-
-    def edges(self):
-        """All primal edges as frozensets of two corner coordinates."""
-        out = set()
-        for cyc in self.faces.values():
-            for k in range(4):
-                out.add(frozenset((cyc[k], cyc[(k + 1) % 4])))
-        return out
-
-    def faces_of_edge(self):
-        """Map primal edge -> list of face keys bordering it."""
-        out = {}
-        for key, cyc in self.faces.items():
-            for k in range(4):
-                e = frozenset((cyc[k], cyc[(k + 1) % 4]))
-                out.setdefault(e, []).append(key)
-        return out
 
 
 def surface_graph(U, window_radius=None):

@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .kashaev import build_registry, solve_origin
+from .kashaev import agree, build_registry, solve_origin
 from .loopmodel import FaceComplex, LOCAL_CONFIGS, side_colors
 from .stepped import (
     SteppedSolid,
@@ -67,23 +67,8 @@ def _rotate_black_first(cyc):
 def window_complex(sg):
     """FaceComplex of a surface window; face keys are the (axis, base)
     pairs, corner cycles rotated to start at the lex-least black corner."""
-    corner_ids = {}
-    for key, cyc in sg.faces.items():
-        corner_ids[key] = _rotate_black_first(cyc)
-    incid = {}
-    for key in sorted(corner_ids):
-        cyc = corner_ids[key]
-        for s in range(4):
-            e = frozenset((cyc[s], cyc[(s + 1) % 4]))
-            incid.setdefault(e, []).append((key, s))
-    gluing = {}
-    for e, slots in incid.items():
-        if len(slots) == 2:
-            gluing[slots[0]] = slots[1]
-            gluing[slots[1]] = slots[0]
-        elif len(slots) > 2:
-            raise TautError(f"edge {sorted(e)} bounds {len(slots)} faces")
-    return FaceComplex(corner_ids, gluing)
+    return FaceComplex.from_corners({key: _rotate_black_first(sg.faces[key])
+                                     for key in sorted(sg.faces)})
 
 
 def sigma0_type(cyc):
@@ -142,12 +127,16 @@ def _face_level(comp, key):
     return min(height(c) for c in comp.corner_ids[key])
 
 
-def build_taut_window(U, extra_collar=4.0):
+# window radius beyond R_U: the frozen collar around the zone ball
+_COLLAR = 4.0
+
+
+def build_taut_window(U):
     reg_info = is_regular(U)
     if not reg_info["regular"]:
         raise TautError("taut enumeration requires a regular solid")
     r_u = reg_info["R_U"]
-    radius = r_u + extra_collar
+    radius = r_u + _COLLAR
     sg = surface_graph(U, radius)
     flat_sg = surface_graph(SteppedSolid(), radius)
     comp = window_complex(sg)
@@ -163,14 +152,13 @@ def build_taut_window(U, extra_collar=4.0):
     def interface(c, zone_set):
         out = set()
         for key in zone_set:
-            cyc = c.corner_ids[key]
             for s in range(4):
                 partner = c.gluing.get((key, s))
                 if partner is None:
                     raise TautError("zone touches the window boundary; "
                                     "enlarge the collar")
                 if partner[0] not in zone_set:
-                    out.add(frozenset((cyc[s], cyc[(s + 1) % 4])))
+                    out.add(c.edge_of(key, s))
         return out
 
     iface = interface(comp, set(zone))
@@ -197,10 +185,6 @@ def _sigma0_pairing(flat_comp, flat_zone, iface):
     assign = {key: sigma0_type(flat_comp.corner_ids[key])
               for key in flat_zone}
 
-    def edge_of(key, s):
-        cyc = flat_comp.corner_ids[key]
-        return frozenset((cyc[s], cyc[(s + 1) % 4]))
-
     target = {}
     for start_key in sorted(iface, key=sorted):
         if start_key in target:
@@ -209,7 +193,7 @@ def _sigma0_pairing(flat_comp, flat_zone, iface):
         slot = None
         for key in flat_zone:
             for s in range(4):
-                if edge_of(key, s) == start_key:
+                if flat_comp.edge_of(key, s) == start_key:
                     slot = (key, s)
         cur = slot
         while True:
@@ -219,7 +203,7 @@ def _sigma0_pairing(flat_comp, flat_zone, iface):
             for p in pairs:
                 if s in p:
                     other = p[0] if p[1] == s else p[1]
-            e = edge_of(key, other)
+            e = flat_comp.edge_of(key, other)
             if e in iface:
                 target[start_key] = e
                 target[e] = start_key
@@ -257,16 +241,12 @@ def enumerate_taut(U, window=None):
     zone = win.zone
     zone_set = set(zone)
 
-    def edge_of(key, s):
-        cyc = comp.corner_ids[key]
-        return frozenset((cyc[s], cyc[(s + 1) % 4]))
-
     # plugs: (edge, face) for zone faces; interface edges have a terminal
     # plug (edge, "IF").  ends maps an open chain end to its other end.
     ends = {}
     for key in zone:
         for s in range(4):
-            e = edge_of(key, s)
+            e = comp.edge_of(key, s)
             if e in win.interface_edges:
                 a, b = (e, key), (e, "IF")
             else:
@@ -317,7 +297,7 @@ def enumerate_taut(U, window=None):
             results.append(TautConfig(dict(assign), n_loops[0], win))
             return
         key = order[k]
-        sides = [edge_of(key, s) for s in range(4)]
+        sides = [comp.edge_of(key, s) for s in range(4)]
         for name in ("1a", "1b", "2a", "2b", "3a", "3b", "4a", "4b",
                      "5a", "5b"):
             cols = side_colors(name)
@@ -406,28 +386,20 @@ def taut_weight(win, config, symbolic=True, g_init=None):
 def y_taut(U, g_init=None, symbolic=True, window=None):
     """Renormalized partition function over all taut configurations."""
     win = window or build_taut_window(U)
-    configs = enumerate_taut(U, win)
-    if symbolic:
-        total = win.registry.zero()
-        for cfg in configs:
-            total = total + taut_weight(win, cfg, symbolic=True)
-        return total
-    return sum(taut_weight(win, cfg, symbolic=False, g_init=g_init)
-               for cfg in configs)
+    return sum(taut_weight(win, cfg, symbolic, g_init)
+               for cfg in enumerate_taut(U, win))
 
 
-def verify_partition_identity(U, mode="symbolic", g_init=None, window=None, tol=1e-9):
-    """Partition function against the recurrence solution at the origin."""
+def verify_partition_identity(U, mode="symbolic", g_init=None, window=None,
+                              tol=1e-9):
+    """Partition function against the recurrence solution at the origin:
+    exactly in symbolic mode, to tol in numeric mode at the values g_init
+    (which symbolic mode does not take)."""
     win = window or build_taut_window(U)
-    if mode == "symbolic":
-        lhs = y_taut(U, symbolic=True, window=win)
-        rhs = solve_origin(U, mode="symbolic",
-                           window_radius=win.sg.window_radius)
-        return lhs == rhs
-    lhs = y_taut(U, g_init=g_init, symbolic=False, window=win)
-    rhs = solve_origin(U, g_init=g_init, mode="numeric",
+    lhs = y_taut(U, g_init=g_init, symbolic=mode == "symbolic", window=win)
+    rhs = solve_origin(U, g_init=g_init, mode=mode,
                        window_radius=win.sg.window_radius)
-    return abs(lhs - rhs) <= tol * (abs(rhs) + 1)
+    return agree(lhs, rhs, tol)
 
 
 def verify_monomial_bijection(U, window=None):
@@ -510,11 +482,6 @@ def reconstruct_from_monomial(U, monomial, window=None):
         touched.update(comp.corner_ids[key])
     res = {v: 2 * residual.get(v, 0) - win.collar[v] for v in touched}
     edge_color = {e: "B" for e in win.interface_edges}
-
-    def edge_of(key, s):
-        cyc = comp.corner_ids[key]
-        return frozenset((cyc[s], cyc[(s + 1) % 4]))
-
     unknown = set(zone_set)
     while unknown:
         pick = None
@@ -553,7 +520,7 @@ def reconstruct_from_monomial(U, monomial, window=None):
             cols = side_colors(cand)
             ok = True
             for s in range(4):
-                e = edge_of(key, s)
+                e = comp.edge_of(key, s)
                 if e in edge_color and edge_color[e] != cols[s]:
                     ok = False
                     break
@@ -568,7 +535,7 @@ def reconstruct_from_monomial(U, monomial, window=None):
         cols = side_colors(name)
         contrib = _CORNER_EXP[name]
         for s in range(4):
-            e = edge_of(key, s)
+            e = comp.edge_of(key, s)
             if e not in edge_color:
                 edge_color[e] = cols[s]
             res[cyc[s]] -= contrib[s]

@@ -239,3 +239,42 @@ def test_verify_all_quick(capsys):
     assert data["all_passed"]
     assert len(data["criteria"]) == 11
     assert "[PASS]" in err
+
+
+# malformed inputs: files to write next to the fixtures, then the argv, in
+# which "{d}" names that directory
+MALFORMED = {
+    "weights-without-faces": (
+        {"w.json": {"face": {}}},
+        ["param", "solve", "{d}/grid22_graph.json", "{d}/w.json"]),
+    "init-not-a-number": (
+        {"i.json": {"default": "x"}},
+        ["kashaev", "solve", "{d}/one_cube.json", "{d}/i.json"]),
+    "init-bad-vertex-key": (
+        {"i.json": {"values": {"oops": 1}}},
+        ["kashaev", "solve", "{d}/one_cube.json", "{d}/i.json"]),
+    "boundary-without-colors": (
+        {"b.json": {"mode": "fixed_colors"}},
+        ["loops", "partition", "{d}/cube_graph.json", "{d}/cube_weights.json",
+         "--boundary", "{d}/b.json"]),
+    "kashaev-numeric-without-init": (
+        {}, ["kashaev", "solve", "{d}/one_cube.json"]),
+    "taut-sample-without-init": (
+        {}, ["taut", "sample", "{d}/one_cube.json"]),
+    "domain-theta-not-a-number": (
+        {}, ["dimers", "free-energy", "--domain", "integrable:abc"]),
+    "free-energy-grid-too-small": (
+        {}, ["dimers", "free-energy", "--grid", "10"]),
+    "shape-negative-layer": (
+        {}, ["shape", "params", "--a", "-1"]),
+}
+
+
+@pytest.mark.parametrize("files, argv", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_input_is_json_error(tmp_path, capsys, files, argv):
+    run(capsys, "fixtures", "--out", str(tmp_path))
+    for name, payload in files.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+    code, out, err = run(capsys, *[a.format(d=tmp_path) for a in argv])
+    assert code == 2 and out == ""
+    assert _strict_json(err)["error"]

@@ -12,10 +12,8 @@ from c2loop.laurent import (
     NotDivisible,
     RegistryMismatch,
     VarRegistry,
-    lp_add,
     lp_div_exact,
     lp_eval,
-    lp_mul,
     poly_from_json,
     poly_to_json_str,
 )
@@ -49,14 +47,14 @@ def rand_poly(reg, rng, n_terms=4, with_roots=False):
 def test_add_identity_and_cancellation():
     g1 = REG.var("g1")
     g2 = REG.var("g2")
-    assert lp_add(g1, REG.zero()) == g1
-    assert lp_add(g1 + g2, g1 - g2) == 2 * g1
+    assert g1 + REG.zero() == g1
+    assert (g1 + g2) + (g1 - g2) == 2 * g1
 
 
 def test_add_disjoint_supports():
     p = REG.monomial({"g1": 1, "g2": 1, "g3": 1, "g": -2}, 2)
     q = REG.monomial({"g1": 1, "g23": 1, "g": -1}, 1)
-    s = lp_add(p, q)
+    s = p + q
     assert s.num_terms() == 2
     assert sorted(s.terms.values()) == [Fraction(1), Fraction(2)]
 
@@ -64,7 +62,7 @@ def test_add_disjoint_supports():
 def test_root_square_reduces():
     X = REG.var("X")
     want = REG.monomial({"g": 1, "g23": 1}) + REG.monomial({"g2": 1, "g3": 1})
-    assert lp_mul(X, X) == want
+    assert X * X == want
 
 
 def test_xyz_squared():
@@ -82,18 +80,18 @@ def test_mul_identity():
     rng = random.Random(1)
     for _ in range(20):
         p = rand_poly(REG, rng, with_roots=True)
-        assert lp_mul(p, REG.const(1)) == p
+        assert p * REG.const(1) == p
 
 
 def test_registry_mismatch():
     other = VarRegistry(["g", "h"])
     with pytest.raises(RegistryMismatch):
-        lp_add(REG.var("g"), other.var("g"))
+        REG.var("g") + other.var("g")
 
 
 def test_equal_content_registries_interoperate():
     other = make_reg()
-    assert lp_add(REG.var("g"), other.var("g")) == 2 * REG.var("g")
+    assert REG.var("g") + other.var("g") == 2 * REG.var("g")
 
 
 def test_div_by_unit_and_monomial():
@@ -178,7 +176,18 @@ def test_mul_div_roundtrip_randomized():
         q = rand_poly(REG, rng, 3, with_roots=False)
         if not q.terms:
             continue
-        assert lp_div_exact(lp_mul(p, q), q) == p
+        assert lp_div_exact(p * q, q) == p
+        assert (p * q) / q == p
+
+
+def test_truediv_errors():
+    g1, g2, g3 = REG.var("g1"), REG.var("g2"), REG.var("g3")
+    with pytest.raises(NotDivisible):
+        (g1 + g2) / (g1 + g3)
+    with pytest.raises(NotDivisible):
+        (g1 * REG.var("X") + g2) / (g1 + REG.var("X"))
+    with pytest.raises(DivZero):
+        g1 / REG.zero()
 
 
 def test_reduction_idempotent():
