@@ -38,14 +38,15 @@ from .limitshape import (
     rho_field,
     rs_from_abc,
 )
-from .loopmodel import BoundarySpec, enumerate_configs, partition_function
+from .loopmodel import BoundarySpec, LoopModelError, enumerate_configs, \
+    partition_function
 from .quadgraph import FaceWeights, QuadGraph, QuadGraphError, \
     grid_quadgraph, solve_parametrization, track_census, train_tracks, \
     validate
 from .stepped import SteppedError, SteppedSolid, height, random_fill_order, \
     surface_graph
-from .taut import build_taut_window, enumerate_taut, sample_taut, \
-    verify_partition_identity, verify_monomial_bijection, y_taut
+from .taut import TautError, build_taut_window, enumerate_taut, \
+    sample_taut, verify_partition_identity, verify_monomial_bijection, y_taut
 from .verify import run_all
 
 
@@ -288,7 +289,8 @@ def cmd_kashaev(args):
         if not args.order.startswith("random:"):
             raise InputError("--order must be canonical or random:SEED")
         import random as _random
-        rng = _random.Random(int(args.order.split(":", 1)[1]))
+        with _reading(f"--order {args.order}"):
+            rng = _random.Random(int(args.order.split(":", 1)[1]))
         order = random_fill_order(U, rng)
     if args.mode == "numeric":
         sg = surface_graph(U)
@@ -343,6 +345,10 @@ def cmd_taut(args):
     if args.action == "reconstruct":
         from .taut import reconstruct_from_monomial
         mono = _load_json(args.monomial)
+        if not (isinstance(mono, dict)
+                and all(isinstance(e, int) for e in mono.values())):
+            raise InputError(f"monomial file {args.monomial} must map "
+                             "variable names to integer exponents")
         cfg = reconstruct_from_monomial(U, mono, window=win)
         emit(cfg.to_json())
         return 0
@@ -530,7 +536,8 @@ def main(argv=None):
     try:
         return args.fn(args)
     except (InputError, FileNotFoundError, QuadGraphError, SteppedError,
-            KashaevError, FFDimersError, LimitShapeError) as exc:
+            KashaevError, FFDimersError, LimitShapeError, LoopModelError,
+            TautError) as exc:
         print(json.dumps(_error(exc)), file=sys.stderr)
         return 2
     except (NonFiniteOutput, LaurentError) as exc:

@@ -720,7 +720,7 @@ def lobachevsky(theta, tol=1e-12):
 def lobachevsky_free_energy(theta):
     """Closed form of the integrable free energy per fundamental domain."""
     if not 0 < theta < math.pi / 2:
-        raise ValueError("theta must lie in (0, pi/2)")
+        raise FFDimersError("theta must lie in (0, pi/2)")
     return ((8 / math.pi) * (lobachevsky(theta)
                              + lobachevsky(math.pi / 2 - theta))
             + (8 * theta / math.pi) * math.log(math.tan(theta))

@@ -33,6 +33,8 @@ def intrinsic_residual(R, S):
 
 def s_from_r(R):
     """Greatest root of the intrinsic relation in S."""
+    if not R > 0:
+        raise LimitShapeError(f"R = ac/b^2 must be positive, got {R}")
     A = R * R
     B = -(6 * R + 4)
     C = -(4 * R + 3)
@@ -78,6 +80,8 @@ def rho_coeffs(R, S=None):
     """Coefficients of the two linear relations on the observable."""
     if S is None:
         S = s_from_r(R)
+    if not (R > 0 and S > 0):
+        raise LimitShapeError(f"R and S must be positive, got {R}, {S}")
     if abs(intrinsic_residual(R, S)) > 1e-6 * (1 + (R * S) ** 2):
         raise IntrinsicViolated("R, S do not satisfy the intrinsic relation")
     sr = math.sqrt(1 + R)

@@ -11,9 +11,10 @@ outside a ball around the origin and reconnects the frozen strands exactly
 as the reference does.  Enumeration works on a finite zone of faces around
 the carve: colors propagate through shared sides, strands are maintained as
 chains between interface plugs, and any chain that closes interface-to-
-interface with the wrong partner kills the branch immediately.  Processing
-faces from the deepest wall level upward makes that check fire as early as
-possible.
+interface with the wrong partner kills the branch immediately.  The search
+takes next the face with the most sides already colored, starting from the
+interface, so both checks fire as early as possible; the configurations are
+then listed in zone order, deepest wall level first.
 
 Weights are assembled per vertex: each face type contributes exponent 1 to
 its non-hugged diagonal (rows 1-2), exponent 1/2 plus the face root variable
@@ -24,13 +25,15 @@ cancels against the reference pattern except on a bounded collar.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .kashaev import agree, build_registry, solve_origin
-from .loopmodel import FaceComplex, LOCAL_CONFIGS, side_colors
+from .loopmodel import CONFIG_ORDER, FaceComplex, LOCAL_CONFIGS, \
+    side_colors
 from .stepped import (
     SteppedSolid,
     face_diagonals,
@@ -105,7 +108,7 @@ class TautWindow:
     comp: FaceComplex
     flat_sg: object
     flat_comp: FaceComplex
-    zone: list                    # carved zone face keys, processing order
+    zone: list                    # carved zone face keys, output order
     frozen: set
     interface_edges: set          # primal-edge keys on the zone boundary
     target_pairing: dict          # interface edge -> partner edge
@@ -234,19 +237,45 @@ class TautConfig:
                 "window_radius": self.window.sg.window_radius}
 
 
+_SIDE_COLORS = {name: side_colors(name) for name in CONFIG_ORDER}
+# (side colors, side pairs) of every local picture, in CONFIG_ORDER
+_PICTURES = tuple((_SIDE_COLORS[name], LOCAL_CONFIGS[name][1])
+                  for name in CONFIG_ORDER)
+
+
+def _search_order(sides, decided):
+    """Zone positions, most constrained first: repeatedly the face with the
+    most sides already decided (interface edges or sides of earlier faces),
+    ties broken by zone rank."""
+    decided = set(decided)
+    left = list(range(len(sides)))
+    order = []
+    while left:
+        i = max(left, key=lambda j: (len(decided.intersection(sides[j])), -j))
+        left.remove(i)
+        order.append(i)
+        decided.update(sides[i])
+    return order
+
+
 def enumerate_taut(U, window=None):
-    """All taut configurations, deterministic order."""
+    """All taut configurations, in lexicographic order of their pictures'
+    CONFIG_ORDER ranks along the zone.
+
+    The search visits the faces in constraint order (_search_order), so
+    colors and the interface pairing prune early; the results are sorted
+    back into zone order."""
     win = window or build_taut_window(U)
     comp = win.comp
     zone = win.zone
     zone_set = set(zone)
+    sides = [tuple(comp.edge_of(key, s) for s in range(4)) for key in zone]
 
     # plugs: (edge, face) for zone faces; interface edges have a terminal
     # plug (edge, "IF").  ends maps an open chain end to its other end.
     ends = {}
-    for key in zone:
-        for s in range(4):
-            e = comp.edge_of(key, s)
+    for key, face_sides in zip(zone, sides):
+        for s, e in enumerate(face_sides):
             if e in win.interface_edges:
                 a, b = (e, key), (e, "IF")
             else:
@@ -259,9 +288,9 @@ def enumerate_taut(U, window=None):
                 ends[b] = a
     edge_color = {e: "B" for e in win.interface_edges}
 
-    order = list(zone)
-    results = []
-    assign = {}
+    order = _search_order(sides, win.interface_edges)
+    found = []
+    picks = [None] * len(zone)
     n_loops = [0]
 
     def join(p1, p2, log):
@@ -294,38 +323,38 @@ def enumerate_taut(U, window=None):
 
     def rec(k):
         if k == len(order):
-            results.append(TautConfig(dict(assign), n_loops[0], win))
+            found.append((tuple(picks), n_loops[0]))
             return
-        key = order[k]
-        sides = [comp.edge_of(key, s) for s in range(4)]
-        for name in ("1a", "1b", "2a", "2b", "3a", "3b", "4a", "4b",
-                     "5a", "5b"):
-            cols = side_colors(name)
-            if any(edge_color.get(sides[s], cols[s]) != cols[s]
+        i = order[k]
+        key = zone[i]
+        face_sides = sides[i]
+        for rank, (cols, pairs) in enumerate(_PICTURES):
+            if any(edge_color.get(face_sides[s], cols[s]) != cols[s]
                    for s in range(4)):
                 continue
             added = []
             for s in range(4):
-                if sides[s] not in edge_color:
-                    edge_color[sides[s]] = cols[s]
-                    added.append(sides[s])
-            pairs = LOCAL_CONFIGS[name][1]
+                if face_sides[s] not in edge_color:
+                    edge_color[face_sides[s]] = cols[s]
+                    added.append(face_sides[s])
             log = []
             ok = True
             for (s1, s2) in pairs:
-                if not join((sides[s1], key), (sides[s2], key), log):
+                if not join((face_sides[s1], key), (face_sides[s2], key),
+                            log):
                     ok = False
                     break
             if ok:
-                assign[key] = name
+                picks[i] = rank
                 rec(k + 1)
-                del assign[key]
             undo(log)
             for e in added:
                 del edge_color[e]
 
     rec(0)
-    return results
+    found.sort()
+    return [TautConfig({key: CONFIG_ORDER[r] for key, r in zip(zone, ranks)},
+                       loops, win) for ranks, loops in found]
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +483,8 @@ def reconstruct_from_monomial(U, monomial, window=None):
     """
     win = window or build_taut_window(U)
     comp = win.comp
-    zone_set = set(win.zone)
     name_to_vertex = {name: v for v, name in win.vnames.items()}
+    name_to_face = {win.sg.face_root_name(k): k for k in comp.corner_ids}
     root_faces = set()
     residual = {}
     for name, e in monomial.items():
@@ -463,37 +492,36 @@ def reconstruct_from_monomial(U, monomial, window=None):
             if e not in (0, 1):
                 raise NotAMonomial(f"root exponent {e}")
             if e:
-                key = next(k for k in comp.face_ids()
-                           if win.sg.face_root_name(k) == name)
-                root_faces.add(key)
-        else:
+                root_faces.add(name_to_face[name])
+        elif name in name_to_vertex:
             residual[name_to_vertex[name]] = e
+        else:
+            raise NotAMonomial(f"unknown variable {name!r}")
 
     assign = {}
     # res tracks, in half-units, the exponent not yet explained by known
     # faces; the frozen collar and the +2 renormalization are folded in up
     # front
-    faces_at = {}
-    for key in comp.face_ids():
+    unknown_at = {}
+    for key in win.zone:
         for c in comp.corner_ids[key]:
-            faces_at.setdefault(c, []).append(key)
-    touched = set()
-    for key in zone_set:
-        touched.update(comp.corner_ids[key])
-    res = {v: 2 * residual.get(v, 0) - win.collar[v] for v in touched}
+            unknown_at.setdefault(c, set()).add(key)
+    res = {v: 2 * residual.get(v, 0) - win.collar[v] for v in unknown_at}
     edge_color = {e: "B" for e in win.interface_edges}
-    unknown = set(zone_set)
-    while unknown:
-        pick = None
-        for v in sorted(touched):
-            unk = [k for k in faces_at[v] if k in unknown]
-            if len(unk) == 1:
-                pick = (v, unk[0])
-                break
-        if pick is None:
+    # the least vertex with one unknown face comes next; a vertex's count
+    # only falls, so it enters the heap once, and entries whose count has
+    # reached zero since are stale
+    ready = [v for v, faces in unknown_at.items() if len(faces) == 1]
+    heapq.heapify(ready)
+    for _ in win.zone:
+        while ready and not unknown_at[ready[0]]:
+            heapq.heappop(ready)
+        if not ready:
             raise Stuck("no vertex with a single unknown face")
-        v, key = pick
+        v = heapq.heappop(ready)
+        key, = unknown_at[v]
         cyc = comp.corner_ids[key]
+        sides = [comp.edge_of(key, s) for s in range(4)]
         slot = cyc.index(v)
         on_black_diag = slot % 2 == 0
         r = res[v]
@@ -517,10 +545,9 @@ def reconstruct_from_monomial(U, monomial, window=None):
         # variant from any known incident edge color
         name = None
         for cand in ROW_TYPES[row]:
-            cols = side_colors(cand)
+            cols = _SIDE_COLORS[cand]
             ok = True
-            for s in range(4):
-                e = comp.edge_of(key, s)
+            for s, e in enumerate(sides):
                 if e in edge_color and edge_color[e] != cols[s]:
                     ok = False
                     break
@@ -531,14 +558,16 @@ def reconstruct_from_monomial(U, monomial, window=None):
         if name is None:
             raise NotAMonomial(f"no variant of row {row} fits at {key}")
         assign[key] = name
-        unknown.discard(key)
-        cols = side_colors(name)
+        cols = _SIDE_COLORS[name]
         contrib = _CORNER_EXP[name]
-        for s in range(4):
-            e = comp.edge_of(key, s)
+        for s, e in enumerate(sides):
             if e not in edge_color:
                 edge_color[e] = cols[s]
-            res[cyc[s]] -= contrib[s]
+            c = cyc[s]
+            res[c] -= contrib[s]
+            unknown_at[c].discard(key)
+            if len(unknown_at[c]) == 1:
+                heapq.heappush(ready, c)
     if any(r != 0 for r in res.values()):
         raise NotAMonomial("unexplained exponents remain")
     cfg = TautConfig(assign, _count_zone_loops(win, assign), win)

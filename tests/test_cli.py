@@ -257,6 +257,11 @@ MALFORMED = {
         {"b.json": {"mode": "fixed_colors"}},
         ["loops", "partition", "{d}/cube_graph.json", "{d}/cube_weights.json",
          "--boundary", "{d}/b.json"]),
+    "boundary-connections-not-a-matching": (
+        {"b.json": {"mode": "fixed_connections",
+                    "connections": [[[["f", 0], ["f", 0]], "B"]]}},
+        ["loops", "partition", "{d}/grid22_graph.json",
+         "{d}/grid22_weights.json", "--boundary", "{d}/b.json"]),
     "kashaev-numeric-without-init": (
         {}, ["kashaev", "solve", "{d}/one_cube.json"]),
     "taut-sample-without-init": (
@@ -267,6 +272,35 @@ MALFORMED = {
         {}, ["dimers", "free-energy", "--grid", "10"]),
     "shape-negative-layer": (
         {}, ["shape", "params", "--a", "-1"]),
+    "taut-verify-non-regular": (
+        {"s.json": {"removed": [[-2, -1, -1]]}},
+        ["taut", "verify", "{d}/s.json"]),
+    "taut-enumerate-non-regular": (
+        {"s.json": {"removed": [[-2, -1, -1]]}},
+        ["taut", "enumerate", "{d}/s.json"]),
+    "groves-verify-non-regular": (
+        {"s.json": {"removed": [[-2, -1, -1]]}},
+        ["groves", "verify", "{d}/s.json"]),
+    "lobachevsky-theta-out-of-range": (
+        {}, ["dimers", "lobachevsky", "--theta", "2"]),
+    "kashaev-order-seed-not-an-integer": (
+        {}, ["kashaev", "solve", "{d}/one_cube.json", "{d}/init_ones.json",
+             "--order", "random:x"]),
+    "taut-reconstruct-monomial-list": (
+        {"m.json": [1, 2]},
+        ["taut", "reconstruct", "{d}/one_cube.json", "{d}/m.json"]),
+    "taut-reconstruct-exponent-not-an-integer": (
+        {"m.json": {"g[0,0,0]": "x"}},
+        ["taut", "reconstruct", "{d}/one_cube.json", "{d}/m.json"]),
+    "taut-reconstruct-unknown-variable": (
+        {"m.json": {"nope": 1}},
+        ["taut", "reconstruct", "{d}/one_cube.json", "{d}/m.json"]),
+    "shape-rho-zero-r": (
+        {}, ["shape", "rho", "--N", "8", "--R", "0"]),
+    "shape-curve-zero-r": (
+        {}, ["shape", "curve", "--R", "0"]),
+    "shape-rho-negative-r": (
+        {}, ["shape", "rho", "--N", "8", "--R", "-1"]),
 }
 
 

@@ -241,3 +241,18 @@ def test_domain_errors():
         dual_curve(1.5)
     with pytest.raises(IntrinsicViolated):
         rho_coeffs(2.0, 2.0)
+
+
+def test_nonpositive_r_rejected():
+    # R = ac/b^2 is positive for positive layers; R = -1 solves the intrinsic
+    # relation with S = -1, so only an explicit sign check rejects it
+    assert intrinsic_residual(-1.0, -1.0) == 0
+    for R in (0.0, -1.0, float("nan")):
+        with pytest.raises(LimitShapeError):
+            s_from_r(R)
+        with pytest.raises(LimitShapeError):
+            rho_field(8, R)
+        with pytest.raises(LimitShapeError):
+            lambda_param(R)
+    with pytest.raises(LimitShapeError):
+        rho_field(8, -1.0, -1.0)

@@ -8,12 +8,13 @@ import pytest
 
 from c2loop.kashaev import cube_from_bottom, kashaev_step, solve_origin
 from c2loop.laurent import lp_eval
-from c2loop.loopmodel import FaceComplex, LoopConfig, count_loops, \
-    crossing_parity_check
+from c2loop.loopmodel import CONFIG_ORDER, LOCAL_CONFIGS, FaceComplex, \
+    LoopConfig, count_loops, crossing_parity_check, side_colors
 from c2loop.stepped import (
     SteppedSolid,
     enumerate_solids,
     height,
+    slab_solid,
     surface_graph,
     vadd,
 )
@@ -34,6 +35,8 @@ from c2loop.taut import (
 
 U0 = SteppedSolid()
 ONE = SteppedSolid.from_removed([(-1, -1, -1)])
+BOX = SteppedSolid.from_removed([(i, j, k) for i in (-1, -2)
+                                 for j in (-1, -2) for k in (-1, -2)])
 
 
 def zone_complex(win):
@@ -92,6 +95,115 @@ def test_one_cube_weights_match_monomials():
                   if taut_weight(win, c, symbolic=True).has_roots()]
     assert len(with_roots) == 1
     assert with_roots[0].n_loops == 1
+
+
+def _enumerate_by_level(win):
+    """The level-order backtracker: faces in zone order, pictures in
+    CONFIG_ORDER, so the results come out in lexicographic order of the
+    pictures' ranks along the zone."""
+    comp = win.comp
+    zone = win.zone
+    zone_set = set(zone)
+    ends = {}
+    for key in zone:
+        for s in range(4):
+            e = comp.edge_of(key, s)
+            if e in win.interface_edges:
+                a, b = (e, key), (e, "IF")
+            else:
+                a, b = (e, key), (e, comp.gluing[(key, s)][0])
+                assert b[1] in zone_set
+            if a not in ends:
+                ends[a] = b
+                ends[b] = a
+    edge_color = {e: "B" for e in win.interface_edges}
+    results = []
+    assign = {}
+    n_loops = [0]
+
+    def join(p1, p2, log):
+        a, b = ends.pop(p1), ends.pop(p2)
+        log.append((p1, a, p2, b))
+        if a == p2:
+            n_loops[0] += 1
+            log.append("loop")
+            return True
+        ends[a] = b
+        ends[b] = a
+        return not (a[1] == "IF" and b[1] == "IF"
+                    and win.target_pairing[a[0]] != b[0])
+
+    def undo(log):
+        for item in reversed(log):
+            if item == "loop":
+                n_loops[0] -= 1
+                continue
+            p1, a, p2, b = item
+            if a != p2:
+                ends[a] = p1
+                ends[b] = p2
+            ends[p1] = a
+            ends[p2] = b
+
+    def rec(k):
+        if k == len(zone):
+            results.append((list(assign.items()), n_loops[0]))
+            return
+        key = zone[k]
+        sides = [comp.edge_of(key, s) for s in range(4)]
+        for name in CONFIG_ORDER:
+            cols = side_colors(name)
+            if any(edge_color.get(sides[s], cols[s]) != cols[s]
+                   for s in range(4)):
+                continue
+            added = [sides[s] for s in range(4) if sides[s] not in edge_color]
+            for s in range(4):
+                edge_color.setdefault(sides[s], cols[s])
+            log = []
+            if all(join((sides[s1], key), (sides[s2], key), log)
+                   for s1, s2 in LOCAL_CONFIGS[name][1]):
+                assign[key] = name
+                rec(k + 1)
+                del assign[key]
+            undo(log)
+            for e in added:
+                del edge_color[e]
+
+    rec(0)
+    return results
+
+
+def test_enumeration_matches_level_order_search():
+    # same configurations, loop counts and order (assignments in zone order)
+    # as the level-order backtracker, on every solid of at most four cubes
+    for U in enumerate_solids(4):
+        win = build_taut_window(U)
+        got = [(list(c.assignment.items()), c.n_loops)
+               for c in enumerate_taut(U, win)]
+        assert got == _enumerate_by_level(win), sorted(U.removed)
+
+
+def test_box_configs_and_numeric_identity():
+    win = build_taut_window(BOX)
+    cfgs = enumerate_taut(BOX, win)
+    assert len(cfgs) == 415
+    monos = {next(iter(taut_weight(win, c, symbolic=True).terms))
+             for c in cfgs}
+    assert len(monos) == 415
+    rng = random.Random(8)
+    for _ in range(2):
+        init = {v: rng.randint(1, 9) / rng.randint(1, 3)
+                for v in win.sg.vertices}
+        assert verify_partition_identity(BOX, mode="numeric", g_init=init,
+                                         window=win)
+
+
+def test_slab5_partition_identity_and_bijection():
+    U = slab_solid(5)
+    win = build_taut_window(U)
+    assert verify_partition_identity(U, window=win)
+    rep = verify_monomial_bijection(U, window=win)
+    assert rep["all"] and rep["n_configs"] == 786, rep
 
 
 def test_enumerated_configs_pass_independent_checks():
@@ -193,15 +305,17 @@ def test_sample_frequencies_three_sigma():
     init = {v: 1.0 for v in win.sg.vertices}
     n = 100_000
     samples = sample_taut(ONE, init, seed=11, n=n, window=win)
-    crossing = sum(1 for c in samples
-                   if taut_weight(win, c, symbolic=True).has_roots())
+    # the samples are the enumerated config objects: classify each once
+    drawn = {id(c): c for c in samples}
+    has_roots = {i: taut_weight(win, c, symbolic=True).has_roots()
+                 for i, c in drawn.items()}
+    crossing = sum(1 for c in samples if has_roots[id(c)])
     p = 4 * math.sqrt(2) / (5 + 4 * math.sqrt(2))
     sigma = math.sqrt(n * p * (1 - p))
     assert abs(crossing - n * p) < 3 * sigma
 
 
 def test_loop_free_configs_have_no_red():
-    from c2loop.loopmodel import side_colors
     win = build_taut_window(ONE)
     for cfg in enumerate_taut(ONE, win):
         if cfg.n_loops == 0:
@@ -211,7 +325,6 @@ def test_loop_free_configs_have_no_red():
 
 def test_frozen_traced_fixture():
     from c2loop.fixtures import taut_example
-    from c2loop.loopmodel import side_colors
     solid, deviations, traced_loops = taut_example()
     win = build_taut_window(solid)
     assignment = {k: sigma0_type(win.comp.corner_ids[k])
