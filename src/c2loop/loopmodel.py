@@ -16,7 +16,8 @@ shared dual edges.
 Configurations are enumerated on a FaceComplex: faces with four side slots
 and an explicit gluing involution.  This supports closed surfaces (sphere,
 torus fundamental domains, where a face may see the same vertex twice) as
-well as planar windows with boundary half-edges.
+well as planar windows with boundary half-edges.  The one backtracker,
+search, also lists the taut configurations of taut.py.
 """
 
 from __future__ import annotations
@@ -91,6 +92,23 @@ class FaceComplex:
         cyc = self.corner_ids[fid]
         return frozenset((cyc[s], cyc[(s + 1) % 4]))
 
+    def side_ids(self, faces):
+        """Number the sides of the given faces 0, 1, ... in order: two sides
+        glued to each other share an id, any other side has its own."""
+        inside = set(faces)
+        ids = {}
+        n = 0
+        for fid in faces:
+            for s in range(4):
+                if (fid, s) in ids:
+                    continue
+                ids[(fid, s)] = n
+                partner = self.gluing.get((fid, s))
+                if partner is not None and partner[0] in inside:
+                    ids[partner] = n
+                n += 1
+        return ids
+
     @classmethod
     def from_corners(cls, corner_ids):
         """Glue the two face sides over each primal edge, visiting faces in
@@ -158,60 +176,143 @@ class LoopConfig:
             self.assignment.items(), key=lambda t: str(t[0]))}}
 
 
+def _check_boundary(comp, boundary):
+    """The preset side colors and the terminal pairing of a boundary spec,
+    after checking the spec against the complex: colors are R or B, and they
+    name half-edges; connections pair every half-edge."""
+    if boundary.mode in ("free", "closed_surface"):
+        if boundary.mode == "closed_surface" and not comp.is_closed():
+            raise LoopModelError("complex has boundary half-edges")
+        return {}, None
+    if boundary.mode == "fixed_colors":
+        colors = {tuple(he): c for he, c in boundary.colors.items()}
+        target = None
+    elif boundary.mode == "fixed_connections":
+        colors, target = {}, {}
+        for (a, b), c in boundary.connections:
+            colors[a] = colors[b] = c
+            target[a], target[b] = b, a
+    else:
+        raise LoopModelError(f"unknown boundary mode {boundary.mode!r}")
+    half = set(comp.half_edges())
+    for he, c in colors.items():
+        if he not in half:
+            raise LoopModelError(f"{he} is not a boundary half-edge")
+        if c not in ("R", "B"):
+            raise LoopModelError(f"color {c!r} at {he} is not R or B")
+    if target is not None and set(target) != half:
+        raise LoopModelError("connections do not pair every half-edge")
+    return colors, target
+
+
 def enumerate_configs(graph, boundary=None):
-    """All gluing-consistent assignments, deterministic order."""
+    """All gluing-consistent assignments, in lexicographic order of their
+    pictures' CONFIG_ORDER ranks along face_ids()."""
     comp = _as_complex(graph)
     boundary = boundary or BoundarySpec.free()
-    if boundary.mode == "closed_surface" and not comp.is_closed():
-        raise LoopModelError("complex has boundary half-edges")
+    colors, target = _check_boundary(comp, boundary)
     fids = comp.face_ids()
-    fixed = {}
-    if boundary.mode == "fixed_colors":
-        fixed = {tuple(k): v for k, v in boundary.colors.items()}
-    if boundary.mode == "fixed_connections":
-        for (a, b), c in boundary.connections:
-            fixed[a] = c
-            fixed[b] = c
-    edge_color = {}
-    assign = {}
-    out = []
+    ids = comp.side_ids(fids)
+    found = search([tuple(ids[(fid, s)] for s in range(4)) for fid in fids],
+                   {ids[he]: c for he, c in colors.items()},
+                   target and {ids[a]: ids[b] for a, b in target.items()})
+    return [LoopConfig({fid: CONFIG_ORDER[r] for fid, r in zip(fids, ranks)},
+                       boundary) for ranks, _loops in found]
+
+
+# (side colors, side pairs) of every local picture, in CONFIG_ORDER
+_PICTURES = tuple((side_colors(name), LOCAL_CONFIGS[name][1])
+                  for name in CONFIG_ORDER)
+
+
+def _search_order(sides, decided):
+    """Face positions, most constrained first: repeatedly the face with the
+    most sides already decided (preset sides or sides of earlier faces),
+    ties broken by position."""
+    decided = set(decided)
+    left = list(range(len(sides)))
+    order = []
+    while left:
+        i = max(left, key=lambda j: (len(decided.intersection(sides[j])), -j))
+        left.remove(i)
+        order.append(i)
+        decided.update(sides[i])
+    return order
+
+
+def search(sides, colors, target=None):
+    """Every choice of local pictures on faces glued along numbered sides.
+
+    sides[i] holds the ids 0..m-1 of face i's four sides: an id on two face
+    sides glues them, an id on one side is a terminal.  colors presets
+    side ids; strands are kept as chains between unjoined plugs, and when
+    target (terminal id -> terminal id) is given, a chain may only join two
+    terminals that it pairs.  Faces are taken in _search_order.  Returns
+    (CONFIG_ORDER ranks along sides, closed loops) pairs, sorted.
+    """
+    n = len(sides)
+    top = 4 * n
+    uses = {}
+    for i, face in enumerate(sides):
+        for s, e in enumerate(face):
+            uses.setdefault(e, []).append(4 * i + s)
+    # plug 4i+s is side s of face i, plug top+e the terminal of side id e;
+    # ends[p] is the far end of the chain at an unjoined plug p
+    ends = [None] * (top + len(uses))
+    for e, plugs in uses.items():
+        a, b = plugs if len(plugs) == 2 else (plugs[0], top + e)
+        ends[a], ends[b] = b, a
+    color = [colors.get(e) for e in range(len(uses))]
+    order = _search_order(sides, colors)
+    picks = [None] * n
+    found = []
+    loops = 0
 
     def rec(k):
-        if k == len(fids):
-            cfg = LoopConfig(dict(assign), boundary)
-            if boundary.mode == "fixed_connections" and \
-                    not _connections_match(comp, cfg, boundary.connections):
-                return
-            out.append(cfg)
+        nonlocal loops
+        if k == n:
+            found.append((tuple(picks), loops))
             return
-        fid = fids[k]
-        for name in CONFIG_ORDER:
-            cols = side_colors(name)
-            keys = [comp.glue_key(fid, s) for s in range(4)]
-            ok = True
-            for s in range(4):
-                want = cols[s]
-                if edge_color.get(keys[s], want) != want:
-                    ok = False
-                    break
-                if (fid, s) in fixed and fixed[(fid, s)] != want:
-                    ok = False
-                    break
-            if not ok:
-                continue
+        i = order[k]
+        face = sides[i]
+        base = 4 * i
+        for rank, (cols, pairs) in enumerate(_PICTURES):
             added = []
-            for s in range(4):
-                if keys[s] not in edge_color:
-                    edge_color[keys[s]] = cols[s]
-                    added.append(keys[s])
-            assign[fid] = name
-            rec(k + 1)
-            del assign[fid]
-            for key in added:
-                del edge_color[key]
+            for e, c in zip(face, cols):
+                if color[e] is None:
+                    color[e] = c
+                    added.append(e)
+                elif color[e] != c:
+                    break
+            else:
+                log = []
+                for s1, s2 in pairs:
+                    p1, p2 = base + s1, base + s2
+                    a, b = ends[p1], ends[p2]
+                    if a == p2:
+                        loops += 1
+                        log.append(None)
+                        continue
+                    ends[a], ends[b] = b, a
+                    log.append((a, p1, b, p2))
+                    if target is not None and a >= top and b >= top \
+                            and target[a - top] != b - top:
+                        break
+                else:
+                    picks[i] = rank
+                    rec(k + 1)
+                for item in reversed(log):
+                    if item is None:
+                        loops -= 1
+                    else:
+                        a, p1, b, p2 = item
+                        ends[a], ends[b] = p1, p2
+            for e in added:
+                color[e] = None
 
     rec(0)
-    return out
+    found.sort()
+    return found
 
 
 def _trace(comp, config):
@@ -325,11 +426,3 @@ def blue_data(graph, config):
             pairings[fid] = pairs
     return blue_edges, pairings
 
-
-def _connections_match(comp, config, connections):
-    _cycles, paths = _trace(comp, config)
-    got = {}
-    for ends, color, _chain in paths:
-        got[frozenset(ends)] = color
-    want = {frozenset((a, b)): c for (a, b), c in connections}
-    return got == want

@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .kashaev import agree, build_registry, solve_origin
 from .loopmodel import CONFIG_ORDER, FaceComplex, LOCAL_CONFIGS, \
-    side_colors
+    LoopConfig, count_loops, search, side_colors
 from .stepped import (
     SteppedSolid,
     face_diagonals,
@@ -109,6 +109,7 @@ class TautWindow:
     flat_sg: object
     flat_comp: FaceComplex
     zone: list                    # carved zone face keys, output order
+    zone_comp: FaceComplex        # the zone faces, glued among themselves
     frozen: set
     interface_edges: set          # primal-edge keys on the zone boundary
     target_pairing: dict          # interface edge -> partner edge
@@ -170,6 +171,10 @@ def build_taut_window(U):
         raise TautError("interface mismatch between carved and flat windows")
     target = _sigma0_pairing(flat_comp, set(flat_zone), iface)
     zone.sort(key=lambda k: (_face_level(comp, k), str(k)))
+    zone_set = set(zone)
+    zone_comp = FaceComplex({k: comp.corner_ids[k] for k in zone},
+                            {(k, s): p for (k, s), p in comp.gluing.items()
+                             if k in zone_set and p[0] in zone_set})
     registry, vnames = build_registry(sg)
     # the frozen faces keep their reference pictures, so their share of each
     # vertex exponent, net of the -2 renormalization, is fixed per window
@@ -178,8 +183,8 @@ def build_taut_window(U):
         cyc = comp.corner_ids[key]
         for v, e in zip(cyc, _CORNER_EXP[sigma0_type(cyc)]):
             collar[v] += e
-    return TautWindow(U, sg, comp, flat_sg, flat_comp, zone, frozen, iface,
-                      target, registry, vnames, collar)
+    return TautWindow(U, sg, comp, flat_sg, flat_comp, zone, zone_comp,
+                      frozen, iface, target, registry, vnames, collar)
 
 
 def _sigma0_pairing(flat_comp, flat_zone, iface):
@@ -238,121 +243,26 @@ class TautConfig:
 
 
 _SIDE_COLORS = {name: side_colors(name) for name in CONFIG_ORDER}
-# (side colors, side pairs) of every local picture, in CONFIG_ORDER
-_PICTURES = tuple((_SIDE_COLORS[name], LOCAL_CONFIGS[name][1])
-                  for name in CONFIG_ORDER)
-
-
-def _search_order(sides, decided):
-    """Zone positions, most constrained first: repeatedly the face with the
-    most sides already decided (interface edges or sides of earlier faces),
-    ties broken by zone rank."""
-    decided = set(decided)
-    left = list(range(len(sides)))
-    order = []
-    while left:
-        i = max(left, key=lambda j: (len(decided.intersection(sides[j])), -j))
-        left.remove(i)
-        order.append(i)
-        decided.update(sides[i])
-    return order
 
 
 def enumerate_taut(U, window=None):
     """All taut configurations, in lexicographic order of their pictures'
     CONFIG_ORDER ranks along the zone.
 
-    The search visits the faces in constraint order (_search_order), so
-    colors and the interface pairing prune early; the results are sorted
-    back into zone order."""
+    The zone sides on the interface are the search's terminals, preset
+    blue and paired as the reference picture pairs them; the search visits
+    the faces in constraint order, so colors and the pairing prune early."""
     win = window or build_taut_window(U)
     comp = win.comp
     zone = win.zone
-    zone_set = set(zone)
-    sides = [tuple(comp.edge_of(key, s) for s in range(4)) for key in zone]
-
-    # plugs: (edge, face) for zone faces; interface edges have a terminal
-    # plug (edge, "IF").  ends maps an open chain end to its other end.
-    ends = {}
-    for key, face_sides in zip(zone, sides):
-        for s, e in enumerate(face_sides):
-            if e in win.interface_edges:
-                a, b = (e, key), (e, "IF")
-            else:
-                partner = comp.gluing[(key, s)]
-                if partner[0] not in zone_set:
-                    raise TautError("zone face glued to frozen non-interface")
-                a, b = (e, key), (e, partner[0])
-            if a not in ends:
-                ends[a] = b
-                ends[b] = a
-    edge_color = {e: "B" for e in win.interface_edges}
-
-    order = _search_order(sides, win.interface_edges)
-    found = []
-    picks = [None] * len(zone)
-    n_loops = [0]
-
-    def join(p1, p2, log):
-        """Connect two plugs; returns False when a completed chain violates
-        the reference pairing."""
-        a, b = ends.pop(p1), ends.pop(p2)
-        log.append((p1, a, p2, b))
-        if a == p2:
-            n_loops[0] += 1
-            log.append("loop")
-            return True
-        ends[a] = b
-        ends[b] = a
-        if a[1] == "IF" and b[1] == "IF":
-            if win.target_pairing[a[0]] != b[0]:
-                return False
-        return True
-
-    def undo(log):
-        for item in reversed(log):
-            if item == "loop":
-                n_loops[0] -= 1
-                continue
-            p1, a, p2, b = item
-            if a != p2:
-                ends[a] = p1
-                ends[b] = p2
-            ends[p1] = a
-            ends[p2] = b
-
-    def rec(k):
-        if k == len(order):
-            found.append((tuple(picks), n_loops[0]))
-            return
-        i = order[k]
-        key = zone[i]
-        face_sides = sides[i]
-        for rank, (cols, pairs) in enumerate(_PICTURES):
-            if any(edge_color.get(face_sides[s], cols[s]) != cols[s]
-                   for s in range(4)):
-                continue
-            added = []
-            for s in range(4):
-                if face_sides[s] not in edge_color:
-                    edge_color[face_sides[s]] = cols[s]
-                    added.append(face_sides[s])
-            log = []
-            ok = True
-            for (s1, s2) in pairs:
-                if not join((face_sides[s1], key), (face_sides[s2], key),
-                            log):
-                    ok = False
-                    break
-            if ok:
-                picks[i] = rank
-                rec(k + 1)
-            undo(log)
-            for e in added:
-                del edge_color[e]
-
-    rec(0)
-    found.sort()
+    ids = comp.side_ids(zone)
+    sides = [tuple(ids[(key, s)] for s in range(4)) for key in zone]
+    term = {}               # interface edge -> its side id
+    for (key, s), e in ids.items():
+        if comp.edge_of(key, s) in win.interface_edges:
+            term[comp.edge_of(key, s)] = e
+    found = search(sides, dict.fromkeys(term.values(), "B"),
+                   {term[e]: term[f] for e, f in win.target_pairing.items()})
     return [TautConfig({key: CONFIG_ORDER[r] for key, r in zip(zone, ranks)},
                        loops, win) for ranks, loops in found]
 
@@ -582,13 +492,7 @@ def reconstruct_from_monomial(U, monomial, window=None):
 
 def _count_zone_loops(win, assignment):
     """Closed loops of a zone assignment, by independent tracing."""
-    from .loopmodel import FaceComplex, LoopConfig, count_loops
-    zone = set(win.zone)
-    corner_ids = {k: win.comp.corner_ids[k] for k in zone}
-    gluing = {(k, s): p for (k, s), p in win.comp.gluing.items()
-              if k in zone and p[0] in zone}
-    comp = FaceComplex(corner_ids, gluing)
-    return count_loops(comp, LoopConfig(dict(assignment)))
+    return count_loops(win.zone_comp, LoopConfig(dict(assignment)))
 
 
 def sample_taut(U, g_init, seed=0, n=1, window=None):

@@ -8,6 +8,7 @@ import inspect
 from pathlib import Path
 
 from c2loop.kashaev import solve_origin
+from c2loop.loopmodel import enumerate_configs, weight
 from c2loop.taut import taut_weight
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -39,3 +40,13 @@ def test_traced_signatures():
     assert {"g_init", "order", "window_radius"} <= set(params)
     assert {"symbolic", "g_init"} <= set(
         inspect.signature(taut_weight).parameters)
+
+
+def test_loopmodel_signatures():
+    # the benchmark calls enumerate_configs(comp, boundary) and
+    # weight(comp, cfg, W) positionally
+    assert list(inspect.signature(enumerate_configs).parameters)[:2] == \
+        ["graph", "boundary"]
+    params = inspect.signature(weight).parameters
+    assert list(params)[:3] == ["graph", "config", "W"]
+    assert all(p.default is not p.empty for p in list(params.values())[3:])

@@ -262,6 +262,30 @@ MALFORMED = {
                     "connections": [[[["f", 0], ["f", 0]], "B"]]}},
         ["loops", "partition", "{d}/grid22_graph.json",
          "{d}/grid22_weights.json", "--boundary", "{d}/b.json"]),
+    "boundary-color-not-r-or-b": (
+        {"b.json": {"mode": "fixed_colors",
+                    "colors": {'["(0, 0)", 0]': "G"}}},
+        ["loops", "enumerate", "{d}/grid22_graph.json",
+         "{d}/grid22_weights.json", "--boundary", "{d}/b.json"]),
+    "boundary-color-unknown-slot": (
+        {"b.json": {"mode": "fixed_colors", "colors": {'["nope", 9]': "B"}}},
+        ["loops", "enumerate", "{d}/grid22_graph.json",
+         "{d}/grid22_weights.json", "--boundary", "{d}/b.json"]),
+    "boundary-color-glued-slot": (
+        {"b.json": {"mode": "fixed_colors",
+                    "colors": {'["(0, 0)", 1]': "B"}}},
+        ["loops", "enumerate", "{d}/grid22_graph.json",
+         "{d}/grid22_weights.json", "--boundary", "{d}/b.json"]),
+    "boundary-connections-not-half-edges": (
+        {"b.json": {"mode": "fixed_connections",
+                    "connections": [[[["nope", 0], ["nope", 1]], "B"]]}},
+        ["loops", "enumerate", "{d}/grid22_graph.json",
+         "{d}/grid22_weights.json", "--boundary", "{d}/b.json"]),
+    "boundary-connections-not-pairing-every-half-edge": (
+        {"b.json": {"mode": "fixed_connections",
+                    "connections": [[[["(0, 0)", 0], ["(0, 0)", 3]], "B"]]}},
+        ["loops", "enumerate", "{d}/grid22_graph.json",
+         "{d}/grid22_weights.json", "--boundary", "{d}/b.json"]),
     "kashaev-numeric-without-init": (
         {}, ["kashaev", "solve", "{d}/one_cube.json"]),
     "taut-sample-without-init": (

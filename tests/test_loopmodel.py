@@ -9,14 +9,19 @@ from c2loop.fixtures import cube_sphere, pillow_sphere, torus_two_faces
 from c2loop.loopmodel import (
     BoundarySpec,
     CONFIG_ORDER,
+    FaceComplex,
     LOCAL_CONFIGS,
     LoopConfig,
+    LoopModelError,
+    _check_boundary,
+    _trace,
     blue_data,
     complex_from_quadgraph,
     count_loops,
     crossing_parity_check,
     enumerate_configs,
     partition_function,
+    search,
     side_colors,
     weight,
 )
@@ -168,3 +173,102 @@ def test_blue_data_roundtrip():
         seen.add((frozenset(edges),
                   tuple(sorted((f, p) for f, p in pairings.items()))))
     assert len(seen) > 1
+
+
+def _enumerate_by_face_order(comp, boundary):
+    """The face-order backtracker: faces in face_ids() order, pictures in
+    CONFIG_ORDER, colors keyed by glue_key, and a fixed_connections spec
+    checked by tracing every leaf."""
+    fids = comp.face_ids()
+    fixed = {}
+    if boundary.mode == "fixed_colors":
+        fixed = dict(boundary.colors)
+    if boundary.mode == "fixed_connections":
+        for (a, b), c in boundary.connections:
+            fixed[a] = fixed[b] = c
+    want = {frozenset(ab): c for ab, c in boundary.connections or ()}
+    edge_color = {}
+    assign = {}
+    out = []
+
+    def rec(k):
+        if k == len(fids):
+            if boundary.mode == "fixed_connections":
+                _cycles, paths = _trace(comp, LoopConfig(assign))
+                if {frozenset(ends): c for ends, c, _ in paths} != want:
+                    return
+            out.append(list(assign.items()))
+            return
+        fid = fids[k]
+        keys = [comp.glue_key(fid, s) for s in range(4)]
+        for name in CONFIG_ORDER:
+            cols = side_colors(name)
+            if any(edge_color.get(keys[s], cols[s]) != cols[s]
+                   or fixed.get((fid, s), cols[s]) != cols[s]
+                   for s in range(4)):
+                continue
+            added = [k2 for k2 in dict.fromkeys(keys) if k2 not in edge_color]
+            for s in range(4):
+                edge_color.setdefault(keys[s], cols[s])
+            assign[fid] = name
+            rec(k + 1)
+            del assign[fid]
+            for k2 in added:
+                del edge_color[k2]
+
+    rec(0)
+    return out
+
+
+def _search_loops(comp, boundary):
+    """Closed-loop counts that the search reports, in its output order."""
+    colors, target = _check_boundary(comp, boundary)
+    fids = comp.face_ids()
+    ids = comp.side_ids(fids)
+    found = search([tuple(ids[(f, s)] for s in range(4)) for f in fids],
+                   {ids[he]: c for he, c in colors.items()},
+                   target and {ids[a]: ids[b] for a, b in target.items()})
+    return [loops for _ranks, loops in found]
+
+
+def _grid22_boundaries():
+    hes = complex_from_quadgraph(grid_quadgraph(2, 2)).half_edges()
+    colors = {he: c for he, c in zip(hes[:4], "RBBR")}
+    conn = [((hes[0], hes[1]), "B"), ((hes[2], hes[3]), "R"),
+            ((hes[4], hes[5]), "B"), ((hes[6], hes[7]), "B")]
+    return [BoundarySpec.fixed_colors(colors),
+            BoundarySpec.fixed_connections(conn)]
+
+
+ORACLE_CASES = (
+    [(single_quad(), BoundarySpec.free())]
+    + [(grid_quadgraph(m, n), BoundarySpec.free())
+       for m, n in ((2, 1), (2, 2), (3, 2))]
+    + [(grid_quadgraph(2, 2), b) for b in _grid22_boundaries()]
+    + [(g, BoundarySpec.closed())
+       for g in (cube_sphere(), pillow_sphere(), torus_two_faces())])
+
+
+@pytest.mark.parametrize("graph, boundary", ORACLE_CASES)
+def test_search_matches_face_order_oracle(graph, boundary):
+    comp = graph if isinstance(graph, FaceComplex) \
+        else complex_from_quadgraph(graph)
+    cfgs = enumerate_configs(comp, boundary)
+    assert cfgs
+    assert [list(c.assignment.items()) for c in cfgs] == \
+        _enumerate_by_face_order(comp, boundary)
+    assert [count_loops(comp, c) for c in cfgs] == \
+        _search_loops(comp, boundary)
+
+
+@pytest.mark.parametrize("boundary", [
+    BoundarySpec.fixed_colors({((0, 0), 0): "G"}),
+    BoundarySpec.fixed_colors({("nope", 9): "B"}),
+    BoundarySpec.fixed_colors({((0, 0), 1): "B"}),
+    BoundarySpec.fixed_connections([((("nope", 0), ("nope", 1)), "B")]),
+    BoundarySpec.fixed_connections([((((0, 0), 0), ((0, 0), 3)), "B")]),
+    BoundarySpec("fixed"),
+])
+def test_malformed_boundary_rejected(boundary):
+    with pytest.raises(LoopModelError):
+        enumerate_configs(grid_quadgraph(2, 2), boundary)
