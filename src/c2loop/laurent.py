@@ -14,14 +14,19 @@ would need s^-1 raises NotDivisible, since in the intended computations all
 divisions are by vertex monomials.  `p / q` is exact division
 (lp_div_exact): it raises NotDivisible on a remainder and never rounds.
 
+One kernel, _mul, multiplies and reduces in a single pass: merging two
+monomials, it rewrites a root that reaches s^2 by its square on the spot,
+from tables the registry builds once.  Products, monomial division and the
+var/monomial constructors all go through it.
+
 Representation:
 
   Monomial  = tuple of (name, exponent) pairs, sorted by registry position,
               with zero exponents omitted.
   terms     = dict {Monomial: Fraction}, zero coefficients never stored.
 
-Coefficients are fractions.Fraction throughout; floats never enter the
-symbolic path.
+Coefficients are fractions.Fraction in every term dict; the kernel counts
+integral ones as int inside.  Floats never enter the symbolic path.
 """
 
 from __future__ import annotations
@@ -70,7 +75,10 @@ class VarRegistry:
         names = self.vertex_vars + self.root_vars
         if len(set(names)) != len(names):
             raise LaurentError("variable names must be unique")
+        # the multiply kernel's tables: the variable order, the roots, and
+        # each root's square
         self._index = {n: i for i, n in enumerate(names)}
+        self._roots = frozenset(self.root_vars)
         self._squares = {}
         for name, sq in root_squares.items():
             poly = sq if isinstance(sq, LaurentPoly) else self.poly(sq)
@@ -124,16 +132,13 @@ class VarRegistry:
     def var(self, name, exp=1, coeff=1):
         if name not in self._index:
             raise LaurentError(f"unknown variable {name!r}")
-        if self.is_root(name) and exp < 0:
-            raise NotDivisible(f"negative exponent on root variable {name!r}")
-        return LaurentPoly({((name, exp),): Fraction(coeff)}, self) \
-            ._reduce_roots()
+        return self.monomial({name: exp}, coeff)
 
     def monomial(self, exps, coeff=1):
         """Build coeff * prod(var**e) from a {name: exponent} mapping."""
         mono = tuple(sorted(((n, e) for n, e in exps.items() if e != 0),
                             key=lambda t: self._index[t[0]]))
-        return LaurentPoly({mono: Fraction(coeff)}, self)._reduce_roots()
+        return LaurentPoly(_mul({mono: Fraction(coeff)}, {(): 1}, self), self)
 
     def poly(self, terms):
         """Build a polynomial from an iterable of (exps_dict, coeff)."""
@@ -151,42 +156,6 @@ class LaurentPoly:
     def __init__(self, terms, registry):
         self.terms = terms
         self.registry = registry
-
-    # -- canonical form ---------------------------------------------------
-
-    def _reduce_roots(self):
-        reg = self.registry
-        pending = dict(self.terms)
-        out = {}
-        while pending:
-            mono, coeff = pending.popitem()
-            if coeff == 0:
-                continue
-            hot = None
-            for name, e in mono:
-                if reg.is_root(name):
-                    if e < 0:
-                        raise NotDivisible(
-                            f"negative exponent on root variable {name!r}")
-                    if e >= 2:
-                        hot = (name, e)
-                        break
-            if hot is None:
-                out[mono] = out.get(mono, Fraction(0)) + coeff
-                continue
-            name, e = hot
-            rest = {n: x for n, x in mono if n != name}
-            if e % 2:
-                rest[name] = 1
-            base = tuple(sorted(rest.items(), key=lambda t: reg.index(t[0])))
-            expanded = {base: coeff}
-            for _ in range(e // 2):
-                expanded = _mul_terms(expanded, reg.root_square(name).terms,
-                                      reg)
-            for m2, c2 in expanded.items():
-                pending[m2] = pending.get(m2, Fraction(0)) + c2
-        out = {m: c for m, c in out.items() if c != 0}
-        return LaurentPoly(out, self.registry)
 
     # -- ring operations --------------------------------------------------
 
@@ -224,8 +193,7 @@ class LaurentPoly:
     def __mul__(self, other):
         other = self._check(other)
         reg = self.registry
-        return LaurentPoly(_mul_terms(self.terms, other.terms, reg),
-                           reg)._reduce_roots()
+        return LaurentPoly(_mul(self.terms, other.terms, reg), reg)
 
     __rmul__ = __mul__
 
@@ -244,7 +212,7 @@ class LaurentPoly:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash((id(self.registry), frozenset(self.terms.items())))
+        return hash((self.registry, frozenset(self.terms.items())))
 
     def __bool__(self):
         return bool(self.terms)
@@ -280,22 +248,65 @@ class LaurentPoly:
         return any(reg.is_root(n) for m in self.terms for n, _ in m)
 
 
-def _mul_terms(terms1, terms2, reg):
-    """Raw (unreduced) term dict of the product of two term dicts."""
+def _mul(terms1, terms2, reg):
+    """The multiply kernel: the canonical term dict of a product.
+
+    Each pair of terms merges its exponent maps.  A root variable s that
+    reaches exponent e >= 2 is rewritten on the spot, e // 2 times, by its
+    square * s^-2, which leaves s^(e%2); a negative root exponent raises
+    NotDivisible.  Integral coefficients are multiplied and summed as int,
+    and every output coefficient is made a Fraction once, at the end.
+    """
+    order = reg._index.__getitem__
+    left = [(m, dict(m), [n for n, _ in m if n in reg._roots], c)
+            for m, c in _int_terms(terms1)]
     out = {}
-    for m1, c1 in terms1.items():
-        d1 = dict(m1)
-        for m2, c2 in terms2.items():
-            d = dict(d1)
-            for n, e in m2:
-                e2 = d.get(n, 0) + e
-                if e2 == 0:
-                    d.pop(n, None)
-                else:
-                    d[n] = e2
-            mono = tuple(sorted(d.items(), key=lambda t: reg.index(t[0])))
-            out[mono] = out.get(mono, Fraction(0)) + c1 * c2
+    for m2, c2 in _int_terms(terms2):
+        r2 = [n for n, _ in m2 if n in reg._roots]
+        for mono, d, r1, c1 in left:
+            if m2:
+                mono, d = None, _merge(d, m2)
+            products = [(d, c1 * c2)]
+            for n in r1 + r2:
+                e = products[0][0].get(n, 0)
+                if e < 0:
+                    raise NotDivisible(
+                        f"negative exponent on root variable {n!r}")
+                for _ in range(e // 2):
+                    mono = None
+                    square = _int_terms(reg._squares[n].terms)
+                    products = [(_merge(dp, sm + ((n, -2),)), cp * sc)
+                                for dp, cp in products for sm, sc in square]
+            for d, c in products:
+                if mono is None:
+                    ks = sorted(d, key=order)
+                    mono = tuple(zip(ks, map(d.__getitem__, ks)))
+                out[mono] = out.get(mono, 0) + c
+                mono = None
+    for mono in [m for m, c in out.items() if not c]:
+        del out[mono]
+    for mono, c in out.items():
+        if type(c) is int:
+            out[mono] = Fraction(c)
     return out
+
+
+def _int_terms(terms):
+    """(monomial, coefficient) pairs with integral coefficients as int."""
+    return [(m, c.numerator if c.denominator == 1 else c)
+            for m, c in terms.items()]
+
+
+def _merge(d, mono):
+    """A copy of the exponent map d, times a monomial."""
+    d = dict(d)
+    for n, e in mono:
+        e += d.get(n, 0)
+        if e:
+            d[n] = e
+        else:
+            del d[n]
+    return d
 
 
 def lp_div_exact(p, q):
@@ -306,20 +317,16 @@ def lp_div_exact(p, q):
     leaves a remainder, which in the recurrence context signals a breach of
     the Laurent property and is a hard failure.
     """
-    if not isinstance(q, LaurentPoly):
-        q = p.registry.const(q)
-    if q.registry is not p.registry and q.registry != p.registry:
-        raise RegistryMismatch("operands use different registries")
+    q = p._check(q)
     if not q.terms:
         raise DivZero("division by zero polynomial")
     reg = p.registry
     if q.is_monomial():
         # multiply by the inverse monomial; a root variable left with a
-        # negative exponent makes the reduction raise NotDivisible
+        # negative exponent makes the kernel raise NotDivisible
         (qmono, qcoeff), = q.terms.items()
         inverse = {tuple((n, -e) for n, e in qmono): 1 / qcoeff}
-        return LaurentPoly(_mul_terms(p.terms, inverse, reg),
-                           reg)._reduce_roots()
+        return LaurentPoly(_mul(p.terms, inverse, reg), reg)
     if q.has_roots():
         raise NotDivisible("general divisor must be free of root variables")
     # Split the dividend into sectors by square-free root monomial; each
@@ -335,7 +342,7 @@ def lp_div_exact(p, q):
         for m, c in quo.items():
             full = tuple(sorted(m + rootpart, key=lambda t: reg.index(t[0])))
             result[full] = c
-    return LaurentPoly(result, reg)._reduce_roots()
+    return LaurentPoly(result, reg)
 
 
 def _divide_vertex_exact(p_terms, q, reg):
@@ -473,24 +480,10 @@ def poly_to_json_str(p):
 
 
 def poly_from_json(data):
-    reg = VarRegistry(data["vars"])
-    # Roots require a two-phase build: squares reference vertex vars only.
-    squares = {}
-    for r in data["roots"]:
-        squares[r["name"]] = [(t["exps"], Fraction(t["coeff"]))
-                              for t in r["square"]]
-    if squares:
-        reg0 = VarRegistry(data["vars"])
-        squares = {n: reg0.poly(ts) for n, ts in squares.items()}
-        # Rebuild squares against the final registry.
-        reg = VarRegistry(data["vars"],
-                          {n: [(dict(m), c) for m, c in _as_pairs(sq)]
-                           for n, sq in squares.items()})
+    reg = VarRegistry(data["vars"], {
+        r["name"]: [(t["exps"], Fraction(t["coeff"])) for t in r["square"]]
+        for r in data["roots"]})
     p = reg.zero()
     for t in data["terms"]:
         p = p + reg.monomial(t["exps"], Fraction(t["coeff"]))
     return p
-
-
-def _as_pairs(poly):
-    return [(dict(m), c) for m, c in poly.terms.items()]

@@ -319,7 +319,8 @@ def _trace(comp, config):
     """Walk the pairing structure.
 
     Returns (cycles, paths): cycles as lists of (fid, pair_idx) with their
-    color and row-5 traversal count; paths as (endpoints, color, nodes).
+    color and row-5 traversal count; paths as (endpoints, color, nodes),
+    each list in the assignment's order.
     """
     nodes = {}
     for fid, name in config.assignment.items():
@@ -333,7 +334,7 @@ def _trace(comp, config):
             slot_node[(fid, s)] = (fid, pi)
     cycles, paths = [], []
     seen = set()
-    for start in sorted(nodes, key=str):
+    for start in nodes:
         if start in seen:
             continue
         seen.add(start)

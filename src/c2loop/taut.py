@@ -116,6 +116,9 @@ class TautWindow:
     registry: object
     vnames: dict
     collar: dict                  # vertex -> frozen exponent - 2, half-units
+    vertex_of: dict               # vertex variable name -> vertex
+    face_of: dict                 # root variable name -> window face
+    sides: dict                   # zone face -> its four primal edges
 
 
 def _zone_faces(comp, r2):
@@ -184,7 +187,11 @@ def build_taut_window(U):
         for v, e in zip(cyc, _CORNER_EXP[sigma0_type(cyc)]):
             collar[v] += e
     return TautWindow(U, sg, comp, flat_sg, flat_comp, zone, zone_comp,
-                      frozen, iface, target, registry, vnames, collar)
+                      frozen, iface, target, registry, vnames, collar,
+                      {name: v for v, name in vnames.items()},
+                      {sg.face_root_name(k): k for k in comp.corner_ids},
+                      {k: tuple(comp.edge_of(k, s) for s in range(4))
+                       for k in zone})
 
 
 def _sigma0_pairing(flat_comp, flat_zone, iface):
@@ -193,17 +200,14 @@ def _sigma0_pairing(flat_comp, flat_zone, iface):
     assign = {key: sigma0_type(flat_comp.corner_ids[key])
               for key in flat_zone}
 
+    # each interface edge has one zone side, the other being frozen
+    slot_of = {flat_comp.edge_of(key, s): (key, s)
+               for key in flat_zone for s in range(4)}
     target = {}
     for start_key in sorted(iface, key=sorted):
         if start_key in target:
             continue
-        # find the zone-side slot of this interface edge
-        slot = None
-        for key in flat_zone:
-            for s in range(4):
-                if flat_comp.edge_of(key, s) == start_key:
-                    slot = (key, s)
-        cur = slot
+        cur = slot_of[start_key]
         while True:
             key, s = cur
             pairs = LOCAL_CONFIGS[assign[key]][1]
@@ -253,14 +257,11 @@ def enumerate_taut(U, window=None):
     blue and paired as the reference picture pairs them; the search visits
     the faces in constraint order, so colors and the pairing prune early."""
     win = window or build_taut_window(U)
-    comp = win.comp
     zone = win.zone
-    ids = comp.side_ids(zone)
+    ids = win.comp.side_ids(zone)
     sides = [tuple(ids[(key, s)] for s in range(4)) for key in zone]
-    term = {}               # interface edge -> its side id
-    for (key, s), e in ids.items():
-        if comp.edge_of(key, s) in win.interface_edges:
-            term[comp.edge_of(key, s)] = e
+    term = {win.sides[key][s]: e for (key, s), e in ids.items()
+            if win.sides[key][s] in win.interface_edges}
     found = search(sides, dict.fromkeys(term.values(), "B"),
                    {term[e]: term[f] for e, f in win.target_pairing.items()})
     return [TautConfig({key: CONFIG_ORDER[r] for key, r in zip(zone, ranks)},
@@ -393,8 +394,6 @@ def reconstruct_from_monomial(U, monomial, window=None):
     """
     win = window or build_taut_window(U)
     comp = win.comp
-    name_to_vertex = {name: v for v, name in win.vnames.items()}
-    name_to_face = {win.sg.face_root_name(k): k for k in comp.corner_ids}
     root_faces = set()
     residual = {}
     for name, e in monomial.items():
@@ -402,9 +401,9 @@ def reconstruct_from_monomial(U, monomial, window=None):
             if e not in (0, 1):
                 raise NotAMonomial(f"root exponent {e}")
             if e:
-                root_faces.add(name_to_face[name])
-        elif name in name_to_vertex:
-            residual[name_to_vertex[name]] = e
+                root_faces.add(win.face_of[name])
+        elif name in win.vertex_of:
+            residual[win.vertex_of[name]] = e
         else:
             raise NotAMonomial(f"unknown variable {name!r}")
 
@@ -431,7 +430,7 @@ def reconstruct_from_monomial(U, monomial, window=None):
         v = heapq.heappop(ready)
         key, = unknown_at[v]
         cyc = comp.corner_ids[key]
-        sides = [comp.edge_of(key, s) for s in range(4)]
+        sides = win.sides[key]
         slot = cyc.index(v)
         on_black_diag = slot % 2 == 0
         r = res[v]

@@ -15,6 +15,7 @@ from c2loop.laurent import (
     lp_div_exact,
     lp_eval,
     poly_from_json,
+    poly_to_json,
     poly_to_json_str,
 )
 
@@ -42,6 +43,74 @@ def rand_poly(reg, rng, n_terms=4, with_roots=False):
             exps[rng.choice(list(reg.root_vars))] = 1
         p = p + reg.monomial(exps, Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
     return p
+
+
+# -- reference: the two-pass multiply (raw product, then root reduction) ----
+
+def ref_mul_terms(terms1, terms2, reg):
+    """Raw (unreduced) term dict of the product of two term dicts."""
+    out = {}
+    for m1, c1 in terms1.items():
+        d1 = dict(m1)
+        for m2, c2 in terms2.items():
+            d = dict(d1)
+            for n, e in m2:
+                e2 = d.get(n, 0) + e
+                if e2 == 0:
+                    d.pop(n, None)
+                else:
+                    d[n] = e2
+            mono = tuple(sorted(d.items(), key=lambda t: reg.index(t[0])))
+            out[mono] = out.get(mono, Fraction(0)) + c1 * c2
+    return out
+
+
+def ref_reduce_roots(terms, reg):
+    """Rewrite s^e -> square^(e//2) * s^(e%2) until every root exponent is
+    0 or 1; a negative root exponent raises NotDivisible."""
+    pending = dict(terms)
+    out = {}
+    while pending:
+        mono, coeff = pending.popitem()
+        if coeff == 0:
+            continue
+        hot = None
+        for name, e in mono:
+            if reg.is_root(name):
+                if e < 0:
+                    raise NotDivisible(
+                        f"negative exponent on root variable {name!r}")
+                if e >= 2:
+                    hot = (name, e)
+                    break
+        if hot is None:
+            out[mono] = out.get(mono, Fraction(0)) + coeff
+            continue
+        name, e = hot
+        rest = {n: x for n, x in mono if n != name}
+        if e % 2:
+            rest[name] = 1
+        base = tuple(sorted(rest.items(), key=lambda t: reg.index(t[0])))
+        expanded = {base: coeff}
+        for _ in range(e // 2):
+            expanded = ref_mul_terms(expanded, reg.root_square(name).terms,
+                                     reg)
+        for m2, c2 in expanded.items():
+            pending[m2] = pending.get(m2, Fraction(0)) + c2
+    return {m: c for m, c in out.items() if c != 0}
+
+
+def ref_product(terms1, terms2, reg):
+    return ref_reduce_roots(ref_mul_terms(terms1, terms2, reg), reg)
+
+
+def assert_canonical(got, want):
+    """Same terms, same Fraction values, keys in registry order."""
+    assert got.terms == want
+    assert all(type(c) is Fraction for c in got.terms.values())
+    reg = got.registry
+    for mono in got.terms:
+        assert list(mono) == sorted(mono, key=lambda t: reg.index(t[0]))
 
 
 def test_add_identity_and_cancellation():
@@ -194,7 +263,120 @@ def test_reduction_idempotent():
     rng = random.Random(9)
     for _ in range(100):
         p = rand_poly(REG, rng, 4, with_roots=True)
-        assert p._reduce_roots() == p
+        assert ref_reduce_roots(p.terms, REG) == p.terms
+
+
+def test_hash_agrees_with_eq_across_registries():
+    other = make_reg()
+    assert other is not REG
+    p = REG.var("X") * REG.var("g1") + 3
+    q = other.var("X") * other.var("g1") + 3
+    assert p == q
+    assert hash(p) == hash(q)
+    assert len({p, q}) == 1
+
+
+def test_kernel_matches_reference_products():
+    rng = random.Random(2024)
+    for _ in range(300):
+        p = rand_poly(REG, rng, 6, with_roots=True)
+        q = rand_poly(REG, rng, 6, with_roots=True)
+        assert_canonical(p * q, ref_product(p.terms, q.terms, REG))
+        pq = p * q
+        assert_canonical(pq * p, ref_product(pq.terms, p.terms, REG))
+
+
+def test_kernel_matches_reference_powers():
+    rng = random.Random(11)
+    for name in REG.root_vars + ("g", "g23"):
+        for e in range(6):
+            raw = {((name, e),) if e else (): Fraction(1)}
+            assert_canonical(REG.var(name, e), ref_reduce_roots(raw, REG))
+            p = rand_poly(REG, rng, 4, with_roots=True)
+            assert_canonical(REG.var(name, e, 3) * p,
+                             ref_product({((name, e),) if e else ():
+                                          Fraction(3)}, p.terms, REG))
+    xyz = REG.const(1)
+    for name, e in (("X", 3), ("Y", 4), ("Z", 5)):
+        for _ in range(e):
+            xyz = xyz * REG.var(name)
+    assert xyz == REG.var("X", 3) * REG.var("Y", 4) * REG.var("Z", 5)
+    mono = {"X": 3, "Y": 2, "g": -1}
+    raw = {(("g", -1), ("X", 3), ("Y", 2)): Fraction(5, 2)}
+    assert_canonical(REG.monomial(mono, Fraction(5, 2)),
+                     ref_reduce_roots(raw, REG))
+
+
+def test_kernel_constants_and_cancellation():
+    rng = random.Random(5)
+    for _ in range(100):
+        p = rand_poly(REG, rng, 5, with_roots=True)
+        c = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+        assert_canonical(p * REG.const(c), ref_product(p.terms, {(): c}, REG)
+                         if c else {})
+        assert_canonical(p * c, ref_product(p.terms, {(): c}, REG)
+                         if c else {})
+        assert_canonical(p * REG.zero(), {})
+    assert_canonical(REG.const(3) * REG.const(Fraction(1, 3)),
+                     {(): Fraction(1)})
+    # cross terms cancel, and the squares of the roots meet the vertex part
+    gX, Y = REG.var("g") * REG.var("X"), REG.var("Y")
+    prod = (gX + Y) * (gX - Y)
+    assert_canonical(prod, ref_product((gX + Y).terms, (gX - Y).terms, REG))
+    assert prod == (REG.monomial({"g": 3, "g23": 1})
+                    + REG.monomial({"g": 2, "g2": 1, "g3": 1})
+                    - REG.monomial({"g": 1, "g13": 1})
+                    - REG.monomial({"g1": 1, "g3": 1}))
+    # the whole product cancels: X^2 = g*g23 + g2*g3
+    zero = REG.var("X") * REG.var("X") - REG.monomial({"g": 1, "g23": 1}) \
+        - REG.monomial({"g2": 1, "g3": 1})
+    assert_canonical(zero, {})
+
+
+def test_kernel_matches_reference_monomial_division():
+    rng = random.Random(31)
+    vs = list(REG.vertex_vars)
+    raised = 0
+    for _ in range(300):
+        p = rand_poly(REG, rng, 5, with_roots=True)
+        exps = {v: rng.randint(-2, 2) for v in rng.sample(vs, 2)}
+        for r in rng.sample(REG.root_vars, rng.choice((0, 0, 1, 2))):
+            exps[r] = 1
+        q = REG.monomial(exps, Fraction(rng.randint(1, 5), rng.randint(1, 3)))
+        (qmono, qcoeff), = q.terms.items()
+        inverse = {tuple((n, -e) for n, e in qmono): 1 / qcoeff}
+        try:
+            want = ref_product(p.terms, inverse, REG)
+        except NotDivisible as exc:
+            raised += 1
+            with pytest.raises(NotDivisible) as got:
+                lp_div_exact(p, q)
+            n_roots = sum(REG.is_root(n) for n, _ in qmono)
+            if n_roots == 1:
+                assert str(got.value) == str(exc)
+            else:
+                assert str(got.value).startswith(
+                    "negative exponent on root variable ")
+            continue
+        assert_canonical(lp_div_exact(p, q), want)
+        assert_canonical(p / q, want)
+    assert 30 < raised < 270
+
+
+def test_unreduced_inputs_reduce():
+    X = REG.var("X")
+    assert REG.var("X", 3) == X * X * X
+    assert REG.var("X", 2) == REG.root_square("X")
+    data = poly_to_json(REG.zero())
+    data["terms"] = [{"coeff": "2/1", "exps": {"X": 3, "g": 1}},
+                     {"coeff": "-1/3", "exps": {"Y": 2}}]
+    p = poly_from_json(data)
+    want = (2 * REG.var("g") * X * X * X
+            - Fraction(1, 3) * REG.var("Y") * REG.var("Y"))
+    assert p.terms == want.terms
+    with pytest.raises(NotDivisible, match="negative exponent on root "
+                                           "variable 'Y'"):
+        REG.var("Y", -1)
 
 
 @settings(max_examples=60, deadline=None)
