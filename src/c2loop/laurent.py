@@ -171,11 +171,11 @@ class LaurentPoly:
         other = self._check(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s == 0:
-                out.pop(m, None)
-            else:
+            s = out[m] + c if m in out else c
+            if s:
                 out[m] = s
+            else:
+                out.pop(m, None)
         return LaurentPoly(out, self.registry)
 
     __radd__ = __add__

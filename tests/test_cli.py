@@ -307,6 +307,14 @@ MALFORMED = {
         ["groves", "verify", "{d}/s.json"]),
     "lobachevsky-theta-out-of-range": (
         {}, ["dimers", "lobachevsky", "--theta", "2"]),
+    "domain-theta-above-quarter-turn": (
+        {}, ["dimers", "free-energy", "--domain", "integrable:2"]),
+    "domain-theta-zero": (
+        {}, ["dimers", "free-energy", "--domain", "integrable:0"]),
+    "domain-theta-negative": (
+        {}, ["dimers", "free-energy", "--domain", "integrable:-0.5"]),
+    "domain-theta-nan": (
+        {}, ["dimers", "free-energy", "--domain", "integrable:nan"]),
     "kashaev-order-seed-not-an-integer": (
         {}, ["kashaev", "solve", "{d}/one_cube.json", "{d}/init_ones.json",
              "--order", "random:x"]),

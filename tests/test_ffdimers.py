@@ -1,5 +1,6 @@
 """Free-fermion checks: decomposition, correspondence, Kasteleyn, free energy."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -10,14 +11,15 @@ from c2loop.fixtures import (
     cube_sphere,
     ff_fixture_weights,
     integrable_weights,
+    pillow_sphere,
     rational_ff_weights,
 )
 from c2loop.ffdimers import (
     DecoratedDimerGraph,
+    FFDimersError,
     NotARoad,
     TorusDomain,
     build_gq,
-    char_poly_eval,
     dimer_partition_bruteforce,
     enumerate_matchings,
     ff_check,
@@ -209,17 +211,25 @@ def test_gauge_transform():
 
 
 def test_kasteleyn_cube_gq():
-    comp = complex_from_quadgraph(cube_sphere())
     rng = random.Random(9)
-    params = {f: ff_decompose(rational_ff_weights(rng))
-              for f in comp.face_ids()}
-    gq = build_gq(comp, params)
-    data = kasteleyn_orientation(gq, comp)
-    assert kasteleyn_valid(gq, data, comp)
-    # determinant reproduces the brute-force matching sum
-    z = dimer_partition_bruteforce(gq)
-    assert kasteleyn_determinant(gq, data) == pytest.approx(float(z),
-                                                            rel=1e-9)
+    for sphere, _draw in itertools.product((cube_sphere, pillow_sphere),
+                                           range(3)):
+        comp = complex_from_quadgraph(sphere())
+        params = {f: ff_decompose(rational_ff_weights(rng))
+                  for f in comp.face_ids()}
+        gq = build_gq(comp, params)
+        data = kasteleyn_orientation(gq, comp)
+        assert kasteleyn_valid(gq, data, comp)
+        # each edge lies once on some constrained face, so reversing any
+        # one edge leaves that face with an even clockwise count
+        for i in range(len(gq.edges)):
+            bits = list(data["bits"])
+            bits[i] ^= 1
+            assert not kasteleyn_valid(gq, dict(data, bits=bits), comp)
+        # determinant reproduces the brute-force matching sum
+        z = dimer_partition_bruteforce(gq)
+        assert kasteleyn_determinant(gq, data) == pytest.approx(float(z),
+                                                                rel=1e-9)
 
 
 def test_kasteleyn_single_city():
@@ -233,22 +243,41 @@ def test_kasteleyn_single_city():
 
 
 def test_char_poly_fig_octa_values():
-    dom = fig_octa_domain(math.pi / 4)
-    assert abs(char_poly_eval(dom, 1.0, 1.0)) == pytest.approx(0.0, abs=1e-9)
-    assert abs(char_poly_eval(dom, -1.0, -1.0)) == pytest.approx(4.0,
-                                                                 rel=1e-12)
+    g = fig_octa_domain(math.pi / 4).dimer_graph
+    assert abs(g.char_poly(1.0, 1.0)) == pytest.approx(0.0, abs=1e-9)
+    assert abs(g.char_poly(-1.0, -1.0)) == pytest.approx(4.0, rel=1e-12)
 
 
 def test_char_poly_conjugation():
-    dom = fig_octa_domain(math.pi / 6)
+    g = fig_octa_domain(math.pi / 6).dimer_graph
     rng = random.Random(3)
     import cmath
     for _ in range(10):
         z = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
         w = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-        p1 = char_poly_eval(dom, z.conjugate(), w.conjugate())
-        p2 = char_poly_eval(dom, z, w).conjugate()
+        p1 = g.char_poly(z.conjugate(), w.conjugate())
+        p2 = g.char_poly(z, w).conjugate()
         assert p1 == pytest.approx(p2, rel=1e-9)
+
+
+@pytest.mark.parametrize("make_domain", [fig_octa_domain, gq_torus_domain])
+@pytest.mark.parametrize("theta", [0.3, math.pi / 4])
+def test_char_poly_grid_matches_pointwise(make_domain, theta):
+    # the row-vectorized grid sum against char_poly at each half-shifted node
+    g = make_domain(theta).dimer_graph
+    grid = 8
+    nodes = [complex(math.cos(t), math.sin(t))
+             for t in ((2 * k + 1) * math.pi / grid for k in range(grid))]
+    pointwise = sum(math.log(abs(g.char_poly(z, w)))
+                    for z in nodes for w in nodes)
+    assert g.char_poly_grid(grid) == pytest.approx(pointwise, abs=1e-12)
+
+
+@pytest.mark.parametrize("make_domain", [fig_octa_domain, gq_torus_domain])
+@pytest.mark.parametrize("theta", [0.0, -0.5, 2.0, math.pi / 2, math.nan])
+def test_domain_rejects_theta_outside_open_quarter(make_domain, theta):
+    with pytest.raises(FFDimersError):
+        make_domain(theta)
 
 
 def test_free_energy_matches_closed_form():
