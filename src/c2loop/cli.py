@@ -9,9 +9,7 @@ standard error.  A result that is not a finite number cannot be written as
 JSON, and an exact Laurent computation can fail (for example a division
 that does not come out exact); both are reported as a JSON error on
 standard output with exit code 1.  Identical argv and input files produce
-byte-identical output.  The environment variable
-C2LOOP_THREADS is accepted as an upper bound on worker threads; every
-computation here runs single-threaded, which trivially respects the cap.
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -296,7 +294,7 @@ def cmd_kashaev(args):
         sg = surface_graph(U)
         init = load_init(args.init, sg.vertices)
         val = solve_origin(U, g_init=init, mode="numeric", order=order,
-                           window_radius=sg.window_radius)
+                           window=sg)
         emit({"origin_value": val})
     else:
         poly = solve_origin(U, mode="symbolic", order=order)
@@ -534,6 +532,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name in ("limit", "n", "points"):
+            if getattr(args, name, 0) < 0:
+                raise InputError(f"--{name} must not be negative")
         return args.fn(args)
     except (InputError, FileNotFoundError, QuadGraphError, SteppedError,
             KashaevError, FFDimersError, LimitShapeError, LoopModelError,

@@ -79,7 +79,7 @@ def cube_recurrence_solve(U, g_init=None, mode="symbolic", window=None):
     if not is_regular(U)["regular"]:
         raise GrovesError("requires a regular solid")
     win = window or build_taut_window(U)
-    g = lift_state(win.sg, g_init, mode, win.registry).g_values
+    g = lift_state(win.sg, g_init, mode).g_values
     fill_corners(fill_order(U), g, _all_plus_step)
     return g[(0, 0, 0)]
 

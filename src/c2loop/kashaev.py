@@ -13,11 +13,13 @@ The formulas are written once for both value types: positive floats
 division.  A division that leaves a remainder is a hard error rather than a
 fallback, because the result is guaranteed to be a Laurent polynomial.  The
 value type is chosen once, when the initial data are lifted onto the window
-(`lift_state`); only the float positivity guards and the cross-multiplied
-symbolic duality check look at it again, and `agree` compares values of
-either type.
+(`lift_state`), whose own registry (`SurfaceGraph.registry`) holds the
+symbolic variables; only the float positivity guards and the
+cross-multiplied symbolic duality check look at the type again, and `agree`
+compares values of either type.
 
-`solve_origin` iterates the completion over a regular stepped solid:
+`solve_origin` iterates the completion over a regular stepped solid, on the
+window the caller hands in or else on `surface_graph(U, window_radius)`:
 `fill_corners` adds cubes back in a fill order, each step reading the seven
 bottom corners, consuming the three pit faces at the cube and producing the
 three new ones, until the value at the origin is known.  Face values of the
@@ -161,11 +163,10 @@ def duality_check(c, tol=1e-9):
 class HexState:
     """Evolving vertex and face data while a solid is filled back in."""
 
-    def __init__(self, surface, g_values, face_values, registry=None):
+    def __init__(self, surface, g_values, face_values):
         self.surface = surface
         self.g_values = g_values
         self.face_values = face_values
-        self.registry = registry
 
     def check_face_invariant(self):
         """Every face value squared equals the sum of its two diagonal
@@ -180,42 +181,25 @@ class HexState:
         return True
 
 
-def build_registry(surface):
-    """Registry with one vertex variable per window vertex and one root
-    variable per window face, squares given by the diagonal products."""
-    vnames = {v: surface.vertex_var_name(v) for v in sorted(surface.vertices)}
-    squares = {}
-    for key in sorted(surface.faces):
-        axis, base = key
-        (a, c), (b, d) = face_diagonals(axis, base)
-        squares[surface.face_root_name(key)] = [
-            ({vnames[a]: 1, vnames[c]: 1}, 1),
-            ({vnames[b]: 1, vnames[d]: 1}, 1),
-        ]
-    reg = VarRegistry(list(vnames.values()), squares)
-    return reg, vnames
-
-
-def lift_state(sg, g_init=None, mode="symbolic", registry=None, faces=()):
+def lift_state(sg, g_init=None, mode="symbolic", faces=()):
     """Initial data on a window: a value at every vertex of sg and at each
     face key in faces.
 
-    Symbolic mode lifts into the registry (built from sg when not given):
-    a vertex takes the exact constant g_init gives for it, or else its
-    variable, and a face takes its root variable.  Numeric mode reads a
-    positive float for every vertex from g_init, and a face takes the
-    square root of its two diagonal products.
+    Symbolic mode lifts into the window's registry: a vertex takes the
+    exact constant g_init gives for it, or else its variable, and a face
+    takes its root variable.  Numeric mode reads a positive float for every
+    vertex from g_init, and a face takes the square root of its two
+    diagonal products.
     """
     if mode == "symbolic":
-        if registry is None:
-            registry, _ = build_registry(sg)
+        registry = sg.registry
         g_init = g_init or {}
         g_values = {v: registry.zero() + g_init[v] if v in g_init
                     else registry.var(sg.vertex_var_name(v))
                     for v in sg.vertices}
         face_values = {key: registry.var(sg.face_root_name(key))
                        for key in faces}
-        return HexState(sg, g_values, face_values, registry)
+        return HexState(sg, g_values, face_values)
     if g_init is None:
         raise KashaevError("numeric mode requires initial values")
     g_values = {}
@@ -230,12 +214,7 @@ def lift_state(sg, g_init=None, mode="symbolic", registry=None, faces=()):
         (a, c), (b, d) = face_diagonals(axis, base)
         face_values[key] = math.sqrt(g_values[a] * g_values[c]
                                      + g_values[b] * g_values[d])
-    return HexState(sg, g_values, face_values, None)
-
-
-def initial_state(U, g_init=None, mode="symbolic", window_radius=None):
-    sg = surface_graph(U, window_radius)
-    return lift_state(sg, g_init, mode, faces=sg.faces)
+    return HexState(sg, g_values, face_values)
 
 
 # offsets of a cube's seven bottom corners, in CubeData order
@@ -253,9 +232,16 @@ def fill_corners(order, g_values, complete):
 
 
 def solve_state(U, g_init=None, mode="symbolic", order=None,
-                window_radius=None, check_residuals=False):
-    """Fill the solid back to the flat corner, returning the final state."""
-    state = initial_state(U, g_init, mode, window_radius)
+                window_radius=None, check_residuals=False, window=None):
+    """Fill the solid back to the flat corner, returning the final state.
+
+    The initial data live on window, a SurfaceGraph of U, which is built as
+    surface_graph(U, window_radius) when not given."""
+    if window is None:
+        window = surface_graph(U, window_radius)
+    if window.solid != U or window_radius not in (None, window.window_radius):
+        raise KashaevError("window is not one of this solid and radius")
+    state = lift_state(window, g_init, mode, faces=window.faces)
     if order is None:
         order = fill_order(U)
     else:
@@ -280,15 +266,12 @@ def solve_state(U, g_init=None, mode="symbolic", order=None,
 
 
 def solve_origin(U, g_init=None, mode="symbolic", order=None,
-                 window_radius=None, check_residuals=False):
+                 window_radius=None, check_residuals=False, window=None):
     """Value of the recurrence at the origin for initial data on V(U)."""
     if not is_regular(U)["regular"]:
         raise KashaevError("solve_origin requires a regular solid")
-    if not U.removed:
-        state = initial_state(U, g_init, mode, window_radius)
-        return state.g_values[(0, 0, 0)]
     state = solve_state(U, g_init, mode, order, window_radius,
-                        check_residuals)
+                        check_residuals, window)
     return state.g_values[(0, 0, 0)]
 
 

@@ -159,7 +159,7 @@ def rho_oracle(x, a, b, c):
         return 1.0 if x == (0, 0, 0) else 0.0
     U = slab_solid(N)
     sg = surface_graph(U)
-    poly = solve_origin(U, mode="symbolic", window_radius=sg.window_radius)
+    poly = solve_origin(U, mode="symbolic", window=sg)
     target = tuple(-t for t in x)
     vname = sg.vertex_var_name(target)
     point = _slab_init(N, a, b, c, sg.vertices)

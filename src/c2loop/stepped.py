@@ -25,8 +25,12 @@ filter then keeps the faces with a corner inside the window.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+
+from .laurent import VarRegistry
 
 
 class SteppedError(Exception):
@@ -185,6 +189,17 @@ class SurfaceGraph:
     def vertex_var_name(self, v):
         return f"g[{v[0]},{v[1]},{v[2]}]"
 
+    @cached_property
+    def registry(self):
+        """Variables of exact initial data, built on first symbolic use: one
+        per vertex, and one root per face whose square is the sum of the
+        face's two diagonal products."""
+        squares = {self.face_root_name(key): [
+            ({self.vertex_var_name(a): 1, self.vertex_var_name(b): 1}, 1)
+            for a, b in face_diagonals(*key)] for key in sorted(self.faces)}
+        return VarRegistry(map(self.vertex_var_name, sorted(self.vertices)),
+                           squares)
+
 
 def surface_graph(U, window_radius=None):
     """Finite window of G(U): every face with a corner inside the window
@@ -195,6 +210,8 @@ def surface_graph(U, window_radius=None):
     r_need = reg["R_U"]
     if window_radius is None:
         window_radius = r_need + 1
+    if not math.isfinite(window_radius):
+        raise WindowTooSmall(f"window radius {window_radius} is not finite")
     if window_radius < r_need:
         raise WindowTooSmall(
             f"window radius {window_radius} < R_U = {r_need}")

@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .kashaev import agree, build_registry, solve_origin
+from .kashaev import agree, solve_origin
 from .loopmodel import CONFIG_ORDER, FaceComplex, LOCAL_CONFIGS, \
     LoopConfig, count_loops, search, side_colors
 from .stepped import (
@@ -101,19 +101,17 @@ _CORNER_EXP = {name: _ROW_EXP[row]
 
 @dataclass
 class TautWindow:
-    """Shared context: carved window, flat window, zone and interface."""
+    """Shared context: carved window, zone and interface."""
 
     solid: SteppedSolid
     sg: object
     comp: FaceComplex
-    flat_sg: object
-    flat_comp: FaceComplex
     zone: list                    # carved zone face keys, output order
     zone_comp: FaceComplex        # the zone faces, glued among themselves
     frozen: set
     interface_edges: set          # primal-edge keys on the zone boundary
     target_pairing: dict          # interface edge -> partner edge
-    registry: object
+    registry: object              # sg.registry
     vnames: dict
     collar: dict                  # vertex -> frozen exponent - 2, half-units
     vertex_of: dict               # vertex variable name -> vertex
@@ -178,7 +176,7 @@ def build_taut_window(U):
     zone_comp = FaceComplex({k: comp.corner_ids[k] for k in zone},
                             {(k, s): p for (k, s), p in comp.gluing.items()
                              if k in zone_set and p[0] in zone_set})
-    registry, vnames = build_registry(sg)
+    vnames = {v: sg.vertex_var_name(v) for v in sg.vertices}
     # the frozen faces keep their reference pictures, so their share of each
     # vertex exponent, net of the -2 renormalization, is fixed per window
     collar = dict.fromkeys(sg.vertices, -4)
@@ -186,8 +184,8 @@ def build_taut_window(U):
         cyc = comp.corner_ids[key]
         for v, e in zip(cyc, _CORNER_EXP[sigma0_type(cyc)]):
             collar[v] += e
-    return TautWindow(U, sg, comp, flat_sg, flat_comp, zone, zone_comp,
-                      frozen, iface, target, registry, vnames, collar,
+    return TautWindow(U, sg, comp, zone, zone_comp, frozen, iface, target,
+                      sg.registry, vnames, collar,
                       {name: v for v, name in vnames.items()},
                       {sg.face_root_name(k): k for k in comp.corner_ids},
                       {k: tuple(comp.edge_of(k, s) for s in range(4))
@@ -337,8 +335,7 @@ def verify_partition_identity(U, mode="symbolic", g_init=None, window=None,
     (which symbolic mode does not take)."""
     win = window or build_taut_window(U)
     lhs = y_taut(U, g_init=g_init, symbolic=mode == "symbolic", window=win)
-    rhs = solve_origin(U, g_init=g_init, mode=mode,
-                       window_radius=win.sg.window_radius)
+    rhs = solve_origin(U, g_init=g_init, mode=mode, window=win.sg)
     return agree(lhs, rhs, tol)
 
 
@@ -346,8 +343,7 @@ def verify_monomial_bijection(U, window=None):
     """Monomial <-> configuration checks on the symbolic solution."""
     win = window or build_taut_window(U)
     configs = enumerate_taut(U, win)
-    poly = solve_origin(U, mode="symbolic",
-                        window_radius=win.sg.window_radius)
+    poly = solve_origin(U, mode="symbolic", window=win.sg)
     report = {"n_configs": len(configs), "n_monomials": poly.num_terms()}
     report["counts_match"] = report["n_configs"] == report["n_monomials"]
     seen = {}

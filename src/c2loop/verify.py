@@ -113,8 +113,7 @@ def criterion_4_monomial_bijection():
         win = build_taut_window(U)
         rep = verify_monomial_bijection(U, window=win)
         ok &= rep["all"]
-        poly = solve_origin(U, mode="symbolic",
-                            window_radius=win.sg.window_radius)
+        poly = solve_origin(U, mode="symbolic", window=win.sg)
         for mono, coeff in poly.terms.items():
             cfg = reconstruct_from_monomial(U, dict(mono), window=win)
             w = taut_weight(win, cfg, symbolic=True)
@@ -131,14 +130,16 @@ def criterion_5_laurentness(n_orders=100, seed=5):
     rng = random.Random(seed)
     solids = [U for U in enumerate_solids(4) if U.removed]
     ok = True
+    windows = {U: surface_graph(U) for U in solids}
     base = {}
     try:
         for U in solids:
-            base[U] = solve_origin(U, mode="symbolic")
+            base[U] = solve_origin(U, mode="symbolic", window=windows[U])
         for k in range(n_orders):
             U = solids[k % len(solids)]
             order = random_fill_order(U, rng)
-            if solve_origin(U, mode="symbolic", order=order) != base[U]:
+            if solve_origin(U, mode="symbolic", order=order,
+                            window=windows[U]) != base[U]:
                 ok = False
     except NotDivisible:
         ok = False

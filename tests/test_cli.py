@@ -333,6 +333,20 @@ MALFORMED = {
         {}, ["shape", "curve", "--R", "0"]),
     "shape-rho-negative-r": (
         {}, ["shape", "rho", "--N", "8", "--R", "-1"]),
+    "stepped-window-nan": (
+        {}, ["stepped", "surface", "{d}/one_cube.json", "--window", "nan"]),
+    "stepped-window-inf": (
+        {}, ["stepped", "surface", "{d}/one_cube.json", "--window", "inf"]),
+    "taut-enumerate-negative-limit": (
+        {}, ["taut", "enumerate", "{d}/one_cube.json", "--limit", "-1"]),
+    "loops-enumerate-negative-limit": (
+        {}, ["loops", "enumerate", "{d}/grid22_graph.json",
+             "{d}/grid22_weights.json", "--limit", "-2"]),
+    "taut-sample-negative-n": (
+        {}, ["taut", "sample", "{d}/one_cube.json", "--init",
+             "{d}/init_ones.json", "--n", "-1"]),
+    "shape-curve-negative-points": (
+        {}, ["shape", "curve", "--R", "3", "--points", "-5"]),
 }
 
 

@@ -8,8 +8,8 @@ import pytest
 
 from c2loop.kashaev import (
     CubeData,
+    KashaevError,
     alternative_root,
-    build_registry,
     cube_from_bottom,
     duality_check,
     kashaev_relation_residual,
@@ -167,3 +167,31 @@ def test_slab_solve_matches_nested_radicals():
         init[v] = {0: a, 1: b, 2: c}.get(h + 4, 1.0)
     got = solve_origin(slab_solid(4), g_init=init, mode="numeric")
     assert got == pytest.approx(cube.g123, rel=1e-9)
+
+
+def test_solve_on_given_window_builds_none(monkeypatch):
+    U = slab_solid(3)
+    sg = surface_graph(U)
+    init = {v: 1.0 + 0.25 * (sum(v) % 3) for v in sg.vertices}
+    sym = solve_origin(U, mode="symbolic")
+    num = solve_origin(U, g_init=init, mode="numeric")
+
+    def no_window(*_args):
+        raise AssertionError("surface_graph called despite window=")
+
+    monkeypatch.setattr("c2loop.kashaev.surface_graph", no_window)
+    assert solve_origin(U, g_init=init, mode="numeric", window=sg) == num
+    assert "registry" not in vars(sg)
+    got = solve_origin(U, mode="symbolic", window=sg)
+    assert got == sym and got.registry is sg.registry
+    assert solve_origin(U, mode="symbolic", window=sg,
+                        window_radius=sg.window_radius) == sym
+
+
+def test_solve_rejects_foreign_window():
+    sg = surface_graph(ONE)
+    with pytest.raises(KashaevError):
+        solve_origin(slab_solid(2), mode="symbolic", window=sg)
+    with pytest.raises(KashaevError):
+        solve_origin(ONE, mode="symbolic", window=sg,
+                     window_radius=sg.window_radius + 1)

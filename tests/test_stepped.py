@@ -1,6 +1,7 @@
 """Stepped solids, surfaces, fill orders and flips."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -100,6 +101,12 @@ def test_surface_slab_heights():
 def test_window_too_small():
     with pytest.raises(WindowTooSmall):
         surface_graph(ONE, 1.0)
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf])
+def test_window_not_finite(radius):
+    with pytest.raises(WindowTooSmall):
+        surface_graph(ONE, radius)
 
 
 def test_flip_roundtrip():
