@@ -99,7 +99,6 @@ def verify_grove_equality(U, window=None):
     full = win.registry.zero()
     for cfg in configs:
         full = full + taut_weight(win, cfg, symbolic=True)
-    parity_ok = True
     odd_monos = {m for m, c in full.terms.items() if c.numerator % 2 == 1}
     free_monos = set(total.terms)
     parity_ok = odd_monos == free_monos and all(
@@ -109,7 +108,7 @@ def verify_grove_equality(U, window=None):
             "ok": equal and parity_ok}
 
 
-def grove_is_forest(cfg, collar=1.5):
+def grove_is_forest(cfg):
     """No diagonal cycle on either height-parity class near the carve."""
     win = cfg.window
     grove = to_grove(cfg)
@@ -139,7 +138,6 @@ def grove_is_forest(cfg, collar=1.5):
                 continue
             stack = [(start, None)]
             seen.add(start)
-            count_v, count_e = 0, 0
             comp_nodes = set()
             while stack:
                 v, parent = stack.pop()

@@ -163,8 +163,7 @@ def duality_check(c, tol=1e-9):
 class HexState:
     """Evolving vertex and face data while a solid is filled back in."""
 
-    def __init__(self, surface, g_values, face_values):
-        self.surface = surface
+    def __init__(self, g_values, face_values):
         self.g_values = g_values
         self.face_values = face_values
 
@@ -199,7 +198,7 @@ def lift_state(sg, g_init=None, mode="symbolic", faces=()):
                     for v in sg.vertices}
         face_values = {key: registry.var(sg.face_root_name(key))
                        for key in faces}
-        return HexState(sg, g_values, face_values)
+        return HexState(g_values, face_values)
     if g_init is None:
         raise KashaevError("numeric mode requires initial values")
     g_values = {}
@@ -214,7 +213,7 @@ def lift_state(sg, g_init=None, mode="symbolic", faces=()):
         (a, c), (b, d) = face_diagonals(axis, base)
         face_values[key] = math.sqrt(g_values[a] * g_values[c]
                                      + g_values[b] * g_values[d])
-    return HexState(sg, g_values, face_values)
+    return HexState(g_values, face_values)
 
 
 # offsets of a cube's seven bottom corners, in CubeData order

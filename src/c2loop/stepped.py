@@ -174,6 +174,28 @@ def _shoelace(points):
     return s
 
 
+# a translation keeps the orientation, so one shoelace per axis decides
+# which corner cycles to reverse into clockwise order
+_REVERSE = [_shoelace([project(c) for c in face_corners(a, (0, 0, 0))]) > 0
+            for a in range(3)]
+
+
+def clockwise_corners(axis, base):
+    """Corner cycle of a face, clockwise in the projection."""
+    a, b, c, d = face_corners(axis, base)
+    return (a, d, c, b) if _REVERSE[axis] else (a, b, c, d)
+
+
+def toggled_faces(U):
+    """Faces on which G(U) and the flat corner differ: each removed cube
+    toggles its six faces, so a face two removed cubes share cancels."""
+    out = set()
+    for p in U.removed:
+        for axis, e in enumerate(UNITS):
+            out ^= {(axis, p), (axis, vadd(p, e))}
+    return out
+
+
 @dataclass
 class SurfaceGraph:
     solid: SteppedSolid
@@ -223,21 +245,13 @@ def surface_graph(U, window_radius=None):
             base = [a, b]
             base.insert(axis, 0)
             keys.add((axis, tuple(base)))
-    for p in U.removed:
-        for axis, e in enumerate(UNITS):
-            keys ^= {(axis, p), (axis, vadd(p, e))}
-    # a translation keeps the orientation, so one shoelace per axis decides
-    # which corner cycles to reverse into clockwise order
-    reverse = [_shoelace([project(c) for c in face_corners(axis, (0, 0, 0))])
-               > 0 for axis in range(3)]
+    keys ^= toggled_faces(U)
     sg = SurfaceGraph(U, window_radius)
-    for axis, base in sorted(keys):
-        cyc = face_corners(axis, base)
+    for key in sorted(keys):
+        cyc = clockwise_corners(*key)
         if min(norm2(c) for c in cyc) > rad2:
             continue
-        if reverse[axis]:
-            cyc = (cyc[0], cyc[3], cyc[2], cyc[1])
-        sg.faces[(axis, base)] = cyc
+        sg.faces[key] = cyc
         sg.vertices.update(cyc)
     for v in sg.vertices:
         if not U.on_surface(v):

@@ -8,7 +8,10 @@ weight telescope makes the reference weight equal to the origin variable.
 
 A taut configuration on a carved solid agrees with the reference picture
 outside a ball around the origin and reconnects the frozen strands exactly
-as the reference does.  Enumeration works on a finite zone of faces around
+as the reference does.  The solid's window is the only surface built: the
+reference zone is the carved zone with the faces the removed cubes toggle
+toggled back, and tracing the reference picture through it pairs the
+interface edges.  Enumeration works on a finite zone of faces around
 the carve: colors propagate through shared sides, strands are maintained as
 chains between interface plugs, and any chain that closes interface-to-
 interface with the wrong partner kills the branch immediately.  The search
@@ -30,17 +33,19 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .kashaev import agree, solve_origin
 from .loopmodel import CONFIG_ORDER, FaceComplex, LOCAL_CONFIGS, \
     LoopConfig, count_loops, search, side_colors
 from .stepped import (
-    SteppedSolid,
+    clockwise_corners,
     face_diagonals,
     height,
     is_regular,
     norm2,
     surface_graph,
+    toggled_faces,
 )
 
 
@@ -103,7 +108,6 @@ _CORNER_EXP = {name: _ROW_EXP[row]
 class TautWindow:
     """Shared context: carved window, zone and interface."""
 
-    solid: SteppedSolid
     sg: object
     comp: FaceComplex
     zone: list                    # carved zone face keys, output order
@@ -111,25 +115,27 @@ class TautWindow:
     frozen: set
     interface_edges: set          # primal-edge keys on the zone boundary
     target_pairing: dict          # interface edge -> partner edge
-    registry: object              # sg.registry
     vnames: dict
     collar: dict                  # vertex -> frozen exponent - 2, half-units
     vertex_of: dict               # vertex variable name -> vertex
     face_of: dict                 # root variable name -> window face
     sides: dict                   # zone face -> its four primal edges
 
+    @property
+    def registry(self):
+        """The window's variable registry, built on first symbolic use."""
+        return self.sg.registry
 
-def _zone_faces(comp, r2):
-    out = []
-    for key in comp.face_ids():
-        cyc = comp.corner_ids[key]
-        if min(norm2(c) for c in cyc) <= r2:
-            out.append(key)
-    return out
+    @cached_property
+    def symbolic_origin(self):
+        """Exact recurrence solution at the origin, in the canonical fill
+        order, solved on first use."""
+        return solve_origin(self.sg.solid, mode="symbolic", window=self.sg)
 
 
-def _face_level(comp, key):
-    return min(height(c) for c in comp.corner_ids[key])
+def _unglued_sides(comp):
+    """Primal edge -> (face, slot) of each side no other face shares."""
+    return {comp.edge_of(*side): side for side in comp.half_edges()}
 
 
 # window radius beyond R_U: the frozen collar around the zone ball
@@ -137,45 +143,37 @@ _COLLAR = 4.0
 
 
 def build_taut_window(U):
+    """Window, zone and interface of a regular solid."""
     reg_info = is_regular(U)
     if not reg_info["regular"]:
         raise TautError("taut enumeration requires a regular solid")
     r_u = reg_info["R_U"]
-    radius = r_u + _COLLAR
-    sg = surface_graph(U, radius)
-    flat_sg = surface_graph(SteppedSolid(), radius)
-    comp = window_complex(sg)
-    flat_comp = window_complex(flat_sg)
     r2 = r_u * r_u
-    zone = _zone_faces(comp, r2)
-    flat_zone = _zone_faces(flat_comp, r2)
-    frozen = set(comp.face_ids()) - set(zone)
-    flat_frozen = set(flat_comp.face_ids()) - set(flat_zone)
-    if frozen != flat_frozen:
+    # each toggled face has a corner p + e_i + e_j, no farther out than its
+    # cube p, so the carved and flat surfaces agree outside the zone ball
+    toggled = toggled_faces(U)
+    if any(min(map(norm2, clockwise_corners(*key))) > r2 for key in toggled):
         raise TautError("carved region leaks outside the zone ball")
+    sg = surface_graph(U, r_u + _COLLAR)
+    comp = window_complex(sg)
+    zone = sorted((k for k, cyc in comp.corner_ids.items()
+                   if min(map(norm2, cyc)) <= r2),
+                  key=lambda k: (min(map(height, comp.corner_ids[k])), str(k)))
+    frozen = set(comp.corner_ids).difference(zone)
+    zone_comp = FaceComplex.from_corners(
+        {k: comp.corner_ids[k] for k in zone})
     # interface edges: sides between a zone face and a frozen face
-    def interface(c, zone_set):
-        out = set()
-        for key in zone_set:
-            for s in range(4):
-                partner = c.gluing.get((key, s))
-                if partner is None:
-                    raise TautError("zone touches the window boundary; "
-                                    "enlarge the collar")
-                if partner[0] not in zone_set:
-                    out.add(c.edge_of(key, s))
-        return out
-
-    iface = interface(comp, set(zone))
-    flat_iface = interface(flat_comp, set(flat_zone))
-    if iface != flat_iface:
-        raise TautError("interface mismatch between carved and flat windows")
-    target = _sigma0_pairing(flat_comp, set(flat_zone), iface)
-    zone.sort(key=lambda k: (_face_level(comp, k), str(k)))
-    zone_set = set(zone)
-    zone_comp = FaceComplex({k: comp.corner_ids[k] for k in zone},
-                            {(k, s): p for (k, s), p in comp.gluing.items()
-                             if k in zone_set and p[0] in zone_set})
+    iface = _unglued_sides(zone_comp)
+    if any(side not in comp.gluing for side in iface.values()):
+        raise TautError("zone touches the window boundary; "
+                        "enlarge the collar")
+    flat_zone = FaceComplex.from_corners(
+        {key: _rotate_black_first(clockwise_corners(*key))
+         for key in sorted(set(zone) ^ toggled)})
+    ends = _unglued_sides(flat_zone)
+    if iface.keys() != ends.keys():
+        raise TautError("interface mismatch between carved and flat zones")
+    target = _sigma0_pairing(flat_zone, ends)
     vnames = {v: sg.vertex_var_name(v) for v in sg.vertices}
     # the frozen faces keep their reference pictures, so their share of each
     # vertex exponent, net of the -2 renormalization, is fixed per window
@@ -184,44 +182,32 @@ def build_taut_window(U):
         cyc = comp.corner_ids[key]
         for v, e in zip(cyc, _CORNER_EXP[sigma0_type(cyc)]):
             collar[v] += e
-    return TautWindow(U, sg, comp, zone, zone_comp, frozen, iface, target,
-                      sg.registry, vnames, collar,
+    return TautWindow(sg, comp, zone, zone_comp, frozen, set(iface), target,
+                      vnames, collar,
                       {name: v for v, name in vnames.items()},
                       {sg.face_root_name(k): k for k in comp.corner_ids},
                       {k: tuple(comp.edge_of(k, s) for s in range(4))
                        for k in zone})
 
 
-def _sigma0_pairing(flat_comp, flat_zone, iface):
+def _sigma0_pairing(flat_zone, ends):
     """Pair the interface edges by tracing the reference picture through the
-    flat zone."""
-    assign = {key: sigma0_type(flat_comp.corner_ids[key])
-              for key in flat_zone}
-
-    # each interface edge has one zone side, the other being frozen
-    slot_of = {flat_comp.edge_of(key, s): (key, s)
-               for key in flat_zone for s in range(4)}
+    flat zone; ends maps each interface edge to its one zone side.  A strand
+    crosses glued sides only, so it stays in the zone until it ends."""
     target = {}
-    for start_key in sorted(iface, key=sorted):
-        if start_key in target:
+    for start in sorted(ends, key=sorted):
+        if start in target:
             continue
-        cur = slot_of[start_key]
+        key, s = ends[start]
         while True:
-            key, s = cur
-            pairs = LOCAL_CONFIGS[assign[key]][1]
-            other = None
-            for p in pairs:
-                if s in p:
-                    other = p[0] if p[1] == s else p[1]
-            e = flat_comp.edge_of(key, other)
-            if e in iface:
-                target[start_key] = e
-                target[e] = start_key
+            pairs = LOCAL_CONFIGS[sigma0_type(flat_zone.corner_ids[key])][1]
+            other, = (p[0] if p[1] == s else p[1] for p in pairs if s in p)
+            e = flat_zone.edge_of(key, other)
+            if e in ends:
+                target[start] = e
+                target[e] = start
                 break
-            nxt = flat_comp.gluing[(key, other)]
-            if nxt[0] not in flat_zone:
-                raise TautError("reference strand left the zone unexpectedly")
-            cur = nxt
+            key, s = flat_zone.gluing[(key, other)]
     return target
 
 
@@ -300,7 +286,6 @@ def taut_weight(win, config, symbolic=True, g_init=None):
     """Weight 2^loops * prod w^f * prod g^-2 of one taut configuration."""
     exps, roots = _vertex_contributions(win, config.assignment)
     _check_vertex_completeness(win, exps)
-    reg = win.registry
     if symbolic:
         mono = {}
         for v, e in exps.items():
@@ -309,7 +294,7 @@ def taut_weight(win, config, symbolic=True, g_init=None):
             mono[win.vnames[v]] = e // 2
         for key in roots:
             mono[win.sg.face_root_name(key)] = 1
-        return reg.monomial(mono, Fraction(2) ** config.n_loops)
+        return win.registry.monomial(mono, Fraction(2) ** config.n_loops)
     val = float(2 ** config.n_loops)
     for v, e in exps.items():
         val *= float(g_init[v]) ** (e / 2)
@@ -334,8 +319,10 @@ def verify_partition_identity(U, mode="symbolic", g_init=None, window=None,
     exactly in symbolic mode, to tol in numeric mode at the values g_init
     (which symbolic mode does not take)."""
     win = window or build_taut_window(U)
-    lhs = y_taut(U, g_init=g_init, symbolic=mode == "symbolic", window=win)
-    rhs = solve_origin(U, g_init=g_init, mode=mode, window=win.sg)
+    symbolic = mode == "symbolic"
+    lhs = y_taut(U, g_init=g_init, symbolic=symbolic, window=win)
+    rhs = win.symbolic_origin if symbolic else \
+        solve_origin(U, g_init=g_init, mode=mode, window=win.sg)
     return agree(lhs, rhs, tol)
 
 
@@ -343,7 +330,7 @@ def verify_monomial_bijection(U, window=None):
     """Monomial <-> configuration checks on the symbolic solution."""
     win = window or build_taut_window(U)
     configs = enumerate_taut(U, win)
-    poly = solve_origin(U, mode="symbolic", window=win.sg)
+    poly = win.symbolic_origin
     report = {"n_configs": len(configs), "n_monomials": poly.num_terms()}
     report["counts_match"] = report["n_configs"] == report["n_monomials"]
     seen = {}
@@ -475,7 +462,9 @@ def reconstruct_from_monomial(U, monomial, window=None):
                 heapq.heappush(ready, c)
     if any(r != 0 for r in res.values()):
         raise NotAMonomial("unexplained exponents remain")
-    cfg = TautConfig(assign, _count_zone_loops(win, assign), win)
+    # loops by independent tracing
+    cfg = TautConfig(assign, count_loops(win.zone_comp, LoopConfig(assign)),
+                     win)
     w = taut_weight(win, cfg, symbolic=True)
     (m2, _c2), = w.terms.items()
     want = tuple(sorted(((n, e) for n, e in monomial.items() if e != 0),
@@ -483,11 +472,6 @@ def reconstruct_from_monomial(U, monomial, window=None):
     if m2 != want:
         raise NotAMonomial("reconstructed weight does not match the input")
     return cfg
-
-
-def _count_zone_loops(win, assignment):
-    """Closed loops of a zone assignment, by independent tracing."""
-    return count_loops(win.zone_comp, LoopConfig(dict(assignment)))
 
 
 def sample_taut(U, g_init, seed=0, n=1, window=None):

@@ -113,7 +113,7 @@ def criterion_4_monomial_bijection():
         win = build_taut_window(U)
         rep = verify_monomial_bijection(U, window=win)
         ok &= rep["all"]
-        poly = solve_origin(U, mode="symbolic", window=win.sg)
+        poly = win.symbolic_origin
         for mono, coeff in poly.terms.items():
             cfg = reconstruct_from_monomial(U, dict(mono), window=win)
             w = taut_weight(win, cfg, symbolic=True)

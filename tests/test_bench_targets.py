@@ -9,20 +9,53 @@ from pathlib import Path
 
 from c2loop.kashaev import solve_origin
 from c2loop.loopmodel import enumerate_configs, weight
-from c2loop.taut import taut_weight
+from c2loop.stepped import SteppedSolid
+from c2loop.taut import build_taut_window, taut_weight
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
+OPS = PERFBENCH / "ops.py"
+
+
+def target_entries(tree):
+    """The (module, function, hook) tuples of the TARGETS list."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and \
+                [t.id for t in node.targets] == ["TARGETS"]:
+            return node.value.elts
+    raise AssertionError("no TARGETS list in perfbench/spans.py")
 
 
 def traced_targets():
     """(module, function) pairs of the TARGETS list, read without importing
     the benchmark."""
-    for node in ast.parse(SPANS.read_text()).body:
-        if isinstance(node, ast.Assign) and \
-                [t.id for t in node.targets] == ["TARGETS"]:
-            return [(t.elts[0].value, t.elts[1].value)
-                    for t in node.value.elts]
-    raise AssertionError("no TARGETS list in perfbench/spans.py")
+    return [(t.elts[0].value, t.elts[1].value)
+            for t in target_entries(ast.parse(SPANS.read_text()))]
+
+
+def attribute_paths(tree, root):
+    """Every dotted attribute path read off the name root, as a tuple."""
+    paths = set()
+    for node in ast.walk(tree):
+        path = []
+        while isinstance(node, ast.Attribute):
+            path.append(node.attr)
+            node = node.value
+        if path and isinstance(node, ast.Name) and node.id == root:
+            paths.add(tuple(reversed(path)))
+    return paths
+
+
+def window_reads():
+    """What the benchmark reads off a TautWindow: `win.*` in its operations
+    and `res.*` in the span hook of build_taut_window."""
+    spans = ast.parse(SPANS.read_text())
+    hook, = (t.elts[2].id for t in target_entries(spans)
+             if t.elts[1].value == "build_taut_window")
+    fn, = (node for node in spans.body
+           if isinstance(node, ast.FunctionDef) and node.name == hook)
+    return attribute_paths(ast.parse(OPS.read_text()), "win") | \
+        attribute_paths(fn, "res")
 
 
 def test_traced_targets_exist():
@@ -50,3 +83,15 @@ def test_loopmodel_signatures():
     params = inspect.signature(weight).parameters
     assert list(params)[:3] == ["graph", "config", "W"]
     assert all(p.default is not p.empty for p in list(params.values())[3:])
+
+
+def test_benchmark_window_reads_exist():
+    # a TautWindow field the benchmark reads must survive a field prune
+    paths = window_reads()
+    assert {("zone",), ("registry",), ("sg",)} <= paths
+    win = build_taut_window(SteppedSolid.from_removed([(-1, -1, -1)]))
+    for path in paths:
+        obj = win
+        for attr in path:
+            assert hasattr(obj, attr), ".".join(("win",) + path)
+            obj = getattr(obj, attr)

@@ -1,11 +1,14 @@
 """Taut configurations: reference picture, enumeration, weights, theorems."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import c2loop.stepped
+import c2loop.taut
 from c2loop.kashaev import cube_from_bottom, kashaev_step, solve_origin
 from c2loop.laurent import lp_eval
 from c2loop.loopmodel import CONFIG_ORDER, LOCAL_CONFIGS, FaceComplex, \
@@ -14,12 +17,17 @@ from c2loop.stepped import (
     SteppedSolid,
     enumerate_solids,
     height,
+    is_regular,
+    norm2,
     slab_solid,
     surface_graph,
     vadd,
 )
 from c2loop.taut import (
+    _CORNER_EXP,
     NotAMonomial,
+    TautError,
+    TautWindow,
     build_taut_window,
     enumerate_taut,
     reconstruct_from_monomial,
@@ -39,14 +47,136 @@ BOX = SteppedSolid.from_removed([(i, j, k) for i in (-1, -2)
                                  for j in (-1, -2) for k in (-1, -2)])
 
 
+def two_window_oracle(U):
+    """TautWindow of U built from two windows: the reference zone, its
+    interface and pairing come from a second window of the flat corner."""
+    r_u = is_regular(U)["R_U"]
+    r2 = r_u * r_u
+    sg = surface_graph(U, r_u + 4)
+    comp = window_complex(sg)
+    flat = window_complex(surface_graph(U0, r_u + 4))
+
+    def zone_of(c):
+        return {k for k, cyc in c.corner_ids.items()
+                if min(map(norm2, cyc)) <= r2}
+
+    def interface(c, zone):
+        return {c.edge_of(k, s) for k in zone for s in range(4)
+                if c.gluing[(k, s)][0] not in zone}
+
+    zone_set, flat_zone = zone_of(comp), zone_of(flat)
+    frozen = set(comp.corner_ids) - zone_set
+    assert frozen == set(flat.corner_ids) - flat_zone
+    iface = interface(comp, zone_set)
+    assert iface == interface(flat, flat_zone)
+    slot_of = {flat.edge_of(k, s): (k, s) for k in flat_zone
+               for s in range(4)}
+    target = {}
+    for start in sorted(iface, key=sorted):
+        if start in target:
+            continue
+        key, s = slot_of[start]
+        while True:
+            pairs = LOCAL_CONFIGS[sigma0_type(flat.corner_ids[key])][1]
+            other, = (b if a == s else a for a, b in pairs if s in (a, b))
+            e = flat.edge_of(key, other)
+            if e in iface:
+                target[start], target[e] = e, start
+                break
+            key, s = flat.gluing[(key, other)]
+            assert key in flat_zone
+    zone = sorted(zone_set, key=lambda k: (
+        min(height(c) for c in comp.corner_ids[k]), str(k)))
+    vnames = {v: sg.vertex_var_name(v) for v in sg.vertices}
+    collar = dict.fromkeys(sg.vertices, -4)
+    for key in frozen:
+        cyc = comp.corner_ids[key]
+        for v, e in zip(cyc, _CORNER_EXP[sigma0_type(cyc)]):
+            collar[v] += e
+    return TautWindow(
+        sg, comp, zone, zone_complex_of(comp, zone), frozen, iface, target,
+        vnames, collar, {name: v for v, name in vnames.items()},
+        {sg.face_root_name(k): k for k in comp.corner_ids},
+        {k: tuple(comp.edge_of(k, s) for s in range(4)) for k in zone})
+
+
+def zone_complex_of(comp, zone):
+    """The zone faces with the window's gluing among them."""
+    zone_set = set(zone)
+    return FaceComplex({k: comp.corner_ids[k] for k in zone},
+                       {(k, s): p for (k, s), p in comp.gluing.items()
+                        if k in zone_set and p[0] in zone_set})
+
+
 def zone_complex(win):
-    zone = set(win.zone)
-    corner_ids = {k: win.comp.corner_ids[k] for k in zone}
-    gluing = {}
-    for (k, s), (k2, s2) in win.comp.gluing.items():
-        if k in zone and k2 in zone:
-            gluing[(k, s)] = (k2, s2)
-    return FaceComplex(corner_ids, gluing)
+    return zone_complex_of(win.comp, win.zone)
+
+
+ORACLE_SOLIDS = {f"solid{i}": U for i, U in enumerate(enumerate_solids(4))}
+ORACLE_SOLIDS.update(slab5=slab_solid(5), slab6=slab_solid(6), box=BOX)
+
+
+@pytest.mark.parametrize("name", ORACLE_SOLIDS)
+def test_window_matches_two_window_oracle(name):
+    U = ORACLE_SOLIDS[name]
+    win, want = build_taut_window(U), two_window_oracle(U)
+    for f in dataclasses.fields(TautWindow):
+        assert getattr(win, f.name) == getattr(want, f.name), f.name
+    assert list(win.zone_comp.corner_ids) == win.zone
+
+
+def test_window_builds_one_surface_graph(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    real = c2loop.stepped.surface_graph
+    monkeypatch.setattr(c2loop.stepped, "surface_graph", counting)
+    monkeypatch.setattr(c2loop.taut, "surface_graph", counting)
+    for U in (U0, ONE, slab_solid(4)):
+        calls.clear()
+        build_taut_window(U)
+        assert len(calls) == 1 and calls[0][0] == U
+
+
+def test_window_checks_raise(monkeypatch):
+    # a toggled face outside the zone ball leaks; one that the surface does
+    # not show leaves a hole in the reference zone, whose edges the carved
+    # interface lacks
+    for face, match in (((0, (0, -9, -9)), "leaks"),
+                        ((0, (0, -1, -1)), "interface mismatch")):
+        monkeypatch.setattr(c2loop.taut, "toggled_faces", lambda U: {face})
+        with pytest.raises(TautError, match=match):
+            build_taut_window(U0)
+
+
+def test_numeric_users_build_no_registry():
+    win = build_taut_window(ONE)
+    init = {v: 1.0 for v in win.sg.vertices}
+    sample_taut(ONE, init, seed=3, n=10, window=win)
+    y_taut(ONE, g_init=init, symbolic=False, window=win)
+    assert verify_partition_identity(ONE, mode="numeric", g_init=init,
+                                     window=win)
+    assert "registry" not in vars(win.sg)
+
+
+def test_verify_solves_each_window_once(monkeypatch):
+    modes = []
+
+    def counting(*args, **kwargs):
+        modes.append(kwargs.get("mode"))
+        return real(*args, **kwargs)
+
+    real = c2loop.taut.solve_origin
+    monkeypatch.setattr(c2loop.taut, "solve_origin", counting)
+    win = build_taut_window(ONE)
+    assert verify_partition_identity(ONE, window=win)
+    assert verify_monomial_bijection(ONE, window=win)["all"]
+    assert modes == ["symbolic"]
+    assert win.symbolic_origin == solve_origin(ONE, mode="symbolic",
+                                               window=win.sg)
 
 
 def test_sigma0_all_blue_turns():
