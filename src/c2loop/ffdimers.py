@@ -15,19 +15,22 @@ One builder, kasteleyn_matrix, fills every Kasteleyn matrix: the signed
 white-by-black matrix sum c * z**m * w**n over precomputed entries.  The
 sphere determinant evaluates it at z = w = 1; on the torus it is the
 magnetically modified matrix of a fundamental domain, whose determinant is
-the spectral curve P(z, w).  The free energy integrates log|P| over the unit
-torus on half-shifted uniform grids, one builder call per z-row against the
-array of w nodes (with one step of Richardson extrapolation, since the plain
-grid sum converges like 1/grid^2, slower than the verification tolerance).
+the spectral curve P(z, w).  P is a Laurent polynomial with a handful of
+monomials: its coefficients come from one batch of determinants on a grid of
+roots of unity as wide as its exponent ranges.  The free energy integrates
+log|P| over the unit torus on half-shifted uniform grids, evaluating P there
+from those coefficients (with one step of Richardson extrapolation, since the
+plain grid sum converges like 1/grid^2, slower than the verification
+tolerance).
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -111,6 +114,19 @@ class DecoratedDimerGraph:
             inc[v].append(i)
         return inc
 
+    @cached_property
+    def road_masses(self):
+        """(Z, {road edge index: weight of the matchings covering it}) from
+        one enumeration of the perfect matchings."""
+        z = 0
+        mass = {i: 0 for i, e in enumerate(self.edges) if e[3] == "road"}
+        for m, w in enumerate_matchings(self):
+            z = w + z
+            for i in m:
+                if i in mass:
+                    mass[i] = w + mass[i]
+        return z, mass
+
 
 def build_gq(graph, params):
     """The decorated graph: one city per face, roads across glued sides."""
@@ -188,8 +204,12 @@ def gauge_transform(gq, gauge):
 
 
 def road_probability(gq, road):
-    """Probability that a road is covered in the single dimer model."""
+    """Probability that a road (an edge index or a glue key) is covered in
+    the single dimer model.  The matchings are enumerated once per graph
+    (gq.road_masses), however many roads are asked about."""
     if isinstance(road, int):
+        if not 0 <= road < len(gq.edges):
+            raise NotARoad(f"{road} is not an edge index")
         idx = road
     else:
         idx = gq.road_of.get(road)
@@ -197,13 +217,8 @@ def road_probability(gq, road):
             raise NotARoad(f"{road} is not a road")
     if gq.edges[idx][3] != "road":
         raise NotARoad(f"edge {idx} is a city edge")
-    num = 0
-    den = 0
-    for m, w in enumerate_matchings(gq):
-        den = w + den
-        if idx in m:
-            num = w + num
-    return num / den
+    z, mass = gq.road_masses
+    return mass[idx] / z
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +508,10 @@ def kasteleyn_determinant(gq, data):
 # torus domains and the free energy
 # ---------------------------------------------------------------------------
 
+# complex values of P evaluated at once in char_poly_grid
+_GRID_BLOCK = 8192
+
+
 class TorusDimerGraph:
     """Bipartite weighted graph on the torus: canonical-cell vertices plus
     edges with cell offsets (m, n) in the period lattice.
@@ -565,15 +584,44 @@ class TorusDimerGraph:
         K = kasteleyn_matrix(self.entries, self.shape, z, w)
         return complex(np.linalg.det(K))
 
+    def char_poly_coeffs(self):
+        """(C, zs, ws) with P(z, w) = sum of C[a, b] z**zs[a] w**ws[b].
+
+        A term of det K takes one entry per white row, so on each axis its
+        exponent lies between the sums over the rows of their smallest and
+        largest offsets: that range, of width D, is zs or ws.  P is evaluated
+        once on the D_z x D_w roots of unity, where the Vandermonde matrices
+        V of the exponents satisfy V^H V = D, so C = V_z^H P conj(V_w) / D_z
+        D_w."""
+        ranges = []
+        for axis in (0, 1):
+            offsets = {}
+            for i, _j, _c, off in self.entries:
+                offsets.setdefault(i, []).append(off[axis])
+            ranges.append(range(sum(map(min, offsets.values())),
+                                sum(map(max, offsets.values())) + 1))
+        zs, ws = ranges
+        z = np.exp(2j * math.pi * np.arange(len(zs)) / len(zs))
+        w = np.exp(2j * math.pi * np.arange(len(ws)) / len(ws))
+        P = np.linalg.det(kasteleyn_matrix(self.entries, self.shape,
+                                           z[:, None], w))
+        Vz, Vw = np.power.outer(z, zs), np.power.outer(w, ws)
+        return Vz.conj().T @ P @ Vw.conj() / (len(zs) * len(ws)), zs, ws
+
     def char_poly_grid(self, grid):
-        """log|P| summed over the half-shifted grid, vectorized over w."""
-        ws = np.exp(1j * (2 * np.arange(grid) + 1) * math.pi / grid)
+        """log|P| summed over the half-shifted grid, P evaluated from its
+        coefficients as Z @ C @ W.T (Z and W hold the nodes' powers), in
+        blocks of _GRID_BLOCK // grid rows (at least one) so memory stays
+        flat."""
+        C, zs, ws = self.char_poly_coeffs()
+        t = (2 * np.arange(grid) + 1) * math.pi / grid
+        Z = np.exp(1j * np.outer(t, zs))
+        CW = C @ np.exp(1j * np.outer(ws, t))
+        rows = max(1, _GRID_BLOCK // grid)
         total = 0.0
-        for k in range(grid):
-            z = cmath.exp(1j * (2 * k + 1) * math.pi / grid)
-            dets = np.linalg.det(kasteleyn_matrix(self.entries, self.shape,
-                                                  z, ws))
-            total += float(np.log(np.abs(dets)).sum())
+        with np.errstate(divide="ignore"):
+            for k in range(0, grid, rows):
+                total += float(np.log(np.abs(Z[k:k + rows] @ CW)).sum())
         return total
 
 
@@ -587,7 +635,8 @@ def free_energy(domain, grid=512):
     """Free energy per fundamental domain.
 
     One Richardson step over the half-shifted grids at sizes grid and grid/2
-    removes the leading 1/grid^2 quadrature error of the plain sum.
+    removes the leading 1/grid^2 quadrature error of the plain sum.  Raises
+    FFDimersError when the sum is not finite, as when P vanishes at a node.
     """
     if grid < 64 or grid % 2:
         raise FFDimersError("grid must be even and at least 64")
@@ -595,6 +644,9 @@ def free_energy(domain, grid=512):
     s_full = g.char_poly_grid(grid) / grid ** 2
     s_half = g.char_poly_grid(grid // 2) / (grid // 2) ** 2
     mean = (4 * s_full - s_half) / 3
+    if not math.isfinite(mean):
+        raise FFDimersError(f"log|P| sums to {mean} on the grid: P vanishes "
+                            "at a node")
     total = sum(math.log(float(l)) for l in domain.lambdas)
     # the complex measure dz/z dw/w equals -dphi dpsi on the unit torus, so
     # the integral enters with a plus sign against the plain real measure

@@ -110,22 +110,11 @@ def verify_grove_equality(U, window=None):
 
 def grove_is_forest(cfg):
     """No diagonal cycle on either height-parity class near the carve."""
-    win = cfg.window
     grove = to_grove(cfg)
-    zone = set(win.zone)
-    keys = set()
-    for key in win.comp.face_ids():
-        if key in zone:
-            keys.add(key)
-            continue
-        cyc = win.comp.corner_ids[key]
-        if any(any(c2 in cyc for c2 in win.comp.corner_ids[z])
-               for z in zone):
-            keys.add(key)
     for parity in (0, 1):
         adj = {}
         edges = []
-        for key in keys:
+        for key in cfg.window.near_zone:
             a, b = grove[key]
             if sum(a) % 2 != parity:
                 continue

@@ -132,6 +132,14 @@ class TautWindow:
         order, solved on first use."""
         return solve_origin(self.sg.solid, mode="symbolic", window=self.sg)
 
+    @cached_property
+    def near_zone(self):
+        """The window faces that share a corner with a zone face, the zone
+        faces included."""
+        corners = {c for key in self.zone for c in self.comp.corner_ids[key]}
+        return {key for key in self.comp.face_ids()
+                if not corners.isdisjoint(self.comp.corner_ids[key])}
+
 
 def _unglued_sides(comp):
     """Primal edge -> (face, slot) of each side no other face shares."""

@@ -1,10 +1,12 @@
 """Free-fermion checks: decomposition, correspondence, Kasteleyn, free energy."""
 
+import cmath
 import itertools
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from c2loop.fixtures import (
@@ -14,10 +16,12 @@ from c2loop.fixtures import (
     pillow_sphere,
     rational_ff_weights,
 )
+import c2loop.ffdimers as ffdimers
 from c2loop.ffdimers import (
     DecoratedDimerGraph,
     FFDimersError,
     NotARoad,
+    TorusDimerGraph,
     TorusDomain,
     build_gq,
     dimer_partition_bruteforce,
@@ -30,6 +34,7 @@ from c2loop.ffdimers import (
     gq_faces,
     gq_torus_domain,
     kasteleyn_determinant,
+    kasteleyn_matrix,
     kasteleyn_orientation,
     kasteleyn_valid,
     lobachevsky,
@@ -192,6 +197,52 @@ def test_road_probability_rejects_city_edge():
         road_probability(gq, 0)  # edge 0 is a city edge
 
 
+def _road_probability_oracle(gq, idx):
+    """The probability from a fresh enumeration for this one road."""
+    num = den = 0
+    for m, w in enumerate_matchings(gq):
+        den = w + den
+        if idx in m:
+            num = w + num
+    return num / den
+
+
+@pytest.mark.parametrize("sphere", [cube_sphere, pillow_sphere])
+def test_road_probability_enumerates_once(sphere, monkeypatch):
+    comp = complex_from_quadgraph(sphere())
+    rng = random.Random(11)
+    draws = [{f: ff_fixture_weights() for f in comp.face_ids()}]
+    draws += [{f: rational_ff_weights(rng) for f in comp.face_ids()}
+              for _ in range(2)]
+    for W in draws:
+        gq = build_gq(comp, {f: ff_decompose(W[f]) for f in comp.face_ids()})
+        expected = {key: _road_probability_oracle(gq, gq.road_of[key])
+                    for key in gq.road_of}
+        calls = []
+
+        def counted(g, _orig=ffdimers.enumerate_matchings):
+            calls.append(g)
+            return _orig(g)
+
+        monkeypatch.setattr(ffdimers, "enumerate_matchings", counted)
+        got = {key: road_probability(gq, key) for key in gq.road_of}
+        got_by_index = {key: road_probability(gq, gq.road_of[key])
+                        for key in gq.road_of}
+        monkeypatch.undo()
+        assert len(calls) == 1
+        assert got == expected == got_by_index
+
+
+@pytest.mark.parametrize("index", [-1, -36, 36, 10 ** 6])
+def test_road_probability_rejects_index_out_of_range(index):
+    comp = complex_from_quadgraph(cube_sphere())
+    params = {f: ff_decompose(ff_fixture_weights()) for f in comp.face_ids()}
+    gq = build_gq(comp, params)
+    assert gq.edges[-1][3] == "road"
+    with pytest.raises(NotARoad):
+        road_probability(gq, index)
+
+
 def test_gauge_transform():
     rng = random.Random(5)
     comp = complex_from_quadgraph(cube_sphere())
@@ -271,6 +322,50 @@ def test_char_poly_grid_matches_pointwise(make_domain, theta):
     pointwise = sum(math.log(abs(g.char_poly(z, w)))
                     for z in nodes for w in nodes)
     assert g.char_poly_grid(grid) == pytest.approx(pointwise, abs=1e-12)
+
+
+def _row_det_grid(g, grid):
+    """The grid sum from one batch of Kasteleyn determinants per z-row."""
+    ws = np.exp(1j * (2 * np.arange(grid) + 1) * math.pi / grid)
+    total = 0.0
+    for k in range(grid):
+        z = cmath.exp(1j * (2 * k + 1) * math.pi / grid)
+        dets = np.linalg.det(kasteleyn_matrix(g.entries, g.shape, z, ws))
+        total += float(np.log(np.abs(dets)).sum())
+    return total
+
+
+@pytest.mark.parametrize("make_domain", [fig_octa_domain, gq_torus_domain])
+@pytest.mark.parametrize("theta", [0.15, 0.3, math.pi / 6, math.pi / 4,
+                                   math.pi / 3])
+def test_char_poly_grid_matches_row_determinants(make_domain, theta):
+    g = make_domain(theta).dimer_graph
+    for grid in (64, 256, 512):
+        assert g.char_poly_grid(grid) == pytest.approx(_row_det_grid(g, grid),
+                                                       rel=1e-12)
+
+
+@pytest.mark.parametrize("make_domain", [fig_octa_domain, gq_torus_domain])
+@pytest.mark.parametrize("theta", [0.3, math.pi / 4])
+def test_char_poly_coeffs_reproduce_char_poly(make_domain, theta):
+    # on and off the unit torus, so every exponent is seen at its own scale
+    g = make_domain(theta).dimer_graph
+    C, zs, ws = g.char_poly_coeffs()
+    rng = random.Random(7)
+    for _ in range(40):
+        z = rng.choice((0.5, 1.0, 2.0)) * cmath.exp(1j * rng.uniform(0, 7))
+        w = rng.choice((0.5, 1.0, 2.0)) * cmath.exp(1j * rng.uniform(0, 7))
+        value = complex(np.power(z, zs) @ C @ np.power(w, ws))
+        assert value == pytest.approx(g.char_poly(z, w), rel=1e-12)
+
+
+def test_free_energy_rejects_vanishing_char_poly():
+    # all-zero weights: P is identically 0, so log|P| is -inf at every node
+    g = fig_octa_domain(0.3).dimer_graph
+    g = TorusDimerGraph(g.colors, g.positions, g.periods,
+                        [(u, v, 0.0, off) for u, v, _w, off in g.edges])
+    with pytest.raises(FFDimersError):
+        free_energy(TorusDomain([1.0, 1.0], g), grid=64)
 
 
 @pytest.mark.parametrize("make_domain", [fig_octa_domain, gq_torus_domain])

@@ -12,7 +12,7 @@ from c2loop.groves import (
     verify_grove_equality,
 )
 from c2loop.laurent import lp_eval
-from c2loop.stepped import SteppedSolid, enumerate_solids
+from c2loop.stepped import SteppedSolid, enumerate_solids, slab_solid
 from c2loop.taut import build_taut_window, enumerate_taut
 
 U0 = SteppedSolid()
@@ -86,3 +86,22 @@ def test_groves_are_forests():
         win = build_taut_window(U)
         for cfg in filter_no_loops(enumerate_taut(U, win)):
             assert grove_is_forest(cfg)
+
+
+def _near_zone_scan(win):
+    """Zone faces plus every window face sharing a corner with one of them,
+    by testing each face against each zone face."""
+    zone = set(win.zone)
+    keys = set()
+    for key in win.comp.face_ids():
+        cyc = win.comp.corner_ids[key]
+        if key in zone or any(any(c in cyc for c in win.comp.corner_ids[z])
+                              for z in zone):
+            keys.add(key)
+    return keys
+
+
+def test_near_zone_matches_pairwise_scan():
+    for U in list(enumerate_solids(4)) + [slab_solid(5), slab_solid(6)]:
+        win = build_taut_window(U)
+        assert win.near_zone == _near_zone_scan(win), sorted(U.removed)
