@@ -323,6 +323,19 @@ def _cubic_points(lam, n_samples):
     return full
 
 
+_CENTER = (-1 / 3, -1 / 3, -1 / 3)
+_U1 = (1 / math.sqrt(2), -1 / math.sqrt(2), 0.0)
+_U2 = (1 / math.sqrt(6), 1 / math.sqrt(6), -2 / math.sqrt(6))
+
+
+def _plane_coords(p):
+    """Orthonormal coordinates of p in the plane x+y+z = -1, centered at
+    (-1/3, -1/3, -1/3)."""
+    d = (p[0] - _CENTER[0], p[1] - _CENTER[1], p[2] - _CENTER[2])
+    return (sum(a * b for a, b in zip(d, _U1)),
+            sum(a * b for a, b in zip(d, _U2)))
+
+
 def dual_curve(lam, n_points=360):
     """Tangent-plane dual of the cubic, rendered in the plane x+y+z = -1."""
     if not 2 < lam <= 3:
@@ -337,18 +350,9 @@ def dual_curve(lam, n_points=360):
         if abs(s) < 1e-9 * norm:
             continue
         raw.append(tuple(-t / s for t in g))
-    center = (-1 / 3, -1 / 3, -1 / 3)
-    u1 = (1 / math.sqrt(2), -1 / math.sqrt(2), 0.0)
-    u2 = (1 / math.sqrt(6), 1 / math.sqrt(6), -2 / math.sqrt(6))
-
-    def plane_coords(p):
-        d = (p[0] - center[0], p[1] - center[1], p[2] - center[2])
-        return (sum(a * b for a, b in zip(d, u1)),
-                sum(a * b for a, b in zip(d, u2)))
-
     deco = {}
     for p in raw:
-        px, py = plane_coords(p)
+        px, py = _plane_coords(p)
         key = (round(px, 9), round(py, 9))
         deco[key] = (math.atan2(py, px), (px, py), p)
     pts = sorted(deco.values())
@@ -416,14 +420,9 @@ def export_heatmap(field, path):
 def export_curve(curve, path, size=600):
     """SVG with the bounding triangle and the curve polylines."""
     corners3 = [(-1, 0, 0), (0, -1, 0), (0, 0, -1)]
-    center = (-1 / 3, -1 / 3, -1 / 3)
-    u1 = (1 / math.sqrt(2), -1 / math.sqrt(2), 0.0)
-    u2 = (1 / math.sqrt(6), 1 / math.sqrt(6), -2 / math.sqrt(6))
 
     def xy(p):
-        d = (p[0] - center[0], p[1] - center[1], p[2] - center[2])
-        px = sum(a * b for a, b in zip(d, u1))
-        py = sum(a * b for a, b in zip(d, u2))
+        px, py = _plane_coords(p)
         return (size / 2 + px * size / 2.2, size / 2 - py * size / 2.2)
 
     def fmt(points, close=True):

@@ -17,7 +17,9 @@ Configurations are enumerated on a FaceComplex: faces with four side slots
 and an explicit gluing involution.  This supports closed surfaces (sphere,
 torus fundamental domains, where a face may see the same vertex twice) as
 well as planar windows with boundary half-edges.  The one backtracker,
-search, also lists the taut configurations of taut.py.
+search, also lists the taut configurations of taut.py; every configuration
+carries the closed-loop count the search kept.  _trace walks the strands of
+an assignment on its own, for reconstruction and for checks.
 """
 
 from __future__ import annotations
@@ -169,7 +171,7 @@ class BoundarySpec:
 @dataclass
 class LoopConfig:
     assignment: dict            # fid -> local picture name
-    boundary: BoundarySpec = None
+    n_loops: int                # closed loops, as the search counted them
 
     def to_json(self):
         return {"faces": {str(f): t for f, t in sorted(
@@ -217,7 +219,7 @@ def enumerate_configs(graph, boundary=None):
                    {ids[he]: c for he, c in colors.items()},
                    target and {ids[a]: ids[b] for a, b in target.items()})
     return [LoopConfig({fid: CONFIG_ORDER[r] for fid, r in zip(fids, ranks)},
-                       boundary) for ranks, _loops in found]
+                       loops) for ranks, loops in found]
 
 
 # (side colors, side pairs) of every local picture, in CONFIG_ORDER
@@ -315,15 +317,16 @@ def search(sides, colors, target=None):
     return found
 
 
-def _trace(comp, config):
-    """Walk the pairing structure.
+def _trace(comp, assignment):
+    """Walk the strands of an assignment (fid -> local picture name),
+    independently of the search.
 
     Returns (cycles, paths): cycles as lists of (fid, pair_idx) with their
     color and row-5 traversal count; paths as (endpoints, color, nodes),
     each list in the assignment's order.
     """
     nodes = {}
-    for fid, name in config.assignment.items():
+    for fid, name in assignment.items():
         _row, pairs, cols = LOCAL_CONFIGS[name]
         for pi, (p, c) in enumerate(zip(pairs, cols)):
             nodes[(fid, pi)] = (p, c)
@@ -366,48 +369,41 @@ def _trace(comp, config):
         if closed:
             crossings = sum(
                 1 for (fid, _pi) in chain
-                if LOCAL_CONFIGS[config.assignment[fid]][0] == 5)
+                if LOCAL_CONFIGS[assignment[fid]][0] == 5)
             cycles.append((chain, color, crossings))
         else:
             paths.append((tuple(end_slots), color, chain))
     return cycles, paths
 
 
-def count_loops(graph, config):
+def count_loops(graph, assignment):
     """Number of finite closed monochromatic loops (paths to the boundary
     are not counted)."""
-    comp = _as_complex(graph)
-    cycles, _paths = _trace(comp, config)
+    cycles, _paths = _trace(_as_complex(graph), assignment)
     return len(cycles)
 
 
-def crossing_parity_check(graph, config):
+def crossing_parity_check(graph, assignment):
     """Every closed loop crosses opposite-colored paths an even number of
     times (each row-5 face traversal is one crossing)."""
-    comp = _as_complex(graph)
-    cycles, _paths = _trace(comp, config)
+    cycles, _paths = _trace(_as_complex(graph), assignment)
     return all(crossings % 2 == 0 for _chain, _color, crossings in cycles)
 
 
-def weight(graph, config, W, fugacity_exp=True):
-    """2^loops * prod of local weights (or the marked version without the
-    loop factor)."""
-    comp = _as_complex(graph)
+def weight(graph, config, W):
+    """2^loops * prod of local weights, with the loop count the search
+    reported (graph is not traced)."""
     total = Fraction(1)
     for fid, name in config.assignment.items():
         row = LOCAL_CONFIGS[name][0]
         total = total * W[fid].as_tuple()[row - 1]
-    if fugacity_exp:
-        n = count_loops(comp, config)
-        total = total * Fraction(2) ** n
-    return total
+    return total * Fraction(2) ** config.n_loops
 
 
-def partition_function(graph, W, boundary=None, fugacity_exp=True):
-    comp = _as_complex(graph)
+def partition_function(graph, W, boundary=None):
     total = 0
-    for cfg in enumerate_configs(comp, boundary):
-        total = weight(comp, cfg, W, fugacity_exp) + total
+    for cfg in enumerate_configs(graph, boundary):
+        total = weight(graph, cfg, W) + total
     return total
 
 

@@ -274,30 +274,29 @@ class MulValue:
     """Formal product prod_f base_f^{e_f} with rational exponents.
 
     Keeps the round trip through the parametrization exact: face ratios of
-    the output are literal exponent-vector sums, no floating logs.
+    the output are literal exponent-vector sums, no floating logs.  The
+    exponents stay ints until root() halves them.
     """
 
     def __init__(self, exps=None):
         self.exps = {k: v for k, v in (exps or {}).items() if v != 0}
 
-    def __mul__(self, other):
+    def _add(self, other, sign):
         out = dict(self.exps)
         for k, v in other.exps.items():
-            out[k] = out.get(k, Fraction(0)) + v
+            out[k] = out.get(k, 0) + sign * v
             if out[k] == 0:
                 del out[k]
         return MulValue(out)
+
+    def __mul__(self, other):
+        return self._add(other, 1)
 
     def __truediv__(self, other):
-        out = dict(self.exps)
-        for k, v in other.exps.items():
-            out[k] = out.get(k, Fraction(0)) - v
-            if out[k] == 0:
-                del out[k]
-        return MulValue(out)
+        return self._add(other, -1)
 
     def root(self, n=2):
-        return MulValue({k: v / n for k, v in self.exps.items()})
+        return MulValue({k: Fraction(v, n) for k, v in self.exps.items()})
 
     def value(self, bases):
         out = 1.0
@@ -351,7 +350,7 @@ def solve_parametrization(graph, weights):
             cyc, sides = graph.faces[fid], graph.face_sides(fid)
             i = sides.index(e)
             sign = 1 if graph.colors[cyc[(i + 1) % 4]] == "black" else -1
-            steps.append(MulValue({fid: Fraction(sign)}))
+            steps.append(MulValue({fid: sign}))
             # the clockwise cycles keep the flanks of an edge coherent
             # between the two faces it separates
             for edge, lr in ((e, (cyc[(i + 1) % 4], cyc[i])),

@@ -37,7 +37,7 @@ from functools import cached_property
 
 from .kashaev import agree, solve_origin
 from .loopmodel import CONFIG_ORDER, FaceComplex, LOCAL_CONFIGS, \
-    LoopConfig, count_loops, search, side_colors
+    LoopConfig, _trace, count_loops, search, side_colors
 from .stepped import (
     clockwise_corners,
     face_diagonals,
@@ -178,10 +178,16 @@ def build_taut_window(U):
     flat_zone = FaceComplex.from_corners(
         {key: _rotate_black_first(clockwise_corners(*key))
          for key in sorted(set(zone) ^ toggled)})
-    ends = _unglued_sides(flat_zone)
-    if iface.keys() != ends.keys():
+    if iface.keys() != _unglued_sides(flat_zone).keys():
         raise TautError("interface mismatch between carved and flat zones")
-    target = _sigma0_pairing(flat_zone, ends)
+    # a reference strand crosses glued sides only, so it stays in the flat
+    # zone until both its ends reach the interface
+    _cycles, paths = _trace(flat_zone, {
+        key: sigma0_type(cyc) for key, cyc in flat_zone.corner_ids.items()})
+    target = {}
+    for (a, b), _color, _nodes in paths:
+        e, f = flat_zone.edge_of(*a), flat_zone.edge_of(*b)
+        target[e], target[f] = f, e
     vnames = {v: sg.vertex_var_name(v) for v in sg.vertices}
     # the frozen faces keep their reference pictures, so their share of each
     # vertex exponent, net of the -2 renormalization, is fixed per window
@@ -198,31 +204,10 @@ def build_taut_window(U):
                        for k in zone})
 
 
-def _sigma0_pairing(flat_zone, ends):
-    """Pair the interface edges by tracing the reference picture through the
-    flat zone; ends maps each interface edge to its one zone side.  A strand
-    crosses glued sides only, so it stays in the zone until it ends."""
-    target = {}
-    for start in sorted(ends, key=sorted):
-        if start in target:
-            continue
-        key, s = ends[start]
-        while True:
-            pairs = LOCAL_CONFIGS[sigma0_type(flat_zone.corner_ids[key])][1]
-            other, = (p[0] if p[1] == s else p[1] for p in pairs if s in p)
-            e = flat_zone.edge_of(key, other)
-            if e in ends:
-                target[start] = e
-                target[e] = start
-                break
-            key, s = flat_zone.gluing[(key, other)]
-    return target
-
-
 @dataclass
-class TautConfig:
-    assignment: dict              # zone face -> local picture name
-    n_loops: int
+class TautConfig(LoopConfig):
+    """A LoopConfig on the zone faces of its window."""
+
     window: TautWindow
 
     def full_assignment(self):
@@ -471,8 +456,7 @@ def reconstruct_from_monomial(U, monomial, window=None):
     if any(r != 0 for r in res.values()):
         raise NotAMonomial("unexplained exponents remain")
     # loops by independent tracing
-    cfg = TautConfig(assign, count_loops(win.zone_comp, LoopConfig(assign)),
-                     win)
+    cfg = TautConfig(assign, count_loops(win.zone_comp, assign), win)
     w = taut_weight(win, cfg, symbolic=True)
     (m2, _c2), = w.terms.items()
     want = tuple(sorted(((n, e) for n, e in monomial.items() if e != 0),

@@ -26,7 +26,7 @@ from .groves import verify_grove_equality
 from .kashaev import solve_origin, yang_baxter_row_check
 from .laurent import NotDivisible
 from .limitshape import (
-    h_denominator,
+    h_identity_check,
     intrinsic_residual,
     lambda_param,
     rho_field,
@@ -188,16 +188,7 @@ def criterion_8_limit_shape_numbers(seed=3):
     ok &= abs(from_oracle - target) <= 1e-12
     details["rho_111"] = {"recurrence": from_field, "derivative": from_oracle,
                           "target": target}
-    rng = random.Random(seed)
-    h_ok = True
-    for _ in range(10):
-        R = math.exp(rng.uniform(-2, 2))
-        for _ in range(1000):
-            pt = [rng.uniform(-2, 2) for _ in range(3)]
-            f1, f2 = h_denominator(R, *pt)
-            if abs(f1 - f2) > 1e-9 * (1 + abs(f1) + abs(f2)):
-                h_ok = False
-    ok &= h_ok
+    ok &= h_identity_check(10, 1000, seed=seed)
     details["denominator_identity_points"] = 10 * 1000
     return _report("limit-shape constants and identities", ok, details)
 

@@ -2,6 +2,8 @@
 
 import json
 import math
+import pathlib
+import shlex
 
 import pytest
 
@@ -189,6 +191,37 @@ def test_shape_outputs_deterministic(tmp_path, capsys):
         "--out", str(s2))
     assert s1.read_bytes() == s2.read_bytes()
     assert s1.read_text().count(",") >= 400
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands():
+    """The `c2loop ...` lines of the README's command-line block as argument
+    lists, less the verify-all lines, which test_verify_all_quick covers."""
+    block = README.read_text().split("## Command line", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    cmds = [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.startswith("c2loop ")]
+    return [argv for argv in cmds if argv[0] != "verify-all"]
+
+
+def test_readme_commands(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cmds = readme_commands()
+    assert cmds[0][0] == "fixtures" and len(cmds) > 10
+    runs = []
+    for _ in range(2):
+        outs = []
+        for argv in cmds:
+            code, out, _ = run(capsys, *argv)
+            assert code == 0, argv
+            _strict_json(out)
+            outs.append(out)
+        files = {str(p.relative_to(tmp_path)): p.read_bytes()
+                 for p in tmp_path.rglob("*") if p.is_file()}
+        runs.append((outs, files))
+    assert runs[0] == runs[1]
 
 
 def test_groves_verify(tmp_path, capsys):

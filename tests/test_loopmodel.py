@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import c2loop.loopmodel
 from c2loop.fixtures import cube_sphere, pillow_sphere, torus_two_faces
 from c2loop.loopmodel import (
     BoundarySpec,
@@ -13,7 +14,6 @@ from c2loop.loopmodel import (
     LOCAL_CONFIGS,
     LoopConfig,
     LoopModelError,
-    _check_boundary,
     _trace,
     blue_data,
     complex_from_quadgraph,
@@ -21,7 +21,6 @@ from c2loop.loopmodel import (
     crossing_parity_check,
     enumerate_configs,
     partition_function,
-    search,
     side_colors,
     weight,
 )
@@ -79,15 +78,13 @@ def test_cube_count_matches_unpruned():
 
 def test_pillow_two_red_loops():
     comp = complex_from_quadgraph(pillow_sphere())
-    cfg = LoopConfig({"A": "1a", "B": "1a"})
-    assert count_loops(comp, cfg) == 2
+    assert count_loops(comp, {"A": "1a", "B": "1a"}) == 2
 
 
 def test_sigma_window_like_no_loops():
     # all-blue nested turns on a small open window have no closed loops
     g = grid_quadgraph(2, 2)
-    cfg = LoopConfig({f: "1b" for f in g.faces})
-    assert count_loops(g, cfg) == 0
+    assert count_loops(g, {f: "1b" for f in g.faces}) == 0
 
 
 def test_weight_rows():
@@ -95,8 +92,8 @@ def test_weight_rows():
     fid = (0, 0)
     for name, wexp in [("1a", SYMBOLS.w1), ("3a", SYMBOLS.w3),
                        ("5b", SYMBOLS.w5)]:
-        cfg = LoopConfig({fid: name})
-        assert weight(g, cfg, {fid: SYMBOLS}, fugacity_exp=False) == wexp
+        cfg = LoopConfig({fid: name}, 0)
+        assert weight(g, cfg, {fid: SYMBOLS}) == wexp
 
 
 def test_partition_single_face():
@@ -121,7 +118,7 @@ def test_partition_cube_integer():
     W = {f: ones for f in comp.face_ids()}
     z = partition_function(comp, W, BoundarySpec.closed())
     assert z == sum(
-        Fraction(2) ** count_loops(comp, c)
+        Fraction(2) ** count_loops(comp, c.assignment)
         for c in enumerate_configs(comp, BoundarySpec.closed()))
     assert z.denominator == 1 and z > 0
 
@@ -129,7 +126,7 @@ def test_partition_cube_integer():
 def test_crossing_parity_cube():
     comp = complex_from_quadgraph(cube_sphere())
     for cfg in enumerate_configs(comp, BoundarySpec.closed()):
-        assert crossing_parity_check(comp, cfg)
+        assert crossing_parity_check(comp, cfg.assignment)
 
 
 def test_crossing_parity_torus():
@@ -137,7 +134,7 @@ def test_crossing_parity_torus():
     cfgs = enumerate_configs(comp, BoundarySpec.closed())
     assert cfgs
     for cfg in cfgs:
-        assert crossing_parity_check(comp, cfg)
+        assert crossing_parity_check(comp, cfg.assignment)
 
 
 def test_color_swap_involution():
@@ -148,9 +145,28 @@ def test_color_swap_involution():
     keys = {tuple(sorted(c.assignment.items())) for c in cfgs}
     W = {f: SYMBOLS for f in comp.face_ids()}
     for cfg in cfgs:
-        mirror = LoopConfig({f: swap[t] for f, t in cfg.assignment.items()})
+        assign = {f: swap[t] for f, t in cfg.assignment.items()}
+        mirror = LoopConfig(assign, count_loops(comp, assign))
         assert tuple(sorted(mirror.assignment.items())) in keys
         assert weight(comp, cfg, W) == weight(comp, mirror, W)
+
+
+@pytest.mark.parametrize("comp, z", [
+    (complex_from_quadgraph(cube_sphere()), 83683808),
+    (torus_two_faces(), 1676),
+])
+def test_weights_read_the_search_loop_count(monkeypatch, comp, z):
+    # z is the partition function with every loop counted by _trace
+    cfgs = enumerate_configs(comp, BoundarySpec.closed())
+    assert any(c.n_loops for c in cfgs)
+
+    def no_trace(*args):
+        raise AssertionError("a listed configuration was traced")
+
+    monkeypatch.setattr(c2loop.loopmodel, "_trace", no_trace)
+    W = {f: SYMBOLS for f in comp.face_ids()}
+    assert sum(weight(comp, c, W) for c in cfgs) == z
+    assert partition_function(comp, W, BoundarySpec.closed()) == z
 
 
 def test_fixed_connections():
@@ -194,7 +210,7 @@ def _enumerate_by_face_order(comp, boundary):
     def rec(k):
         if k == len(fids):
             if boundary.mode == "fixed_connections":
-                _cycles, paths = _trace(comp, LoopConfig(assign))
+                _cycles, paths = _trace(comp, assign)
                 if {frozenset(ends): c for ends, c, _ in paths} != want:
                     return
             out.append(list(assign.items()))
@@ -218,17 +234,6 @@ def _enumerate_by_face_order(comp, boundary):
 
     rec(0)
     return out
-
-
-def _search_loops(comp, boundary):
-    """Closed-loop counts that the search reports, in its output order."""
-    colors, target = _check_boundary(comp, boundary)
-    fids = comp.face_ids()
-    ids = comp.side_ids(fids)
-    found = search([tuple(ids[(f, s)] for s in range(4)) for f in fids],
-                   {ids[he]: c for he, c in colors.items()},
-                   target and {ids[a]: ids[b] for a, b in target.items()})
-    return [loops for _ranks, loops in found]
 
 
 def _grid22_boundaries():
@@ -257,8 +262,8 @@ def test_search_matches_face_order_oracle(graph, boundary):
     assert cfgs
     assert [list(c.assignment.items()) for c in cfgs] == \
         _enumerate_by_face_order(comp, boundary)
-    assert [count_loops(comp, c) for c in cfgs] == \
-        _search_loops(comp, boundary)
+    assert [c.n_loops for c in cfgs] == \
+        [count_loops(comp, c.assignment) for c in cfgs]
 
 
 @pytest.mark.parametrize("boundary", [

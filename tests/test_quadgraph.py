@@ -295,6 +295,8 @@ def test_parametrization_roundtrip_exact():
         res = solve_parametrization(graph, W)
         ref = reference_parametrization(graph, W)
         assert res["g_formal"] == ref["g_formal"], name
+        assert all(type(e) is int for gv in res["g_formal"].values()
+                   for e in gv.exps.values()), name
         # the floats derive from g_formal; only the product order differs
         for key in ("g", "scales"):
             assert res[key].keys() == ref[key].keys()

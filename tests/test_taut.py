@@ -12,7 +12,7 @@ import c2loop.taut
 from c2loop.kashaev import cube_from_bottom, kashaev_step, solve_origin
 from c2loop.laurent import lp_eval
 from c2loop.loopmodel import CONFIG_ORDER, LOCAL_CONFIGS, FaceComplex, \
-    LoopConfig, count_loops, crossing_parity_check, side_colors
+    count_loops, crossing_parity_check, side_colors
 from c2loop.stepped import (
     SteppedSolid,
     enumerate_solids,
@@ -341,9 +341,8 @@ def test_enumerated_configs_pass_independent_checks():
         win = build_taut_window(U)
         comp = zone_complex(win)
         for cfg in enumerate_taut(U, win):
-            lc = LoopConfig(dict(cfg.assignment))
-            assert count_loops(comp, lc) == cfg.n_loops
-            assert crossing_parity_check(comp, lc)
+            assert count_loops(comp, cfg.assignment) == cfg.n_loops
+            assert crossing_parity_check(comp, cfg.assignment)
 
 
 def test_partition_identity_small_solids_symbolic():
@@ -462,9 +461,8 @@ def test_frozen_traced_fixture():
     assignment.update(deviations)
     comp = zone_complex(win)
     zone_assign = {k: assignment[k] for k in win.zone}
-    lc = LoopConfig(zone_assign)
-    assert count_loops(comp, lc) == traced_loops
-    assert crossing_parity_check(comp, lc)
+    assert count_loops(comp, zone_assign) == traced_loops
+    assert crossing_parity_check(comp, zone_assign)
     # the red loop lives on the deviating faces only
     red_faces = [k for k, v in zone_assign.items()
                  if "R" in side_colors(v)]
