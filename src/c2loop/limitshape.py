@@ -11,9 +11,12 @@ dual of a symmetric plane cubic."""
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .stepped import face_diagonals, height, slab_solid, surface_graph, vadd
+import numpy as np
+
+from .stepped import face_diagonals, height, slab_solid, surface_graph
 from .kashaev import solve_origin
 from .taut import build_taut_window, enumerate_taut, taut_weight
 from .loopmodel import LOCAL_CONFIGS
@@ -99,12 +102,50 @@ def rho_coeffs(R, S=None):
     return alpha, beta, gamma, alpha_p, beta_p, gamma_p
 
 
+RHO_MAX_N = 400     # the (N+2)^3 float64 grid is then about 496 MiB
+
+
+class RhoValues(Mapping):
+    """Read-only view (i, j, k) -> rho over the nonzero entries of the
+    padded grid, where grid[i+1, j+1, k+1] = rho(i, j, k).  Keys iterate in
+    sorted order; a key outside the cone i, j, k >= 0, i+j+k <= N is
+    missing."""
+
+    def __init__(self, grid):
+        self._grid = grid
+        self._len = int(np.count_nonzero(grid))
+
+    def __getitem__(self, key):
+        try:
+            i, j, k = key
+            v = self._grid[i + 1, j + 1, k + 1] if min(i, j, k) >= 0 else 0.0
+        except (TypeError, ValueError, IndexError):
+            v = 0.0
+        if v == 0.0:
+            raise KeyError(key)
+        return float(v)
+
+    def slabs(self):
+        """For i = 0..N in turn: i, the sorted [j, k] of the nonzero entries
+        of that slab and their values, as lists."""
+        for i, s in enumerate(self._grid[1:]):
+            yield i, (np.argwhere(s) - 1).tolist(), s[s != 0.0].tolist()
+
+    def __iter__(self):
+        for i, jk, _vals in self.slabs():
+            for j, k in jk:
+                yield (i, j, k)
+
+    def __len__(self):
+        return self._len
+
+
 @dataclass
 class RhoField:
     N: int
     R: float
     S: float
-    values: dict        # (i, j, k) with i, j, k >= 0, i+j+k <= N
+    values: RhoValues   # (i, j, k) with i, j, k >= 0, i+j+k <= N
 
 
 def rho_field(N, R, S=None):
@@ -112,35 +153,37 @@ def rho_field(N, R, S=None):
 
     Heights 0..2 carry the delta at the origin (the partition function of
     the uncarved slab is just the corner variable); the alternating linear
-    relations then fill upward."""
+    relations then fill upward, one height layer at a time, into a
+    zero-padded grid with grid[i+1, j+1, k+1] = rho(i, j, k).  The grid entry
+    at the flat index f of y = (i, j, k) holds rho(x) for x = y - (1, 1, 1),
+    so x + e sits at f + d_e and rho(y) at f + dx + dy + dz."""
     if N < 3:
         raise LimitShapeError("N must be at least 3")
+    if N > RHO_MAX_N:
+        raise LimitShapeError(f"N must be at most {RHO_MAX_N}, got {N}")
     if S is None:
         S = s_from_r(R)
     alpha, beta, gamma, alpha_p, beta_p, gamma_p = rho_coeffs(R, S)
-    vals = {(0, 0, 0): 1.0}
-
-    def get(p):
-        return vals.get(p, 0.0)
-
+    n = N + 2
+    dx, dy, dz = n * n, n, 1
+    g = np.zeros(n ** 3)
+    g[dx + dy + dz] = 1.0
+    ij = np.add.outer(np.arange(N + 1), np.arange(N + 1))
     for h in range(3, N + 1):
-        for i in range(h + 1):
-            for j in range(h + 1 - i):
-                k = h - i - j
-                y = (i, j, k)
-                x = (i - 1, j - 1, k - 1)
-                if height(x) % 2 == 0:
-                    ca, cb, cg = alpha, beta, gamma
-                else:
-                    ca, cb, cg = alpha_p, beta_p, gamma_p
-                val = ca * get(x)
-                val += cb * (get(vadd(x, (1, 0, 0))) + get(vadd(x, (0, 1, 0)))
-                             + get(vadd(x, (0, 0, 1))))
-                val += cg * (get(vadd(x, (1, 1, 0))) + get(vadd(x, (1, 0, 1)))
-                             + get(vadd(x, (0, 1, 1))))
-                if val != 0.0:
-                    vals[y] = val
-    return RhoField(N, R, S, vals)
+        i, j = np.nonzero(ij[:h + 1, :h + 1] <= h)
+        f = i * dx + j * dy + (h - i - j) * dz
+        # height(x) = h - 3 is even exactly when h is odd
+        if h % 2:
+            ca, cb, cg = alpha, beta, gamma
+        else:
+            ca, cb, cg = alpha_p, beta_p, gamma_p
+        val = ca * g[f]
+        val += cb * (g[f + dx] + g[f + dy] + g[f + dz])
+        val += cg * (g[f + dx + dy] + g[f + dx + dz] + g[f + dy + dz])
+        g[f + dx + dy + dz] = val
+    g = g.reshape(n, n, n)
+    g.flags.writeable = False
+    return RhoField(N, R, S, RhoValues(g))
 
 
 def _slab_init(N, a, b, c, vertices):
@@ -358,13 +401,15 @@ def dual_curve(lam, n_points=360):
     pts = sorted(deco.values())
     # the outer boundary is convex (it is the dual of the oval component),
     # while the facet boundary sits strictly inside it: classify by distance
-    # to the convex hull of the whole cloud
+    # to the convex hull of the whole cloud, which is 0 at a hull vertex
     hull = _convex_hull([xy for _a, xy, _p in pts])
     tol = 1e-6 * max(max(abs(x), abs(y)) for x, y in hull)
+    on_hull = set(hull)
+    rest = [xy for _a, xy, _p in pts if xy not in on_hull]
+    near = dict(zip(rest, _hull_distance(rest, hull) <= tol))
     outer, inner = [], []
     for a, xy, p in pts:
-        d = _dist_to_polygon(xy, hull)
-        (outer if d <= tol else inner).append((a, p))
+        (outer if xy in on_hull or near[xy] else inner).append((a, p))
     return DualCurve(lam, [p for _a, p in sorted(outer)],
                      [p for _a, p in sorted(inner)])
 
@@ -389,18 +434,26 @@ def _convex_hull(points):
     return lower[:-1] + upper[:-1]
 
 
-def _dist_to_polygon(q, hull):
-    best = float("inf")
-    n = len(hull)
-    for i in range(n):
-        a, b = hull[i], hull[(i + 1) % n]
-        ax, ay = b[0] - a[0], b[1] - a[1]
-        t = ((q[0] - a[0]) * ax + (q[1] - a[1]) * ay) / (ax * ax + ay * ay
-                                                         or 1.0)
-        t = min(1.0, max(0.0, t))
-        px, py = a[0] + t * ax, a[1] + t * ay
-        best = min(best, math.hypot(q[0] - px, q[1] - py))
-    return best
+_HULL_BLOCK = 256   # points per row block of _hull_distance
+
+
+def _hull_distance(points, hull):
+    """Distance from each point to the closed polygon `hull`: the least
+    distance to any of its edges, computed for _HULL_BLOCK points at a
+    time."""
+    a = np.array(hull)
+    ax, ay = a[:, 0], a[:, 1]
+    ex = np.roll(ax, -1) - ax
+    ey = np.roll(ay, -1) - ay
+    l2 = ex * ex + ey * ey
+    q = np.array(points, dtype=float).reshape(-1, 2)
+    out = np.empty(len(q))
+    for s in range(0, len(q), _HULL_BLOCK):
+        qx, qy = q[s:s + _HULL_BLOCK, :1], q[s:s + _HULL_BLOCK, 1:]
+        t = np.clip(((qx - ax) * ex + (qy - ay) * ey) / l2, 0.0, 1.0)
+        out[s:s + _HULL_BLOCK] = np.hypot(qx - (ax + t * ex),
+                                    qy - (ay + t * ey)).min(axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -408,12 +461,11 @@ def _dist_to_polygon(q, hull):
 # ---------------------------------------------------------------------------
 
 def export_heatmap(field, path):
-    lines = ["i,j,k,rho"]
-    for p in sorted(field.values):
-        lines.append(f"{p[0]},{p[1]},{p[2]},{field.values[p]:.12g}")
-    data = "\n".join(lines) + "\n"
     with open(path, "w") as fh:
-        fh.write(data)
+        fh.write("i,j,k,rho\n")
+        for i, jk, vals in field.values.slabs():
+            fh.write("".join(f"{i},{j},{k},{v:.12g}\n"
+                             for (j, k), v in zip(jk, vals)))
     return path
 
 

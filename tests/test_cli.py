@@ -366,6 +366,8 @@ MALFORMED = {
         {}, ["shape", "curve", "--R", "0"]),
     "shape-rho-negative-r": (
         {}, ["shape", "rho", "--N", "8", "--R", "-1"]),
+    "shape-rho-huge-n": (
+        {}, ["shape", "rho", "--N", "100000", "--R", "1"]),
     "stepped-window-nan": (
         {}, ["stepped", "surface", "{d}/one_cube.json", "--window", "nan"]),
     "stepped-window-inf": (

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from c2loop import limitshape
 from c2loop.kashaev import (
     cube_from_bottom,
     kashaev_relation_residual,
@@ -13,6 +14,9 @@ from c2loop.kashaev import (
 )
 from c2loop.limitshape import (
     DualCurve,
+    _convex_hull,
+    _hull_distance,
+    _plane_coords,
     IntrinsicViolated,
     LimitShapeError,
     dual_curve,
@@ -26,11 +30,12 @@ from c2loop.limitshape import (
     rho_field,
     rho_observable_expectation,
     rho_oracle,
+    RHO_MAX_N,
     rs_from_abc,
     s_from_r,
     y_closed_form,
 )
-from c2loop.stepped import height, slab_solid, surface_graph
+from c2loop.stepped import height, slab_solid, surface_graph, vadd
 
 SQRT2 = math.sqrt(2)
 
@@ -118,6 +123,69 @@ def test_rho_coeffs_alpha_at_ones():
     assert alpha == pytest.approx(-(5 + 3 * SQRT2) / 7, abs=1e-12)
 
 
+def _rho_field_loop(N, R, S=None):
+    """The point-by-point fill the layered grid replaced, kept as its
+    oracle: the same operations in the same order, into a dict."""
+    if S is None:
+        S = s_from_r(R)
+    alpha, beta, gamma, alpha_p, beta_p, gamma_p = rho_coeffs(R, S)
+    vals = {(0, 0, 0): 1.0}
+
+    def get(p):
+        return vals.get(p, 0.0)
+
+    for h in range(3, N + 1):
+        for i in range(h + 1):
+            for j in range(h + 1 - i):
+                k = h - i - j
+                y = (i, j, k)
+                x = (i - 1, j - 1, k - 1)
+                if height(x) % 2 == 0:
+                    ca, cb, cg = alpha, beta, gamma
+                else:
+                    ca, cb, cg = alpha_p, beta_p, gamma_p
+                val = ca * get(x)
+                val += cb * (get(vadd(x, (1, 0, 0))) + get(vadd(x, (0, 1, 0)))
+                             + get(vadd(x, (0, 0, 1))))
+                val += cg * (get(vadd(x, (1, 1, 0))) + get(vadd(x, (1, 0, 1)))
+                             + get(vadd(x, (0, 1, 1))))
+                if val != 0.0:
+                    vals[y] = val
+    return vals
+
+
+@pytest.mark.parametrize("N, R", [(3, 1.0), (4, 1.0), (6, 0.9), (40, 0.2),
+                                  (80, 0.7), (81, 2.5), (40, 1 / 16),
+                                  (40, 16.0)])
+def test_rho_field_matches_loop_oracle(N, R):
+    oracle = _rho_field_loop(N, R)
+    f = rho_field(N, R)
+    # the same floating-point operations in the same order: exact equality
+    assert dict(f.values.items()) == oracle
+    assert list(f.values) == sorted(oracle)
+    assert len(f.values) == len(oracle)
+    assert (1, 0, 0) not in f.values
+    assert f.values.get((-1, 0, 0), 0.0) == 0.0
+    assert (N + 1, 0, 0) not in f.values
+    assert f.values.get((N + 1, 0, 0)) is None
+    assert type(f.values[(1, 1, 1)]) is float
+
+
+def test_rho_field_values_missing_keys():
+    v = rho_field(6, 0.9).values
+    for key in [(0, 0), (0, 0, 0, 0), (-1, 1, 1), (7, 0, 0), (3, 3, 1),
+                "abc", 5, None]:
+        assert key not in v
+        with pytest.raises(KeyError):
+            v[key]
+    assert (2, 2, 2) in v
+
+
+def test_rho_field_size_bound():
+    with pytest.raises(LimitShapeError):
+        rho_field(RHO_MAX_N + 1, 1.0)
+
+
 def test_rho_field_base_and_first_step():
     f = rho_field(4, 1.0)
     assert f.values[(0, 0, 0)] == 1.0
@@ -201,6 +269,48 @@ def test_dual_curve_rounded_triangle():
     assert s == {(p[1], p[2], p[0]) for p in s}
 
 
+def _dist_to_polygon(q, hull):
+    """Per-point distance to the hull's edges: the classifier's oracle."""
+    best = float("inf")
+    n = len(hull)
+    for i in range(n):
+        a, b = hull[i], hull[(i + 1) % n]
+        ax, ay = b[0] - a[0], b[1] - a[1]
+        t = ((q[0] - a[0]) * ax + (q[1] - a[1]) * ay) / (ax * ax + ay * ay
+                                                         or 1.0)
+        t = min(1.0, max(0.0, t))
+        px, py = a[0] + t * ax, a[1] + t * ay
+        best = min(best, math.hypot(q[0] - px, q[1] - py))
+    return best
+
+
+@pytest.mark.parametrize("R", [3.0, 1.0, 0.2])
+def test_dual_curve_matches_point_by_point_oracle(R):
+    c = dual_curve(lambda_param(R), 360)
+    pts = [(_plane_coords(p), p) for p in c.outer + c.inner]
+    hull = _convex_hull([xy for xy, _p in pts])
+    tol = 1e-6 * max(max(abs(x), abs(y)) for x, y in hull)
+    near = [_dist_to_polygon(xy, hull) <= tol for xy, _p in pts]
+    outer = [p for (_xy, p), ok in zip(pts, near) if ok]
+    inner = [p for (_xy, p), ok in zip(pts, near) if not ok]
+    assert c.outer == outer
+    assert c.inner == inner
+
+
+def test_hull_distance_matches_oracle(monkeypatch):
+    # points inside, outside and on the edges of a pentagon, in blocks
+    # smaller than the point count
+    hull = [(0.0, -1.0), (1.0, -0.2), (0.6, 1.0), (-0.6, 1.0), (-1.0, -0.2)]
+    rng = random.Random(4)
+    pts = [(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+           for _ in range(50)] + [(0.5, -0.6), (0.0, 1.0)] + hull
+    monkeypatch.setattr(limitshape, "_HULL_BLOCK", 7)
+    got = _hull_distance(pts, hull)
+    want = [_dist_to_polygon(q, hull) for q in pts]
+    assert list(got) == pytest.approx(want, rel=1e-12, abs=1e-15)
+    assert all(got[-len(hull):] == 0.0)
+
+
 def test_exports(tmp_path):
     f = rho_field(6, 0.9)
     p1 = tmp_path / "rho.csv"
@@ -220,6 +330,17 @@ def test_exports(tmp_path):
     export_curve(c, p4)
     assert p3.read_bytes() == p1.read_bytes()
     assert p4.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("N, R", [(6, 0.9), (40, 0.2)])
+def test_export_heatmap_matches_sorted_lines(tmp_path, N, R):
+    # the CSV the exporter wrote from the sorted keys, one line per point
+    oracle = _rho_field_loop(N, R)
+    want = "".join(f"{p[0]},{p[1]},{p[2]},{oracle[p]:.12g}\n"
+                   for p in sorted(oracle))
+    path = tmp_path / "rho.csv"
+    export_heatmap(rho_field(N, R), path)
+    assert path.read_text() == "i,j,k,rho\n" + want
 
 
 def test_phase_checks_soft():
