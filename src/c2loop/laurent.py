@@ -78,16 +78,20 @@ class VarRegistry:
         # the multiply kernel's tables: the variable order, the roots, and
         # each root's square
         self._index = {n: i for i, n in enumerate(names)}
-        self._roots = frozenset(self.root_vars)
         self._squares = {}
+        # with no roots known yet, poly() sums each square's terms as they
+        # stand, and a square that names a root is refused below
+        self._roots = frozenset()
         for name, sq in root_squares.items():
-            poly = sq if isinstance(sq, LaurentPoly) else self.poly(sq)
-            for mono, _ in poly.terms.items():
+            if not isinstance(sq, LaurentPoly):
+                sq = self.poly(sq)
+            for mono in sq.terms:
                 for var, _e in mono:
                     if var in root_squares:
                         raise LaurentError(
                             "root definitions must use vertex variables only")
-            self._squares[name] = poly
+            self._squares[name] = sq
+        self._roots = frozenset(self.root_vars)
         self._frozen = True
 
     def __setattr__(self, key, value):
@@ -141,11 +145,25 @@ class VarRegistry:
         return LaurentPoly(_mul({mono: Fraction(coeff)}, {(): 1}, self), self)
 
     def poly(self, terms):
-        """Build a polynomial from an iterable of (exps_dict, coeff)."""
-        out = self.zero()
+        """Build a polynomial from an iterable of (exps_dict, coeff), summed
+        in order: a monomial whose sum cancels is dropped, and comes back at
+        the end if it recurs.  Only a monomial with a root variable goes
+        through the kernel, to reduce it."""
+        out = {}
+        order = self._index.__getitem__
         for exps, coeff in terms:
-            out = out + self.monomial(exps, coeff)
-        return out
+            ks = sorted([n for n, e in exps.items() if e], key=order)
+            part = {tuple(zip(ks, map(exps.__getitem__, ks))): Fraction(coeff)}
+            if self._roots.intersection(ks):
+                part = _mul(part, {(): 1}, self)
+            for mono, c in part.items():
+                if mono in out:
+                    c += out[mono]
+                if c:
+                    out[mono] = c
+                else:
+                    out.pop(mono, None)
+        return LaurentPoly(out, self)
 
 
 class LaurentPoly:

@@ -251,8 +251,10 @@ def rho_observable_expectation(x, a, b, c):
     """The probabilistic form: expectation of (origin exponent plus a
     multiple of the bichromatic-face count at the deep corner) under the
     weighted taut measure.  Stated for deep corners on the lowest layer; its
-    published prefactor is reproduced verbatim here and the report carries
-    both values so mismatches are visible rather than fatal."""
+    published prefactor is reproduced verbatim here.  At a = b = c = 1 it
+    equals rho_oracle at (1,1,1), (2,1,1), (1,1,2) and (2,2,1).  Away from
+    that point it does not: at (a, b, c) = (0.7, 1.3, 0.9) it gives -1.2686
+    at (1,1,1), where rho_oracle gives -1.6166."""
     N = height(x)
     U = slab_solid(N)
     win = build_taut_window(U)

@@ -18,17 +18,27 @@ A face is on the boundary exactly when one of its two cubes is in the solid.
 A cube is in the solid when it lies in the corner XOR it is removed, so, read
 mod 2, the boundary faces of U are the boundary faces of the flat corner
 (base[axis] = 0, the other two coordinates negative) XOR the six faces of
-every removed cube.  The window is built that way in O(faces), and a ball
-filter then keeps the faces with a corner inside the window.
+every removed cube.
+
+Each solid caches its regularity report, read from integer codes of its
+removed cubes after a cheap depth test, and one read-only boolean occupancy
+array of the cubes near the origin.  A window is built in NumPy: every face
+is one integer code that sorts like its (axis, base) key, the window's keys
+are the codes counted an odd number of times among the flat-corner faces and
+the removed cubes' faces, a ball filter keeps the faces with a corner inside
+the window, and every window corner is checked against the occupancy array
+to lie on the surface.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+
+import numpy as np
 
 from .laurent import VarRegistry
 
@@ -71,41 +81,103 @@ class SteppedSolid:
 
     @staticmethod
     def from_removed(cubes):
-        cubes = frozenset(tuple(c) for c in cubes)
+        out = set()
         for c in cubes:
-            if not all(x <= -1 for x in c):
+            if not (isinstance(c, (list, tuple)) and len(c) == 3
+                    and all(type(x) is int for x in c)):
+                raise SteppedError(f"cube {c!r} is not three integers")
+            c = tuple(c)
+            if max(c) > -1:
                 raise SteppedError(f"cube {c} outside the negative octant")
-        return SteppedSolid(cubes)
+            out.add(c)
+        return SteppedSolid(frozenset(out))
 
     def cube_in(self, p):
         """Is the cube C_p part of the solid?"""
         return all(x <= -1 for x in p) and p not in self.removed
 
-    def vertex_in(self, x):
-        """Is the lattice point x in the solid (as a subset of R^3)?"""
-        for d in itertools.product((0, -1), repeat=3):
-            if self.cube_in(vadd(x, d)):
-                return True
-        return False
+    @cached_property
+    def _depth(self):
+        """How many cube layers below the origin the removed cubes reach."""
+        return -min(map(min, self.removed), default=0)
 
-    def on_surface(self, x):
-        return self.vertex_in(x) and not self.vertex_in(vadd(x, (1, 1, 1)))
+    @cached_property
+    def _cubes(self):
+        """The removed cubes as an (n, 3) integer array, in no set order."""
+        if self._depth > _MAX_DEPTH:
+            raise SteppedError(
+                f"removed cubes deeper than {_MAX_DEPTH} are not supported")
+        return np.fromiter(itertools.chain.from_iterable(self.removed),
+                           np.int64, 3 * len(self.removed)).reshape(-1, 3)
+
+    @cached_property
+    def _regularity(self):
+        depth = self._depth
+        # an upward-closed set holds the row from each of its n cubes up to
+        # the octant's face, so none lies below -n: a deeper set is not
+        # regular, which is read off before any array is made of it
+        if depth > len(self.removed):
+            r = max(map(norm2, self.removed)) ** 0.5 + 2
+            return {"regular": False, "R_U": r}
+        q = -1 - self._cubes
+        w = depth + 1
+
+        def code(c):
+            return (c[:, 0] * w + c[:, 1]) * w + c[:, 2]
+        # the upper neighbour of each removed cube, where it lies inside the
+        # octant, must be removed too
+        codes = np.sort(code(q))
+        ok = True
+        for a, e in enumerate(np.eye(3, dtype=q.dtype)):
+            up = code(q[q[:, a] > 0] - e)
+            at = np.minimum(codes.searchsorted(up), len(codes) - 1)
+            ok = ok and bool((codes[at] == up).all())
+        r = int(((q + 1) ** 2).sum(1).max(initial=0)) ** 0.5 + 2
+        return {"regular": ok, "R_U": r}
+
+    @cached_property
+    def occupancy(self):
+        """Read-only boolean array of the cubes near the origin: entry -p
+        says whether the cube C_p is in the solid.  Each axis runs from 0,
+        outside the octant, to one layer past the deepest removed cube.
+        Windows read it after the regularity check, and a regular solid's
+        array is no wider on any axis than its window."""
+        cubes = self._cubes
+        occ = np.ones(2 - cubes.min(0, initial=0), dtype=bool)
+        occ[0] = occ[:, 0] = occ[:, :, 0] = False
+        occ[tuple((-cubes).T)] = False
+        occ.flags.writeable = False
+        return occ
+
+    def on_surface_mask(self, x):
+        """Which points of an (n, 3) integer array lie on the surface: in the
+        solid, with x + (1, 1, 1) outside it.  A point is in the solid when
+        one of its eight cubes is; a cube beyond the array's reach on some
+        axis is read at that axis's last entry, which holds the same."""
+        occ = self.occupancy
+        top = np.array(occ.shape) - 1
+
+        def vertex_in(y):
+            i = np.clip(-y[:, None] - _CUBES_AT_VERTEX, 0, top)
+            return occ[i[..., 0], i[..., 1], i[..., 2]].any(1)
+        return vertex_in(x) & ~vertex_in(x + 1)
 
     def to_json(self):
         return {"removed": sorted(list(c) for c in self.removed)}
 
 
+# cube and face codes are built from three coordinates of up to this depth,
+# which keeps them inside int64
+_MAX_DEPTH = 10 ** 6
+
+# the eight cubes x + d, d in {0, -1}^3, that meet the lattice point x
+_CUBES_AT_VERTEX = np.array(list(itertools.product((0, -1), repeat=3)))
+
+
 def is_regular(U):
     """Regularity report: finite upward-closed removed set, plus the radius
     R_U beyond which the surface agrees with the flat corner."""
-    ok = True
-    for p in U.removed:
-        for e in UNITS:
-            q = vadd(p, e)
-            if all(x <= -1 for x in q) and q not in U.removed:
-                ok = False
-    r = max((norm2(p) for p in U.removed), default=0) ** 0.5 + 2
-    return {"regular": ok, "R_U": r}
+    return dict(U._regularity)
 
 
 def addable_positions(U):
@@ -186,23 +258,53 @@ def clockwise_corners(axis, base):
     return (a, d, c, b) if _REVERSE[axis] else (a, b, c, d)
 
 
+# clockwise corner offsets of each axis's faces, as an (axis, 4, 3) table
+_CLOCKWISE = np.array([clockwise_corners(a, (0, 0, 0)) for a in range(3)])
+
+
+def _encode(axis, base, lim):
+    """Integer codes of faces (axis, base) whose base coordinates lie in
+    [-lim, 0]; the codes sort like the (axis, base) keys."""
+    w = lim + 1
+    d = base + lim
+    return ((axis * w + d[:, 0]) * w + d[:, 1]) * w + d[:, 2]
+
+
+def _odd_faces(codes, lim):
+    """Sorted (axes, bases) of the faces whose code occurs an odd number of
+    times in `codes`."""
+    keys, counts = np.unique(codes, return_counts=True)
+    keys = keys[counts % 2 == 1]
+    w = lim + 1
+    rest, b2 = np.divmod(keys, w)
+    rest, b1 = np.divmod(rest, w)
+    axes, b0 = np.divmod(rest, w)
+    return axes, np.stack([b0, b1, b2], 1) - lim
+
+
+def _cube_face_codes(U, lim):
+    """Codes of the six faces of every removed cube."""
+    p = U._cubes
+    e = np.eye(3, dtype=p.dtype)
+    return np.concatenate([_encode(a, q, lim)
+                           for a in range(3) for q in (p, p + e[a])])
+
+
 def toggled_faces(U):
     """Faces on which G(U) and the flat corner differ: each removed cube
     toggles its six faces, so a face two removed cubes share cancels."""
-    out = set()
-    for p in U.removed:
-        for axis, e in enumerate(UNITS):
-            out ^= {(axis, p), (axis, vadd(p, e))}
-    return out
+    lim = U._depth
+    axes, bases = _odd_faces(_cube_face_codes(U, lim), lim)
+    return set(zip(axes.tolist(), zip(*bases.T.tolist())))
 
 
 @dataclass
 class SurfaceGraph:
     solid: SteppedSolid
     window_radius: float
-    vertices: set = field(default_factory=set)
-    faces: dict = field(default_factory=dict)   # key -> clockwise corner cycle
-    positions: dict = field(default_factory=dict)
+    vertices: set
+    faces: dict       # key -> clockwise corner cycle, in sorted key order
+    positions: dict
 
     def face_root_name(self, key):
         axis, base = key
@@ -216,11 +318,11 @@ class SurfaceGraph:
         """Variables of exact initial data, built on first symbolic use: one
         per vertex, and one root per face whose square is the sum of the
         face's two diagonal products."""
+        names = {v: self.vertex_var_name(v) for v in sorted(self.vertices)}
         squares = {self.face_root_name(key): [
-            ({self.vertex_var_name(a): 1, self.vertex_var_name(b): 1}, 1)
-            for a, b in face_diagonals(*key)] for key in sorted(self.faces)}
-        return VarRegistry(map(self.vertex_var_name, sorted(self.vertices)),
-                           squares)
+            ({names[a]: 1, names[c]: 1}, 1), ({names[b]: 1, names[d]: 1}, 1)]
+            for key, (a, b, c, d) in self.faces.items()}
+        return VarRegistry(names.values(), squares)
 
 
 def surface_graph(U, window_radius=None):
@@ -237,27 +339,32 @@ def surface_graph(U, window_radius=None):
     if window_radius < r_need:
         raise WindowTooSmall(
             f"window radius {window_radius} < R_U = {r_need}")
-    rad2 = window_radius * window_radius
+    # every removed cube lies inside the ball of radius R_U - 2, so each
+    # base coordinate of a face below fits in [-lim, 0]
     lim = int(window_radius) + 3
-    keys = set()
-    for axis in range(3):
-        for a, b in itertools.product(range(-lim, 0), repeat=2):
-            base = [a, b]
-            base.insert(axis, 0)
-            keys.add((axis, tuple(base)))
-    keys ^= toggled_faces(U)
-    sg = SurfaceGraph(U, window_radius)
-    for key in sorted(keys):
-        cyc = clockwise_corners(*key)
-        if min(norm2(c) for c in cyc) > rad2:
-            continue
-        sg.faces[key] = cyc
-        sg.vertices.update(cyc)
-    for v in sg.vertices:
-        if not U.on_surface(v):
-            raise SteppedError(f"window corner {v} is off the surface")
-        sg.positions[v] = project(v)
-    return sg
+    # the flat corner's faces: base[axis] = 0, the other two in [-lim, -1]
+    side = np.arange(-lim, 0)
+    flat = np.stack(np.meshgrid(side, side, indexing="ij"), -1).reshape(-1, 2)
+    axes, bases = _odd_faces(np.concatenate(
+        [_encode(a, np.insert(flat, a, 0, axis=1), lim) for a in range(3)]
+        + [_cube_face_codes(U, lim)]), lim)
+    cycles = bases[:, None] + _CLOCKWISE[axes]
+    near = (cycles * cycles).sum(2).min(1) <= window_radius * window_radius
+    corners = list(zip(*cycles[near].reshape(-1, 3).T.tolist()))
+    faces = dict(zip(zip(axes[near].tolist(), zip(*bases[near].T.tolist())),
+                     zip(*[iter(corners)] * 4)))
+    vertices = set(corners)
+    order = list(vertices)
+    points = np.array(order)
+    on = U.on_surface_mask(points)
+    if not on.all():
+        v = order[int(np.argmin(on))]
+        raise SteppedError(f"window corner {v} is off the surface")
+    # one Fraction per distinct projected coordinate, shared by the positions
+    xy = (points @ np.array(_PROJ).T).tolist()
+    frac = {k: Fraction(k) for k in set(itertools.chain.from_iterable(xy))}
+    positions = {v: (frac[x], frac[y]) for v, (x, y) in zip(order, xy)}
+    return SurfaceGraph(U, window_radius, vertices, faces, positions)
 
 
 def flip_vertex(surface, x):

@@ -372,6 +372,18 @@ MALFORMED = {
         {}, ["stepped", "surface", "{d}/one_cube.json", "--window", "nan"]),
     "stepped-window-inf": (
         {}, ["stepped", "surface", "{d}/one_cube.json", "--window", "inf"]),
+    "stepped-cube-two-coordinates": (
+        {"s.json": {"removed": [[-1, -1]]}},
+        ["stepped", "surface", "{d}/s.json"]),
+    "stepped-cube-float-coordinate": (
+        {"s.json": {"removed": [[-1.0, -1, -1]]}},
+        ["stepped", "surface", "{d}/s.json"]),
+    "stepped-cube-deep": (
+        {"s.json": {"removed": [[-3000, -3000, -3000]]}},
+        ["stepped", "surface", "{d}/s.json"]),
+    "stepped-cube-beyond-int64": (
+        {"s.json": {"removed": [[-10 ** 20, -1, -1]]}},
+        ["stepped", "surface", "{d}/s.json"]),
     "taut-enumerate-negative-limit": (
         {}, ["taut", "enumerate", "{d}/one_cube.json", "--limit", "-1"]),
     "loops-enumerate-negative-limit": (

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from c2loop.laurent import (
     DivZero,
+    LaurentError,
     NotDivisible,
     RegistryMismatch,
     VarRegistry,
@@ -156,6 +157,50 @@ def test_registry_mismatch():
     other = VarRegistry(["g", "h"])
     with pytest.raises(RegistryMismatch):
         REG.var("g") + other.var("g")
+
+
+def _poly_by_addition(reg, terms):
+    """Reference poly(): one monomial per term, added up one at a time."""
+    out = reg.zero()
+    for exps, coeff in terms:
+        out = out + reg.monomial(exps, coeff)
+    return out
+
+
+def test_poly_matches_sum_of_monomials():
+    # terms, values and insertion order through repeats, zero coefficients,
+    # fractions, a cancellation that re-adds a monomial at the end, and
+    # roots the kernel reduces
+    for terms in ([({"g": 1, "X": 1}, 2), ({"X": 2}, 1), ({"g": 1, "g23": 1}, -1)],
+                  [({"Y": 3, "g1": -1}, Fraction(1, 2)), ({"Z": 1}, 0),
+                   ({"g1": 1, "g3": 1}, 4), ({"X": 1, "Y": 1}, 1)]):
+        got = REG.poly(terms).terms
+        want = _poly_by_addition(REG, terms).terms
+        assert list(got.items()) == list(want.items())
+    with pytest.raises(NotDivisible):
+        REG.poly([({"X": -1}, 1)])
+
+
+def test_squares_match_poly_in_insertion_order():
+    # each square is summed as it stands, with the terms, values and
+    # insertion order of monomials added up one at a time
+    names = ["g", "g1", "g2", "g3"]
+    plain = VarRegistry(names)
+    for sq in ([({"g2": 1, "g": 1}, 1), ({"g3": 1, "g1": 1}, 1)],
+               [({"g": 1}, 1), ({"g1": 1}, Fraction(1, 3)), ({"g": 1}, 2)],
+               [({"g": 1}, 1), ({"g1": 2}, 1), ({"g": 1}, -1), ({"g": 1}, 5)],
+               [({"g": 1, "g1": 0}, 0), ({"g3": -1}, 2), ({}, 4)],
+               []):
+        reg = VarRegistry(names, {"s": sq})
+        got = reg.root_square("s").terms
+        want = _poly_by_addition(plain, sq).terms
+        assert list(got.items()) == list(want.items())
+        assert all(type(c) is Fraction for c in got.values())
+    with pytest.raises(KeyError):
+        VarRegistry(names, {"s": [({"h": 1}, 1)]})
+    for sq in ([({"g": 1, "t": 1}, 1)], [({"s": 1}, 1)], [({"s": 2}, 1)]):
+        with pytest.raises(LaurentError, match="vertex variables only"):
+            VarRegistry(names, {"t": [({"g": 1}, 1)], "s": sq})
 
 
 def test_equal_content_registries_interoperate():

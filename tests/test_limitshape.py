@@ -219,6 +219,9 @@ def test_rho_observable_expectation_matches_at_symmetric_point():
     # the probabilistic form with its published prefactor agrees at R = 1
     got = rho_observable_expectation((1, 1, 1), 1.0, 1.0, 1.0)
     assert got == pytest.approx(-(5 + 3 * SQRT2) / 7, abs=1e-12)
+    for x in ((1, 1, 1), (2, 1, 1), (1, 1, 2), (2, 2, 1)):
+        assert rho_observable_expectation(x, 1.0, 1.0, 1.0) == \
+            pytest.approx(rho_oracle(x, 1.0, 1.0, 1.0), abs=1e-12)
 
 
 def test_h_two_forms():

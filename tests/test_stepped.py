@@ -3,15 +3,21 @@
 import itertools
 import math
 import random
+import re
 
+import numpy as np
 import pytest
 
+from c2loop.laurent import VarRegistry
 from c2loop.stepped import (
     NotFlippable,
+    NotRegular,
+    SteppedError,
     SteppedSolid,
     addable_positions,
     enumerate_solids,
     face_corners,
+    face_diagonals,
     fill_order,
     flip_vertex,
     height,
@@ -21,6 +27,7 @@ from c2loop.stepped import (
     random_fill_order,
     slab_solid,
     surface_graph,
+    toggled_faces,
     vadd,
     UNITS,
     WindowTooSmall,
@@ -30,11 +37,120 @@ U0 = SteppedSolid()
 ONE = SteppedSolid.from_removed([(-1, -1, -1)])
 
 
+def _is_regular_loop(U):
+    """Reference regularity report: every upper neighbour of a removed cube
+    inside the octant is removed too."""
+    ok = True
+    for p in U.removed:
+        for e in UNITS:
+            q = vadd(p, e)
+            if all(x <= -1 for x in q) and q not in U.removed:
+                ok = False
+    r = max((norm2(p) for p in U.removed), default=0) ** 0.5 + 2
+    return {"regular": ok, "R_U": r}
+
+
+def _toggled_faces_loop(U):
+    """Reference toggled faces: each removed cube toggles its six faces."""
+    out = set()
+    for p in U.removed:
+        for axis, e in enumerate(UNITS):
+            out ^= {(axis, p), (axis, vadd(p, e))}
+    return out
+
+
+def _vertex_in(U, x):
+    """Reference: is the lattice point x in the solid (as a subset of R^3)?"""
+    return any(U.cube_in(vadd(x, d))
+               for d in itertools.product((0, -1), repeat=3))
+
+
+def _on_surface(U, x):
+    """Reference: x is in the solid and x + (1, 1, 1) is not."""
+    return _vertex_in(U, x) and not _vertex_in(U, vadd(x, (1, 1, 1)))
+
+
+def _random_pile(rng, n_cubes):
+    """An upward-closed pile grown one addable cube at a time."""
+    removed = {(-1, -1, -1)}
+    while len(removed) < n_cubes:
+        p = vadd(rng.choice(sorted(removed)),
+                 tuple(-x for x in rng.choice(UNITS)))
+        if all(vadd(p, e) in removed or vadd(p, e)[i] == 0
+               for i, e in enumerate(UNITS)):
+            removed.add(p)
+    return SteppedSolid(frozenset(removed))
+
+
+def _random_piles():
+    rng = random.Random(11)
+    return [_random_pile(rng, n) for n in (7, 20, 33, 45, 60)]
+
+
+def _random_cube_sets():
+    """Sets of cubes in the box [-4, -1]^3 that hold (-2, -1, -1) but not
+    its upper neighbour (-1, -1, -1), so none is upward closed."""
+    rng = random.Random(12)
+    box = list(itertools.product(range(-4, 0), repeat=3))
+    return [SteppedSolid(frozenset(rng.sample(box, rng.randint(1, 20)))
+                         .union({(-2, -1, -1)}) - {(-1, -1, -1)})
+            for _ in range(60)]
+
+
 def test_regularity():
     assert is_regular(U0) == {"regular": True, "R_U": 2}
     assert is_regular(ONE)["regular"]
     bad = SteppedSolid.from_removed([(-2, -1, -1)])
     assert not is_regular(bad)["regular"]
+    # within the depth bound, so only the upper-neighbour search sees it
+    bad = SteppedSolid.from_removed([(-2, -1, -1), (-1, -2, -1)])
+    assert not is_regular(bad)["regular"]
+    for U in enumerate_solids(5) + _random_piles() + _random_cube_sets():
+        assert is_regular(U) == _is_regular_loop(U)
+        assert toggled_faces(U) == _toggled_faces_loop(U)
+    assert all(is_regular(U)["regular"] for U in _random_piles())
+    assert not any(is_regular(U)["regular"] for U in _random_cube_sets())
+
+
+def test_deep_cubes_are_judged_without_an_array():
+    # no coordinate of an upward-closed set of n cubes lies below -n, so
+    # these are refused from that alone, int64 overflow and all
+    for cubes in ([(-3000, -3000, -3000)], [(-10 ** 20, -1, -1)]):
+        U = SteppedSolid.from_removed(cubes)
+        assert is_regular(U) == _is_regular_loop(U)
+        assert not is_regular(U)["regular"]
+        assert "_cubes" not in vars(U)
+    # three long arms within the depth bound are checked from cube codes,
+    # not from an array over their 300^3 box
+    arms = [(-300, -1, -1), (-1, -300, -1), (-1, -1, -300)]
+    fill = itertools.product(range(-7, 0), repeat=3)
+    U = SteppedSolid(frozenset(arms).union(itertools.islice(fill, 297)))
+    assert is_regular(U) == _is_regular_loop(U)
+    assert not is_regular(U)["regular"]
+    assert "occupancy" not in vars(U)
+    with pytest.raises(SteppedError, match="deeper than"):
+        toggled_faces(SteppedSolid.from_removed([(-10 ** 20, -1, -1)]))
+
+
+def test_occupancy_is_read_only():
+    with pytest.raises(ValueError):
+        slab_solid(2).occupancy[0, 0, 0] = False
+
+
+def test_on_surface_mask_matches_scalar_predicate():
+    for U in [U0, ONE, slab_solid(3)] + _random_piles()[:2] \
+            + _random_cube_sets()[:5]:
+        points = list(itertools.product(range(-6, 2), repeat=3))
+        mask = U.on_surface_mask(np.array(points))
+        assert mask.tolist() == [_on_surface(U, x) for x in points]
+
+
+@pytest.mark.parametrize("cube", [
+    (-1, -1), (-1, -1, -1, -1), (-1.0, -1, -1), (-1.5, -1, -1),
+    (True, -1, -1), "abc", 5, None])
+def test_from_removed_rejects_malformed_cubes(cube):
+    with pytest.raises(SteppedError, match="not three integers"):
+        SteppedSolid.from_removed([(-1, -1, -1), cube])
 
 
 def test_addable():
@@ -101,12 +217,34 @@ def test_surface_slab_heights():
 def test_window_too_small():
     with pytest.raises(WindowTooSmall):
         surface_graph(ONE, 1.0)
+    r_u = is_regular(ONE)["R_U"]
+    with pytest.raises(WindowTooSmall,
+                       match=rf"^window radius {r_u - 0.5} < R_U = {r_u}$"):
+        surface_graph(ONE, r_u - 0.5)
 
 
 @pytest.mark.parametrize("radius", [math.nan, math.inf])
 def test_window_not_finite(radius):
-    with pytest.raises(WindowTooSmall):
+    with pytest.raises(WindowTooSmall,
+                       match=rf"^window radius {radius} is not finite$"):
         surface_graph(ONE, radius)
+
+
+def test_window_corners_checked_on_surface(monkeypatch):
+    # the first window corner, in vertex-set order, that the check rejects
+    # is the one the error names
+    corner = list(surface_graph(ONE).vertices)[3]
+    monkeypatch.setattr(SteppedSolid, "on_surface_mask",
+                        lambda U, x: np.arange(len(x)) < 3)
+    with pytest.raises(SteppedError, match=re.escape(
+            f"window corner {corner} is off the surface")):
+        surface_graph(ONE)
+
+
+def test_window_requires_regular_solid():
+    with pytest.raises(NotRegular,
+                       match="^surface_graph requires a regular solid$"):
+        surface_graph(SteppedSolid.from_removed([(-2, -1, -1)]))
 
 
 def test_flip_roundtrip():
@@ -152,7 +290,7 @@ def _scan_window(U, window_radius):
                 continue
             if U.cube_in(vadd(base, down)) == U.cube_in(base):
                 continue
-            assert all(U.on_surface(c) for c in cyc)
+            assert all(_on_surface(U, c) for c in cyc)
             pts = [project(c) for c in cyc]
             area2 = sum(pts[k][0] * pts[k - 3][1] - pts[k - 3][0] * pts[k][1]
                         for k in range(4))
@@ -171,6 +309,8 @@ def _window_cases():
     for n in (4, 8, 15):
         yield slab_solid(n), None
     yield U0, None
+    for U in _random_piles():
+        yield U, None
 
 
 def test_window_matches_scan():
@@ -180,3 +320,23 @@ def test_window_matches_scan():
         assert list(sg.faces.items()) == list(faces.items())
         assert list(sg.vertices) == list(vertices)
         assert list(sg.positions.items()) == list(positions.items())
+
+
+def test_window_registry_matches_sums_of_diagonal_monomials():
+    # the registry of each window against squares built as the sum of the
+    # face's two diagonal monomials over the same vertex variables
+    for U, radius in _window_cases():
+        sg = surface_graph(U, radius)
+        reg = sg.registry
+        names = [sg.vertex_var_name(v) for v in sorted(sg.vertices)]
+        plain = VarRegistry(names)
+        roots = [sg.face_root_name(key) for key in sorted(sg.faces)]
+        assert reg.vertex_vars == tuple(names)
+        assert reg.root_vars == tuple(roots)
+        for key, root in zip(sorted(sg.faces), roots):
+            want = plain.zero()
+            for a, b in face_diagonals(*key):
+                want = want + plain.monomial(
+                    {sg.vertex_var_name(a): 1, sg.vertex_var_name(b): 1})
+            assert list(reg.root_square(root).terms.items()) == \
+                list(want.terms.items())
