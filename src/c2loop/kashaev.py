@@ -180,14 +180,24 @@ class HexState:
         return True
 
 
+def positive_value(x, where):
+    """A numeric initial value as a float; NonPositive unless it is finite
+    and positive."""
+    val = float(x)
+    if not (val > 0 and math.isfinite(val)):
+        raise NonPositive(f"initial value at {where} is not finite and "
+                          "positive")
+    return val
+
+
 def lift_state(sg, g_init=None, mode="symbolic", faces=()):
     """Initial data on a window: a value at every vertex of sg and at each
     face key in faces.
 
     Symbolic mode lifts into the window's registry: a vertex takes the
     exact constant g_init gives for it, or else its variable, and a face
-    takes its root variable.  Numeric mode reads a positive float for every
-    vertex from g_init, and a face takes the square root of its two
+    takes its root variable.  Numeric mode reads a finite positive float for
+    every vertex from g_init, and a face takes the square root of its two
     diagonal products.
     """
     if mode == "symbolic":
@@ -201,12 +211,7 @@ def lift_state(sg, g_init=None, mode="symbolic", faces=()):
         return HexState(g_values, face_values)
     if g_init is None:
         raise KashaevError("numeric mode requires initial values")
-    g_values = {}
-    for v in sg.vertices:
-        val = float(g_init[v])
-        if val <= 0:
-            raise NonPositive(f"initial value at {v} is not positive")
-        g_values[v] = val
+    g_values = {v: positive_value(g_init[v], v) for v in sg.vertices}
     face_values = {}
     for key in faces:
         axis, base = key

@@ -16,8 +16,9 @@ divisions are by vertex monomials.  `p / q` is exact division
 
 One kernel, _mul, multiplies and reduces in a single pass: merging two
 monomials, it rewrites a root that reaches s^2 by its square on the spot,
-from tables the registry builds once.  Products, monomial division and the
-var/monomial constructors all go through it.
+from tables the registry builds once.  Products and monomial division go
+through it, and so does a constructed term with a root variable: poly(),
+which var() and monomial() call, builds every term list.
 
 Representation:
 
@@ -140,9 +141,7 @@ class VarRegistry:
 
     def monomial(self, exps, coeff=1):
         """Build coeff * prod(var**e) from a {name: exponent} mapping."""
-        mono = tuple(sorted(((n, e) for n, e in exps.items() if e != 0),
-                            key=lambda t: self._index[t[0]]))
-        return LaurentPoly(_mul({mono: Fraction(coeff)}, {(): 1}, self), self)
+        return self.poly([(exps, coeff)])
 
     def poly(self, terms):
         """Build a polynomial from an iterable of (exps_dict, coeff), summed

@@ -23,7 +23,11 @@ Weights are assembled per vertex: each face type contributes exponent 1 to
 its non-hugged diagonal (rows 1-2), exponent 1/2 plus the face root variable
 to a diagonal (rows 3-4), or exponent 1/2 to every corner (row 5); the
 renormalization subtracts 2 at every vertex, and everything outside the zone
-cancels against the reference pattern except on a bounded collar.
+cancels against the reference pattern except on a bounded collar.  A
+configuration computes its weight data once, on first use: the half-unit
+vertex exponents and root faces, and for symbolic use the canonical
+monomial.  Both weight modes and sampling read them from the configuration,
+so a draw repeats no work.
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .kashaev import agree, solve_origin
+from .kashaev import agree, positive_value, solve_origin
+from .laurent import LaurentPoly
 from .loopmodel import CONFIG_ORDER, FaceComplex, LOCAL_CONFIGS, \
     LoopConfig, _trace, count_loops, search, side_colors
 from .stepped import (
@@ -206,9 +211,40 @@ def build_taut_window(U):
 
 @dataclass
 class TautConfig(LoopConfig):
-    """A LoopConfig on the zone faces of its window."""
+    """A LoopConfig on the zone faces of its window.
+
+    Its weight data are computed on first use and kept, so the assignment
+    must not change after that."""
 
     window: TautWindow
+
+    @cached_property
+    def exponents(self):
+        """The weight's half-unit vertex exponents and root faces (see
+        _vertex_contributions), shared by both weight modes; reading them
+        builds no registry."""
+        win = self.window
+        if self.assignment.keys() != win.sides.keys():  # the zone faces
+            raise TautError("the configuration's faces are not the window's "
+                            "zone faces")
+        exps, roots = _vertex_contributions(win, self.assignment)
+        _check_vertex_completeness(win, exps)
+        return exps, roots
+
+    @cached_property
+    def monomial_key(self):
+        """The weight's canonical monomial in the window's registry."""
+        win = self.window
+        exps, roots = self.exponents
+        mono = {}
+        for v, e in exps.items():
+            if e % 2:
+                raise TautError(f"half-integer exponent survived at {v}")
+            mono[win.vnames[v]] = e // 2
+        for key in roots:
+            mono[win.sg.face_root_name(key)] = 1
+        (key,) = win.registry.monomial(mono).terms
+        return key
 
     def full_assignment(self):
         out = {key: sigma0_type(self.window.comp.corner_ids[key])
@@ -276,26 +312,31 @@ def _check_vertex_completeness(win, verts):
 
 
 def taut_weight(win, config, symbolic=True, g_init=None):
-    """Weight 2^loops * prod w^f * prod g^-2 of one taut configuration."""
-    exps, roots = _vertex_contributions(win, config.assignment)
-    _check_vertex_completeness(win, exps)
+    """Weight 2^loops * prod w^f * prod g^-2 of one taut configuration.
+
+    A configuration of win reads its cached weight data; one of another
+    window is weighed afresh in win's variables."""
+    if config.window is not win:
+        config = TautConfig(config.assignment, config.n_loops, win)
     if symbolic:
-        mono = {}
-        for v, e in exps.items():
-            if e % 2:
-                raise TautError(f"half-integer exponent survived at {v}")
-            mono[win.vnames[v]] = e // 2
-        for key in roots:
-            mono[win.sg.face_root_name(key)] = 1
-        return win.registry.monomial(mono, Fraction(2) ** config.n_loops)
+        coeff = Fraction(2 ** config.n_loops)
+        return LaurentPoly({config.monomial_key: coeff}, win.registry)
+
+    def g(v):
+        return positive_value(g_init[v], v)
+
+    exps, roots = config.exponents
     val = float(2 ** config.n_loops)
-    for v, e in exps.items():
-        val *= float(g_init[v]) ** (e / 2)
-    for key in roots:
-        axis, base = key
-        (a, c), (b, d) = face_diagonals(axis, base)
-        val *= math.sqrt(float(g_init[a]) * float(g_init[c])
-                         + float(g_init[b]) * float(g_init[d]))
+    try:
+        for v, e in exps.items():
+            val *= g(v) ** (e / 2)
+        for key in roots:
+            (a, c), (b, d) = face_diagonals(*key)
+            val *= math.sqrt(g(a) * g(c) + g(b) * g(d))
+    except OverflowError:
+        val = math.inf
+    if not math.isfinite(val):
+        raise TautError("the weight is out of float range")
     return val
 
 
@@ -474,6 +515,9 @@ def sample_taut(U, g_init, seed=0, n=1, window=None):
     weights = [taut_weight(win, c, symbolic=False, g_init=g_init)
                for c in configs]
     total = sum(weights)
+    if not (total > 0 and math.isfinite(total)):
+        raise TautError(f"the weights sum to {total}, not to a finite "
+                        "positive total")
     rng = random.Random(seed)
     out = []
     for _ in range(n):

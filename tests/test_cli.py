@@ -394,7 +394,19 @@ MALFORMED = {
              "{d}/init_ones.json", "--n", "-1"]),
     "shape-curve-negative-points": (
         {}, ["shape", "curve", "--R", "3", "--points", "-5"]),
+    "kashaev-init-nan": (
+        {"i.json": {"default": float("nan")}},
+        ["kashaev", "solve", "{d}/one_cube.json", "{d}/i.json"]),
 }
+# initial values that are not finite and positive, or whose weights leave
+# the float range
+MALFORMED.update({
+    f"taut-{action}-init-{name}": (
+        {"i.json": {"default": value}},
+        ["taut", action, "{d}/one_cube.json", "--init", "{d}/i.json"])
+    for action in ("sample", "partition")
+    for name, value in (("zero", 0), ("negative", -1), ("tiny", 1e-200),
+                        ("nan", float("nan")))})
 
 
 @pytest.mark.parametrize("files, argv", MALFORMED.values(), ids=MALFORMED)

@@ -13,6 +13,7 @@ from c2loop.laurent import (
     NotDivisible,
     RegistryMismatch,
     VarRegistry,
+    _mul,
     lp_div_exact,
     lp_eval,
     poly_from_json,
@@ -179,6 +180,38 @@ def test_poly_matches_sum_of_monomials():
         assert list(got.items()) == list(want.items())
     with pytest.raises(NotDivisible):
         REG.poly([({"X": -1}, 1)])
+
+
+def _kernel_monomial(reg, exps, coeff=1):
+    """Reference monomial(): every monomial through the multiply kernel."""
+    mono = tuple(sorted(((n, e) for n, e in exps.items() if e != 0),
+                        key=lambda t: reg.index(t[0])))
+    return _mul({mono: Fraction(coeff)}, {(): 1}, reg)
+
+
+def test_monomial_matches_kernel_path():
+    # same terms, key order and Fraction coefficients, over roots that the
+    # kernel reduces (exponents 2-3), zero and negative coefficients
+    rng = random.Random(23)
+    names = REG.vertex_vars + REG.root_vars
+    seen = {"reduced": 0, "zero": 0, "negative": 0}
+    for _ in range(2000):
+        exps = {n: rng.randint(-3, 3)
+                for n in rng.sample(names, rng.randint(0, 5))}
+        for r in REG.root_vars:
+            if r in exps:
+                exps[r] = abs(exps[r])
+        coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        got = REG.monomial(exps, coeff).terms
+        want = _kernel_monomial(REG, exps, coeff)
+        assert list(got.items()) == list(want.items())
+        assert all(type(c) is Fraction for c in got.values())
+        seen["reduced"] += any(exps.get(r, 0) >= 2 for r in REG.root_vars)
+        seen["zero"] += coeff == 0
+        seen["negative"] += coeff < 0
+    assert min(seen.values()) > 50
+    with pytest.raises(NotDivisible):
+        REG.monomial({"g": 1, "Y": -1})
 
 
 def test_squares_match_poly_in_insertion_order():

@@ -10,12 +10,13 @@ import pytest
 import c2loop.stepped
 import c2loop.taut
 from c2loop.kashaev import cube_from_bottom, kashaev_step, solve_origin
-from c2loop.laurent import lp_eval
+from c2loop.laurent import LaurentPoly, _mul, lp_eval
 from c2loop.loopmodel import CONFIG_ORDER, LOCAL_CONFIGS, FaceComplex, \
     count_loops, crossing_parity_check, side_colors
 from c2loop.stepped import (
     SteppedSolid,
     enumerate_solids,
+    face_diagonals,
     height,
     is_regular,
     norm2,
@@ -467,3 +468,135 @@ def test_frozen_traced_fixture():
     red_faces = [k for k, v in zone_assign.items()
                  if "R" in side_colors(v)]
     assert sorted(red_faces, key=str) == sorted(deviations, key=str)
+
+
+# -- weights against the uncached path ----------------------------------------
+
+def _weight_by_walk(win, config, symbolic=True, g_init=None):
+    """Reference weight: the vertex walk, the completeness check and a
+    kernel-built monomial, all on every call."""
+    corner_ids = win.comp.corner_ids
+    exps, roots = {}, []
+    for key, name in config.assignment.items():
+        for v, e in zip(corner_ids[key], _CORNER_EXP[name]):
+            exps[v] = exps.get(v, win.collar[v]) + e
+        if LOCAL_CONFIGS[name][0] in (3, 4):
+            roots.append(key)
+    exps = {v: e for v, e in exps.items() if e}
+    lim = (win.sg.window_radius - 2.1) ** 2
+    assert all(norm2(v) <= lim for v in exps)
+    if symbolic:
+        assert all(e % 2 == 0 for e in exps.values())
+        mono = {win.vnames[v]: e // 2 for v, e in exps.items()}
+        mono.update((win.sg.face_root_name(key), 1) for key in roots)
+        reg = win.registry
+        key = tuple(sorted(mono.items(), key=lambda t: reg.index(t[0])))
+        return LaurentPoly(_mul({key: Fraction(2) ** config.n_loops},
+                                {(): 1}, reg), reg)
+    val = float(2 ** config.n_loops)
+    for v, e in exps.items():
+        val *= float(g_init[v]) ** (e / 2)
+    for key in roots:
+        (a, c), (b, d) = face_diagonals(*key)
+        val *= math.sqrt(float(g_init[a]) * float(g_init[c])
+                         + float(g_init[b]) * float(g_init[d]))
+    return val
+
+
+def _sample_by_walk(U, win, g_init, seed, n):
+    """Reference sampler over the reference weights."""
+    configs = enumerate_taut(U, win)
+    weights = [_weight_by_walk(win, c, False, g_init) for c in configs]
+    total = sum(weights)
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        x = rng.random() * total
+        acc = 0.0
+        pick = len(configs) - 1
+        for i, w in enumerate(weights):
+            acc += w
+            if x <= acc:
+                pick = i
+                break
+        out.append(pick)
+    return configs, out
+
+
+def test_weights_match_walk_on_every_small_solid():
+    rng = random.Random(12)
+    n_configs = 0
+    for U in [*enumerate_solids(4), slab_solid(5)]:
+        win = build_taut_window(U)
+        init = {v: rng.uniform(0.3, 3.0) for v in win.sg.vertices}
+        for cfg in enumerate_taut(U, win):
+            want = _weight_by_walk(win, cfg).terms
+            got = taut_weight(win, cfg).terms
+            assert list(got.items()) == list(want.items())
+            assert all(type(c) is Fraction for c in got.values())
+            assert taut_weight(win, cfg, False, init) == \
+                _weight_by_walk(win, cfg, False, init)
+            n_configs += 1
+    assert n_configs == 483 + 786
+
+
+def test_weight_data_computed_once_per_config(monkeypatch):
+    calls = []
+
+    def counting(win, assignment):
+        calls.append(id(assignment))
+        return real(win, assignment)
+
+    real = c2loop.taut._vertex_contributions
+    monkeypatch.setattr(c2loop.taut, "_vertex_contributions", counting)
+    U = SteppedSolid.from_removed([(-3, -1, -1), (-2, -1, -1), (-1, -1, -1)])
+    win = build_taut_window(U)
+    init = {v: 1.0 + (sum(v) % 3) / 4 for v in win.sg.vertices}
+    drawn = sample_taut(U, init, seed=4, n=1000, window=win)
+    assert "registry" not in vars(win.sg)
+    for cfg in drawn:
+        taut_weight(win, cfg, symbolic=True)
+        taut_weight(win, cfg, symbolic=False, g_init=init)
+    assert len(calls) == len(set(calls)) == len(enumerate_taut(U, win))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 21])
+def test_samples_match_walk_sampler(seed):
+    U = SteppedSolid.from_removed([(-1, -1, -1), (-2, -1, -1), (-1, -2, -1)])
+    win = build_taut_window(U)
+    rng = random.Random(seed)
+    init = {v: rng.uniform(0.5, 2.0) for v in win.sg.vertices}
+    configs, want = _sample_by_walk(U, win, init, seed, 300)
+    drawn = sample_taut(U, init, seed=seed, n=300, window=win)
+    index = {tuple(c.assignment.items()): i for i, c in enumerate(configs)}
+    assert [index[tuple(c.assignment.items())] for c in drawn] == want
+
+
+def test_weight_on_another_window():
+    win, other = build_taut_window(ONE), build_taut_window(ONE)
+    init = {v: 1.0 + (sum(v) % 3) / 4 for v in win.sg.vertices}
+    for cfg in enumerate_taut(ONE, other):
+        w = taut_weight(win, cfg)
+        assert w.registry is win.registry
+        assert w.terms == taut_weight(other, cfg).terms
+        assert taut_weight(win, cfg, False, init) == \
+            taut_weight(other, cfg, False, init)
+    two = SteppedSolid.from_removed([(-1, -1, -1), (-2, -1, -1)])
+    cfg = enumerate_taut(two)[0]
+    for symbolic in (True, False):
+        with pytest.raises(TautError, match="zone faces"):
+            taut_weight(win, cfg, symbolic, init)
+
+
+def test_numeric_weights_out_of_range_raise(monkeypatch):
+    win = build_taut_window(ONE)
+    with pytest.raises(TautError, match="float range"):
+        sample_taut(ONE, dict.fromkeys(win.sg.vertices, 1e-200), window=win)
+    with pytest.raises(TautError, match="float range"):
+        y_taut(ONE, dict.fromkeys(win.sg.vertices, 1e200), symbolic=False,
+               window=win)
+    # finite weights whose total is not
+    monkeypatch.setattr(c2loop.taut, "taut_weight",
+                        lambda *args, **kwargs: 1e308)
+    with pytest.raises(TautError, match="finite positive total"):
+        sample_taut(ONE, dict.fromkeys(win.sg.vertices, 1.0), window=win)
