@@ -11,7 +11,12 @@ corner relation:
 The formulas are written once for both value types: positive floats
 (numeric mode) and Laurent polynomials (symbolic mode), whose `/` is exact
 division.  A division that leaves a remainder is a hard error rather than a
-fallback, because the result is guaranteed to be a Laurent polynomial.  The
+fallback, because the result is guaranteed to be a Laurent polynomial.  A
+step divides the three faces by g before it forms the corner numerator, so
+a divisor that cannot divide exactly fails before the step's largest
+product.  A numeric step raises `NonPositive` on an input that is not
+positive, on a g * g that is 0 or infinite, and on a NaN output; an
+output of +inf from finite divisors is returned as it is.  The
 value type is chosen once, when the initial data are lifted onto the window
 (`lift_state`), whose own registry (`SurfaceGraph.registry`) holds the
 symbolic variables; only the float positivity guards and the
@@ -95,28 +100,35 @@ def agree(got, want, tol=1e-9, size=None):
     return abs(got - want) <= tol * (abs(size) + 1)
 
 
+_STEP_INPUTS = ("g", "g1", "g2", "g3", "g12", "g13", "g23", "X", "Y", "Z")
+
+
 def kashaev_step(c):
     """Complete the cube from its bottom data, in place; returns c.
 
-    Numeric mode requires positive inputs and keeps the outputs positive
-    (the greatest root); symbolic mode divides exactly.
+    Numeric mode requires positive inputs and a finite nonzero g * g, and
+    keeps the outputs positive (the greatest root) or +inf; symbolic mode
+    divides exactly, the faces before the corner.
     """
     g, g1, g2, g3 = c.g, c.g1, c.g2, c.g3
     g12, g13, g23 = c.g12, c.g13, c.g23
     X, Y, Z = c.X, c.Y, c.Z
-    num = (2 * g1 * g2 * g3 + g * (g1 * g23 + g2 * g13 + g3 * g12)
-           + 2 * X * Y * Z)
-    numeric = not _is_poly(num)
-    if numeric:
-        for name in ("g", "g1", "g2", "g3", "g12", "g13", "g23"):
-            if getattr(c, name) <= 0:
-                raise NonPositive(f"{name} <= 0 in numeric mode")
-    c.g123 = num / (g * g)
+    numeric = not _is_poly(g)
+    # a NaN fails every comparison, so each guard asks for > 0
+    if numeric and not (g > 0 and g1 > 0 and g2 > 0 and g3 > 0 and g12 > 0
+                        and g13 > 0 and g23 > 0 and X > 0 and Y > 0
+                        and Z > 0 and 0 < g * g < math.inf):
+        for name in _STEP_INPUTS:
+            if not getattr(c, name) > 0:
+                raise NonPositive(f"{name} is not positive in numeric mode")
+        raise NonPositive(f"g * g = {g * g} is out of float range")
     c.X1 = (g1 * X + Y * Z) / g
     c.Y2 = (g2 * Y + X * Z) / g
     c.Z3 = (g3 * Z + X * Y) / g
-    if numeric and c.g123 <= 0:
-        raise NonPositive("completed corner is not positive")
+    c.g123 = (2 * g1 * g2 * g3 + g * (g1 * g23 + g2 * g13 + g3 * g12)
+              + 2 * X * Y * Z) / (g * g)
+    if numeric and not (c.g123 > 0 and c.X1 > 0 and c.Y2 > 0 and c.Z3 > 0):
+        raise NonPositive("completed cube is not positive")
     return c
 
 

@@ -27,13 +27,16 @@ is one integer code that sorts like its (axis, base) key, the window's keys
 are the codes counted an odd number of times among the flat-corner faces and
 the removed cubes' faces, a ball filter keeps the faces with a corner inside
 the window, and every window corner is checked against the occupancy array
-to lie on the surface.
+to lie on the surface.  A solid keeps one window per resolved radius, held
+weakly, for as long as some caller holds it; windows are frozen, so the
+callers that share one cannot rebind its fields.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -148,6 +151,13 @@ class SteppedSolid:
         occ[tuple((-cubes).T)] = False
         occ.flags.writeable = False
         return occ
+
+    @cached_property
+    def _windows(self):
+        """The solid's windows by resolved radius, held weakly: a window
+        points back at its solid, so a strong cache would make a cycle that
+        only the garbage collector frees."""
+        return weakref.WeakValueDictionary()
 
     def on_surface_mask(self, x):
         """Which points of an (n, 3) integer array lie on the surface: in the
@@ -298,7 +308,7 @@ def toggled_faces(U):
     return set(zip(axes.tolist(), zip(*bases.T.tolist())))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SurfaceGraph:
     solid: SteppedSolid
     window_radius: float
@@ -327,7 +337,10 @@ class SurfaceGraph:
 
 def surface_graph(U, window_radius=None):
     """Finite window of G(U): every face with a corner inside the window
-    ball.  The default radius covers the carved region plus a flat collar."""
+    ball.  The default radius covers the carved region plus a flat collar.
+    A window the same solid object still holds at the same resolved radius
+    is returned as it is; windows are frozen and shared, so read them and do
+    not change them."""
     reg = is_regular(U)
     if not reg["regular"]:
         raise NotRegular("surface_graph requires a regular solid")
@@ -339,6 +352,9 @@ def surface_graph(U, window_radius=None):
     if window_radius < r_need:
         raise WindowTooSmall(
             f"window radius {window_radius} < R_U = {r_need}")
+    sg = U._windows.get(window_radius)
+    if sg is not None:
+        return sg
     # every removed cube lies inside the ball of radius R_U - 2, so each
     # base coordinate of a face below fits in [-lim, 0]
     lim = int(window_radius) + 3
@@ -364,7 +380,9 @@ def surface_graph(U, window_radius=None):
     xy = (points @ np.array(_PROJ).T).tolist()
     frac = {k: Fraction(k) for k in set(itertools.chain.from_iterable(xy))}
     positions = {v: (frac[x], frac[y]) for v, (x, y) in zip(order, xy)}
-    return SurfaceGraph(U, window_radius, vertices, faces, positions)
+    sg = U._windows[window_radius] = SurfaceGraph(
+        U, window_radius, vertices, faces, positions)
+    return sg
 
 
 def flip_vertex(surface, x):

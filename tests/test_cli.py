@@ -397,6 +397,14 @@ MALFORMED = {
     "kashaev-init-nan": (
         {"i.json": {"default": float("nan")}},
         ["kashaev", "solve", "{d}/one_cube.json", "{d}/i.json"]),
+    # finite positive values whose step leaves the float range: g * g is 0
+    # or inf
+    "kashaev-init-tiny": (
+        {"i.json": {"default": 1e-200}},
+        ["kashaev", "solve", "{d}/one_cube.json", "{d}/i.json"]),
+    "kashaev-init-huge": (
+        {"i.json": {"default": 1e200}},
+        ["kashaev", "solve", "{d}/one_cube.json", "{d}/i.json"]),
 }
 # initial values that are not finite and positive, or whose weights leave
 # the float range

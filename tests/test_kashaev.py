@@ -9,6 +9,7 @@ import pytest
 from c2loop.kashaev import (
     CubeData,
     KashaevError,
+    NonPositive,
     alternative_root,
     cube_from_bottom,
     duality_check,
@@ -18,7 +19,7 @@ from c2loop.kashaev import (
     solve_state,
     yang_baxter_row_check,
 )
-from c2loop.laurent import lp_eval
+from c2loop.laurent import NotDivisible, VarRegistry, lp_eval
 from c2loop.stepped import (
     SteppedSolid,
     enumerate_solids,
@@ -34,6 +35,55 @@ def ones_cube(g123=None):
     c = cube_from_bottom(1, 1, 1, 1, 1, 1, 1)
     c.g123 = g123
     return c
+
+
+class _NoProduct:
+    """A corner value that fails any product it enters."""
+
+    def __mul__(self, other):
+        raise AssertionError("the corner numerator was formed")
+
+    __rmul__ = __mul__
+
+
+def test_step_fails_before_corner_product():
+    # g has a root and two terms, so no division by it is exact; the faces
+    # are divided first, and the step fails before g12, g13 and g23 are read
+    reg = VarRegistry(["a", "b", "c", "d", "e"],
+                      {"s": [({"a": 1, "b": 1}, 1), ({"c": 1, "d": 1}, 1)]})
+    a, b, c, d, e, s = (reg.var(n) for n in "abcdes")
+    cube = CubeData(g=a + s, g1=b, g2=c, g3=d, g12=_NoProduct(),
+                    g13=_NoProduct(), g23=_NoProduct(), X=e, Y=a, Z=b)
+    with pytest.raises(NotDivisible, match="^general divisor must be free "
+                                           "of root variables$"):
+        kashaev_step(cube)
+
+
+@pytest.mark.parametrize("values, X, message", [
+    ((math.nan, 1, 1, 1, 1, 1, 1), 1.0, "g is not positive"),
+    ((1, 1, 1, 1, 1, 1, -1), 1.0, "g23 is not positive"),
+    ((1, 1, 1, 1, 1, 1, 1), 0.0, "X is not positive"),
+    ((1e-200,) * 7, 1.0, "g \\* g = 0.0 is out"),
+    ((1e200,) * 7, 1.0, "g \\* g = inf is out"),
+])
+def test_numeric_step_failures_are_typed(values, X, message):
+    with pytest.raises(NonPositive, match=f"^{message}"):
+        kashaev_step(cube_from_bottom(*values, X=X, Y=1.0, Z=1.0))
+
+
+def test_numeric_step_nan_output_is_typed():
+    # positive inputs: g1 g2 underflows to 0, and 0 * g3 = 0 * inf is NaN
+    c = cube_from_bottom(1, 1e-200, 1e-200, math.inf, 1, 1, 1,
+                         X=1.0, Y=1.0, Z=1.0)
+    with pytest.raises(NonPositive, match="^completed cube is not "
+                                          "positive$"):
+        kashaev_step(c)
+
+
+def test_numeric_step_keeps_inf_from_finite_divisors():
+    # g * g = 1e-320 is finite and positive; the corner overflows to +inf
+    c = kashaev_step(cube_from_bottom(1e-160, 1, 1, 1, 1, 1, 1))
+    assert c.g123 == math.inf and math.isfinite(c.X1)
 
 
 def test_residual_hand_value():
@@ -173,8 +223,11 @@ def test_solve_on_given_window_builds_none(monkeypatch):
     U = slab_solid(3)
     sg = surface_graph(U)
     init = {v: 1.0 + 0.25 * (sum(v) % 3) for v in sg.vertices}
-    sym = solve_origin(U, mode="symbolic")
-    num = solve_origin(U, g_init=init, mode="numeric")
+    # the reference solves run on an equal solid of their own, whose
+    # windows are not sg
+    twin = slab_solid(3)
+    sym = solve_origin(twin, mode="symbolic")
+    num = solve_origin(twin, g_init=init, mode="numeric")
 
     def no_window(*_args):
         raise AssertionError("surface_graph called despite window=")

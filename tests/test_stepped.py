@@ -1,9 +1,12 @@
 """Stepped solids, surfaces, fill orders and flips."""
 
+import dataclasses
+import gc
 import itertools
 import math
 import random
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -239,6 +242,41 @@ def test_window_corners_checked_on_surface(monkeypatch):
     with pytest.raises(SteppedError, match=re.escape(
             f"window corner {corner} is off the surface")):
         surface_graph(ONE)
+
+
+def test_window_shared_per_solid_and_radius():
+    U = slab_solid(2)
+    sg = surface_graph(U, 6)
+    assert surface_graph(U, 6) is sg
+    # the default radius is resolved before the lookup
+    r_default = is_regular(U)["R_U"] + 1
+    assert surface_graph(U) is surface_graph(U, r_default)
+    other = surface_graph(U, 7)
+    assert other is not sg and other.window_radius == 7
+    twin = slab_solid(2)
+    assert twin == U and surface_graph(twin, 6) is not sg
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sg.faces = {}
+
+
+def test_window_freed_with_its_last_holder():
+    # a window points back at its solid; the solid holds its windows only
+    # weakly, so a window is freed by reference counting alone, registry
+    # and all
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        U = slab_solid(3)
+        sg = surface_graph(U)
+        assert sg.registry is not None
+        ref = weakref.ref(sg)
+        del sg
+        assert ref() is None
+        fresh = surface_graph(U)
+        assert "registry" not in vars(fresh)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_window_requires_regular_solid():
