@@ -25,7 +25,7 @@ from .ffdimers import FFDimersError, fig_octa_domain, free_energy, \
     lobachevsky_free_energy
 from .fixtures import cube_sphere, rational_ff_weights
 from .groves import verify_grove_equality
-from .kashaev import KashaevError, solve_origin, yang_baxter_row_check
+from .kashaev import KashaevError, solve_origin
 from .laurent import LaurentError, poly_to_json
 from .limitshape import (
     LimitShapeError,
@@ -44,7 +44,8 @@ from .quadgraph import FaceWeights, QuadGraph, QuadGraphError, \
 from .stepped import SteppedError, SteppedSolid, height, random_fill_order, \
     surface_graph
 from .taut import TautError, build_taut_window, enumerate_taut, \
-    sample_taut, verify_partition_identity, verify_monomial_bijection, y_taut
+    sample_taut, verify_partition_identity, verify_monomial_bijection, \
+    y_taut, yang_baxter_row_check
 from .verify import run_all
 
 

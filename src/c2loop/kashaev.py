@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .laurent import LaurentPoly, VarRegistry
+from .laurent import LaurentPoly
 from .stepped import (
     UNITS,
     face_diagonals,
@@ -210,7 +210,7 @@ def lift_state(sg, g_init=None, mode="symbolic", faces=()):
     exact constant g_init gives for it, or else its variable, and a face
     takes its root variable.  Numeric mode reads a finite positive float for
     every vertex from g_init, and a face takes the square root of its two
-    diagonal products.
+    diagonal products, which must be finite and positive.
     """
     if mode == "symbolic":
         registry = sg.registry
@@ -228,8 +228,13 @@ def lift_state(sg, g_init=None, mode="symbolic", faces=()):
     for key in faces:
         axis, base = key
         (a, c), (b, d) = face_diagonals(axis, base)
-        face_values[key] = math.sqrt(g_values[a] * g_values[c]
-                                     + g_values[b] * g_values[d])
+        val = math.sqrt(g_values[a] * g_values[c] + g_values[b] * g_values[d])
+        if not 0 < val < math.inf:
+            raise NonPositive(
+                f"face {key} is {val}, out of float range, from the initial "
+                f"values {g_values[a]}, {g_values[b]}, {g_values[c]}, "
+                f"{g_values[d]} at its corners")
+        face_values[key] = val
     return HexState(g_values, face_values)
 
 
@@ -289,159 +294,3 @@ def solve_origin(U, g_init=None, mode="symbolic", order=None,
     state = solve_state(U, g_init, mode, order, window_radius,
                         check_residuals, window)
     return state.g_values[(0, 0, 0)]
-
-
-# ---------------------------------------------------------------------------
-# Row identities behind the cube-flip invariance.
-#
-# Each row equates a weighted sum of local pictures before and after the
-# flip.  With the common (possibly half-integer) monomial prefactor of both
-# sides stripped, the identities below are polynomial in the seven corner
-# variables, the bottom face roots X, Y, Z, and the completed quantities
-# G123, X1, Y2, Z3.  Verification substitutes the completed quantities by
-# their explicit forms and compares canonical Laurent polynomials, clearing
-# G123 denominators by cross-multiplication.
-# ---------------------------------------------------------------------------
-
-BASE_VARS = ("g", "g1", "g2", "g3", "g12", "g13", "g23")
-ROOT_VARS = ("X", "Y", "Z")
-AUX_VARS = ("G123", "X1", "Y2", "Z3")
-
-# term = (coeff, {var: exp}); var may be any base, root or aux name.
-_ROW_TABLE = {
-    1: (
-        [(2, {"g1": 2, "g2": 2, "g3": 2, "g": -2}),
-         (2, {"g1": 1, "g2": 1, "g3": 1, "X": 1, "Y": 1, "Z": 1, "g": -2}),
-         (1, {"g1": 1, "g2": 2, "g3": 1, "g13": 1, "g": -1}),
-         (1, {"g1": 1, "g2": 1, "g3": 2, "g12": 1, "g": -1}),
-         (1, {"g1": 2, "g2": 1, "g3": 1, "g23": 1, "g": -1})],
-        [(1, {"g1": 1, "g2": 1, "g3": 1, "G123": 1})],
-    ),
-    2: (
-        [(1, {"g1": 1, "g3": 1, "g12": 1, "g23": 1})],
-        [(1, {"g1": 1, "g3": 1, "g12": 1, "g23": 1})],
-    ),
-    3: (
-        [(1, {"g1": 1, "g3": 1, "X": 1, "Z": 1, "g": -1}),
-         (1, {"g1": 1, "g2": 1, "g3": 1, "Y": 1, "g": -1})],
-        [(1, {"g1": 1, "g3": 1, "Y2": 1})],
-    ),
-    4: (
-        [(1, {"g2": 1, "Y": 1, "Z": 1, "g": -1}),
-         (1, {"g1": 1, "g2": 1, "X": 1, "g": -1})],
-        [(1, {"g2": 1, "X1": 1})],
-    ),
-    5: (
-        [(2, {"g1": 1, "g2": 2, "g3": 1, "Y": 1, "g": -2}),
-         (2, {"g1": 1, "g2": 1, "g3": 1, "X": 1, "Z": 1, "g": -2}),
-         (1, {"g2": 1, "g13": 1, "X": 1, "Z": 1, "g": -1}),
-         (1, {"g1": 1, "g2": 1, "g23": 1, "Y": 1, "g": -1}),
-         (1, {"g2": 1, "g3": 1, "g12": 1, "Y": 1, "g": -1})],
-        [(1, {"g2": 1, "X1": 1, "Z3": 1})],
-    ),
-    6: (
-        [(1, {"g2": 1, "g13": 1})],
-        [(1, {"g2": 1, "g13": 1})],
-    ),
-    7: (
-        [(1, {"X": 1, "Y": 1, "Z": 1, "g": -1}),
-         (1, {"g1": 1, "g2": 1, "g3": 1, "g": -1})],
-        [(1, {"X1": 1, "Y2": 1, "Z3": 1, "G123": -1}),
-         (1, {"g12": 1, "g13": 1, "g23": 1, "G123": -1})],
-    ),
-}
-
-_DUAL_MAP = {
-    "g": "G123", "G123": "g",
-    "g1": "g23", "g23": "g1",
-    "g2": "g13", "g13": "g2",
-    "g3": "g12", "g12": "g3",
-    "X": "X1", "X1": "X",
-    "Y": "Y2", "Y2": "Y",
-    "Z": "Z3", "Z3": "Z",
-}
-
-
-def _yb_registry():
-    squares = {
-        "X": [({"g": 1, "g23": 1}, 1), ({"g2": 1, "g3": 1}, 1)],
-        "Y": [({"g": 1, "g13": 1}, 1), ({"g1": 1, "g3": 1}, 1)],
-        "Z": [({"g": 1, "g12": 1}, 1), ({"g1": 1, "g2": 1}, 1)],
-    }
-    return VarRegistry(list(BASE_VARS), squares)
-
-
-def _dualize(terms):
-    return [(c, {_DUAL_MAP.get(n, n): e for n, e in exps.items()})
-            for c, exps in terms]
-
-
-def _normalize_side(terms):
-    """Split off negative G123 powers: side = expr / G123^k with k >= 0."""
-    k = max((-exps.get("G123", 0) for _c, exps in terms), default=0)
-    k = max(k, 0)
-    out = []
-    for c, exps in terms:
-        e = dict(exps)
-        e["G123"] = e.get("G123", 0) + k
-        if e["G123"] == 0:
-            del e["G123"]
-        out.append((c, e))
-    return out, k
-
-
-def _expand(terms, reg):
-    """Substitute the completed quantities and return a LaurentPoly."""
-    v = {n: reg.var(n) for n in BASE_VARS + ROOT_VARS}
-    num123 = (2 * v["g1"] * v["g2"] * v["g3"]
-              + v["g"] * (v["g1"] * v["g23"] + v["g2"] * v["g13"]
-                          + v["g3"] * v["g12"])
-              + 2 * v["X"] * v["Y"] * v["Z"])
-    ginv = reg.monomial({"g": -1})
-    subs = {
-        "G123": num123 * reg.monomial({"g": -2}),
-        "X1": (v["g1"] * v["X"] + v["Y"] * v["Z"]) * ginv,
-        "Y2": (v["g2"] * v["Y"] + v["X"] * v["Z"]) * ginv,
-        "Z3": (v["g3"] * v["Z"] + v["X"] * v["Y"]) * ginv,
-    }
-    total = reg.zero()
-    for coeff, exps in terms:
-        part = reg.const(coeff)
-        base = {n: e for n, e in exps.items() if n not in AUX_VARS}
-        part = part * reg.monomial(base)
-        for name in AUX_VARS:
-            e = exps.get(name, 0)
-            if e < 0:
-                raise KashaevError("negative aux power after normalization")
-            for _ in range(e):
-                part = part * subs[name]
-        total = total + part
-    return total
-
-
-def yang_baxter_row_check(row, side_swap=False):
-    """Verify one row identity symbolically in the root-reduced ring.
-
-    With side_swap the dual row (central flip of every picture) is checked
-    instead; rows 2, 6 and 7 are self-dual.
-    """
-    lhs, rhs = _ROW_TABLE[row]
-    if side_swap:
-        lhs, rhs = _dualize(lhs), _dualize(rhs)
-    lhs, k_l = _normalize_side(lhs)
-    rhs, k_r = _normalize_side(rhs)
-    # Cross-multiply the G123 denominators before substitution.
-    lhs = [(c, _mul_exp(e, "G123", k_r)) for c, e in lhs]
-    rhs = [(c, _mul_exp(e, "G123", k_l)) for c, e in rhs]
-    reg = _yb_registry()
-    return _expand(lhs, reg) == _expand(rhs, reg)
-
-
-def _mul_exp(exps, name, k):
-    if k == 0:
-        return exps
-    e = dict(exps)
-    e[name] = e.get(name, 0) + k
-    if e[name] == 0:
-        del e[name]
-    return e

@@ -28,6 +28,12 @@ configuration computes its weight data once, on first use: the half-unit
 vertex exponents and root faces, and for symbolic use the canonical
 monomial.  Both weight modes and sampling read them from the configuration,
 so a draw repeats no work.
+
+The same local weights derive the row identities behind the cube flip: the
+loop model lists the configurations of the cube's carved and flat hexagons,
+and the two sides' weights, summed per colored pairing of the six outer
+edges, agree in all 70 classes exactly when the recurrence's completion is
+right.  The paper's seven rows and their duals are among those classes.
 """
 
 from __future__ import annotations
@@ -39,11 +45,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .kashaev import agree, positive_value, solve_origin
+from .kashaev import agree, positive_value, solve_origin, solve_state
 from .laurent import LaurentPoly
 from .loopmodel import CONFIG_ORDER, FaceComplex, LOCAL_CONFIGS, \
-    LoopConfig, _trace, count_loops, search, side_colors
+    LoopConfig, _trace, count_loops, enumerate_configs, search, side_colors
 from .stepped import (
+    UNITS,
+    SteppedSolid,
     clockwise_corners,
     face_diagonals,
     height,
@@ -51,6 +59,7 @@ from .stepped import (
     norm2,
     surface_graph,
     toggled_faces,
+    vadd,
 )
 
 
@@ -395,6 +404,126 @@ def verify_monomial_bijection(U, window=None):
     report["all"] = all((report["counts_match"], injective, coeffs_ok,
                          vert_ok, root_ok))
     return report
+
+
+# ---------------------------------------------------------------------------
+# the cube flip
+# ---------------------------------------------------------------------------
+
+# the flipped cube and, around the hexagon, its corners other than the bottom
+# and the top (g1, g12, g2, g23, g3, g13); outer edge k joins corners k and
+# k + 1, and the reflection through the cube centre takes edge k to k + 3
+_FLIP_CUBE = (-1, -1, -1)
+_FLIP_RING = ((0, -1, -1), (0, 0, -1), (-1, 0, -1), (-1, 0, 0), (-1, -1, 0),
+              (0, -1, 0))
+
+# one boundary class per row identity of the paper, whose carved and flat
+# sums are the row's two sides; a class lists its strands as edge, edge, color
+_YB_ROWS = dict(enumerate(("01R 23R 45R", "03R 12R 45R", "03R 12B 45R",
+                           "01B 24B 35R", "01R 23R 45B", "03R 15B 24B",
+                           "03R 12B 45B"), start=1))
+
+
+def _boundary_class(strands):
+    """A class from its (edge, edge, color) strands: "01R 23B 45B"."""
+    return " ".join(sorted(f"{min(a, b)}{max(a, b)}{c}"
+                           for a, b, c in strands))
+
+
+def cube_flip_sums():
+    """The two sides of the cube flip, summed by boundary class.
+
+    The carved hexagon is the cube's three faces at _FLIP_CUBE, the flat one
+    its three faces at the origin.  Each hexagon's configurations come from
+    the loop model with a free boundary; a configuration's class is the
+    colored pairing its strands make of the six outer edges, and its weight
+    is 2^loops * prod g_v^(e_v / 2) (e_v in _CORNER_EXP half-units, -4 at
+    the centre) times its row 3-4 face values.  The carved side reads the
+    one-cube window's variables, the flat side G123, X1, Y2 and Z3 as the
+    recurrence computes them.  A class's terms share the parities of their
+    boundary exponents, which are dropped.
+
+    Returns G123 and {class: (carved, flat)}, each side a dict {power of
+    G123: Laurent polynomial}; a class that one side lacks is empty there.
+    """
+    U = SteppedSolid.from_removed([_FLIP_CUBE])
+    sg = surface_graph(U)
+    reg = sg.registry
+    state = solve_state(U, window=sg)
+    ring = _FLIP_RING
+    edges = {frozenset(e): k
+             for k, e in enumerate(zip(ring, ring[1:] + ring[:1]))}
+    sums, parities = {}, {}
+    for side, centre in enumerate((_FLIP_CUBE, (0, 0, 0))):
+        comp = FaceComplex.from_corners({
+            key: _rotate_black_first(clockwise_corners(*key))
+            for key in ((a, vadd(_FLIP_CUBE, UNITS[a]) if side else _FLIP_CUBE)
+                        for a in range(3))})
+        for cfg in enumerate_configs(comp):
+            exps = {centre: -4}
+            term = reg.const(2 ** cfg.n_loops)
+            for key, name in cfg.assignment.items():
+                for v, e in zip(comp.corner_ids[key], _CORNER_EXP[name]):
+                    exps[v] = exps.get(v, 0) + e
+                if LOCAL_CONFIGS[name][0] in (3, 4):
+                    term = term * (state.face_values[key] if side else
+                                   reg.var(sg.face_root_name(key)))
+            if exps[centre] % 2:
+                raise TautError(f"half-integer exponent at {centre}")
+            power = exps.pop((0, 0, 0), 0) // 2
+            term = term * reg.monomial({sg.vertex_var_name(v): e // 2
+                                        for v, e in exps.items()})
+            cls = _boundary_class(
+                (edges[comp.edge_of(*a)], edges[comp.edge_of(*b)], color)
+                for (a, b), color, _nodes in _trace(comp, cfg.assignment)[1])
+            parities.setdefault(cls, set()).add(
+                tuple(exps.get(v, 0) % 2 for v in ring))
+            part = sums.setdefault(cls, ({}, {}))[side]
+            part[power] = part.get(power, reg.zero()) + term
+    if any(len(p) > 1 for p in parities.values()):
+        raise TautError("boundary exponent parities differ within a class")
+    return state.g_values[(0, 0, 0)], sums
+
+
+def _same_sum(a, b, top):
+    """Whether two sums {power of top: polynomial} are equal, compared with
+    the powers of top cross-multiplied to whole ones."""
+    k = -min([*a, *b])
+
+    def cleared(side):
+        total = top.registry.zero()
+        for m, poly in side.items():
+            for _ in range(m + k):
+                poly = poly * top
+            total = total + poly
+        return total
+    return cleared(a) == cleared(b)
+
+
+def yang_baxter_classes():
+    """Boundary class of the cube flip -> whether its carved and flat sums
+    are equal, in exact arithmetic; derived afresh on every call."""
+    top, sums = cube_flip_sums()
+    return {cls: _same_sum(carved, flat, top)
+            for cls, (carved, flat) in sums.items()}
+
+
+def yang_baxter_row_class(row, side_swap=False):
+    """The boundary class of a paper row; with side_swap, that of its dual
+    row, the class reflected through the cube centre (g <-> g123 and
+    g_i <-> g_jk, colors kept)."""
+    if row not in _YB_ROWS:
+        raise TautError(f"row {row} is not one of 1-7")
+    shift = 3 if side_swap else 0
+    return _boundary_class(((int(a) + shift) % 6, (int(b) + shift) % 6, c)
+                           for a, b, c in _YB_ROWS[row].split())
+
+
+def yang_baxter_row_check(row, side_swap=False):
+    """Whether a paper row, or its dual with side_swap, holds: its class's
+    two sums are equal in the root-reduced ring."""
+    return yang_baxter_classes().get(yang_baxter_row_class(row, side_swap),
+                                     False)
 
 
 # ---------------------------------------------------------------------------

@@ -397,14 +397,16 @@ MALFORMED = {
     "kashaev-init-nan": (
         {"i.json": {"default": float("nan")}},
         ["kashaev", "solve", "{d}/one_cube.json", "{d}/i.json"]),
-    # finite positive values whose step leaves the float range: g * g is 0
-    # or inf
+    # finite positive values whose face roots leave the float range: 0 or
+    # inf
     "kashaev-init-tiny": (
         {"i.json": {"default": 1e-200}},
         ["kashaev", "solve", "{d}/one_cube.json", "{d}/i.json"]),
     "kashaev-init-huge": (
         {"i.json": {"default": 1e200}},
         ["kashaev", "solve", "{d}/one_cube.json", "{d}/i.json"]),
+    "kashaev-yb-row-zero": ({}, ["kashaev", "yb", "--row", "0"]),
+    "kashaev-yb-row-eight": ({}, ["kashaev", "yb", "--row", "8", "--dual"]),
 }
 # initial values that are not finite and positive, or whose weights leave
 # the float range
@@ -417,11 +419,22 @@ MALFORMED.update({
                         ("nan", float("nan")))})
 
 
-@pytest.mark.parametrize("files, argv", MALFORMED.values(), ids=MALFORMED)
-def test_malformed_input_is_json_error(tmp_path, capsys, files, argv):
+# the start of the error some rows must report
+ERROR_START = {
+    "kashaev-init-tiny": "NonPositive: face (0, (-1, -1, -1)) is 0.0, out of "
+                         "float range, from the initial values 1e-200,",
+    "kashaev-yb-row-zero": "TautError: row 0 is not one of 1-7",
+}
+
+
+@pytest.mark.parametrize("files, argv, start", [
+    (*case, ERROR_START.get(name, "")) for name, case in MALFORMED.items()],
+    ids=MALFORMED)
+def test_malformed_input_is_json_error(tmp_path, capsys, files, argv, start):
     run(capsys, "fixtures", "--out", str(tmp_path))
     for name, payload in files.items():
         (tmp_path / name).write_text(json.dumps(payload))
     code, out, err = run(capsys, *[a.format(d=tmp_path) for a in argv])
     assert code == 2 and out == ""
-    assert _strict_json(err)["error"]
+    error = _strict_json(err)["error"]
+    assert error and error.startswith(start)

@@ -17,7 +17,6 @@ from c2loop.kashaev import (
     kashaev_step,
     solve_origin,
     solve_state,
-    yang_baxter_row_check,
 )
 from c2loop.laurent import NotDivisible, VarRegistry, lp_eval
 from c2loop.stepped import (
@@ -27,8 +26,30 @@ from c2loop.stepped import (
     slab_solid,
     surface_graph,
 )
+from c2loop.taut import (
+    _same_sum,
+    cube_flip_sums,
+    yang_baxter_classes,
+    yang_baxter_row_class,
+    yang_baxter_row_check,
+)
+from c2loop.verify import criterion_2_yang_baxter
 
 ONE = SteppedSolid.from_removed([(-1, -1, -1)])
+# the corners of ONE's cube, by their names in the cube relation
+CORNERS = {"g": (-1, -1, -1), "g1": (0, -1, -1), "g2": (-1, 0, -1),
+           "g3": (-1, -1, 0), "g12": (0, 0, -1), "g13": (0, -1, 0),
+           "g23": (-1, 0, 0)}
+
+
+def cube_variables(sg):
+    """The corner variables and bottom face roots X, Y, Z of ONE's cube in
+    the registry of its window sg, by name."""
+    reg = sg.registry
+    out = {n: reg.var(sg.vertex_var_name(v)) for n, v in CORNERS.items()}
+    out.update({n: reg.var(sg.face_root_name((a, CORNERS["g"])))
+                for a, n in enumerate("XYZ")})
+    return out
 
 
 def ones_cube(g123=None):
@@ -165,11 +186,7 @@ def test_duality_numeric_randomized():
 
 
 def test_duality_symbolic():
-    from c2loop.kashaev import _yb_registry
-    reg = _yb_registry()
-    c = CubeData(**{n: reg.var(n) for n in
-                    ("g", "g1", "g2", "g3", "g12", "g13", "g23")},
-                 X=reg.var("X"), Y=reg.var("Y"), Z=reg.var("Z"))
+    c = CubeData(**cube_variables(surface_graph(ONE)))
     kashaev_step(c)
     assert duality_check(c)
 
@@ -197,6 +214,212 @@ def test_yang_baxter_rows():
     for row in range(1, 8):
         assert yang_baxter_row_check(row), f"row {row}"
         assert yang_baxter_row_check(row, side_swap=True), f"dual row {row}"
+
+
+# ---------------------------------------------------------------------------
+# The seven row identities as the paper prints them, transcribed by hand: an
+# oracle for the cube-flip classes the loop model derives.  Each row equates
+# a weighted sum of local pictures before and after the flip, with the
+# common (possibly half-integer) monomial prefactor of both sides stripped.
+# The identities are polynomial in the seven corner variables, the bottom
+# face roots X, Y, Z, and the completed quantities G123, X1, Y2, Z3.  The
+# oracle substitutes the completed quantities by their explicit forms and
+# compares canonical Laurent polynomials, clearing G123 denominators by
+# cross-multiplication.
+# ---------------------------------------------------------------------------
+
+BASE_VARS = ("g", "g1", "g2", "g3", "g12", "g13", "g23")
+ROOT_VARS = ("X", "Y", "Z")
+AUX_VARS = ("G123", "X1", "Y2", "Z3")
+
+# term = (coeff, {var: exp}); var may be any base, root or aux name.
+_ROW_TABLE = {
+    1: (
+        [(2, {"g1": 2, "g2": 2, "g3": 2, "g": -2}),
+         (2, {"g1": 1, "g2": 1, "g3": 1, "X": 1, "Y": 1, "Z": 1, "g": -2}),
+         (1, {"g1": 1, "g2": 2, "g3": 1, "g13": 1, "g": -1}),
+         (1, {"g1": 1, "g2": 1, "g3": 2, "g12": 1, "g": -1}),
+         (1, {"g1": 2, "g2": 1, "g3": 1, "g23": 1, "g": -1})],
+        [(1, {"g1": 1, "g2": 1, "g3": 1, "G123": 1})],
+    ),
+    2: (
+        [(1, {"g1": 1, "g3": 1, "g12": 1, "g23": 1})],
+        [(1, {"g1": 1, "g3": 1, "g12": 1, "g23": 1})],
+    ),
+    3: (
+        [(1, {"g1": 1, "g3": 1, "X": 1, "Z": 1, "g": -1}),
+         (1, {"g1": 1, "g2": 1, "g3": 1, "Y": 1, "g": -1})],
+        [(1, {"g1": 1, "g3": 1, "Y2": 1})],
+    ),
+    4: (
+        [(1, {"g2": 1, "Y": 1, "Z": 1, "g": -1}),
+         (1, {"g1": 1, "g2": 1, "X": 1, "g": -1})],
+        [(1, {"g2": 1, "X1": 1})],
+    ),
+    5: (
+        [(2, {"g1": 1, "g2": 2, "g3": 1, "Y": 1, "g": -2}),
+         (2, {"g1": 1, "g2": 1, "g3": 1, "X": 1, "Z": 1, "g": -2}),
+         (1, {"g2": 1, "g13": 1, "X": 1, "Z": 1, "g": -1}),
+         (1, {"g1": 1, "g2": 1, "g23": 1, "Y": 1, "g": -1}),
+         (1, {"g2": 1, "g3": 1, "g12": 1, "Y": 1, "g": -1})],
+        [(1, {"g2": 1, "X1": 1, "Z3": 1})],
+    ),
+    6: (
+        [(1, {"g2": 1, "g13": 1})],
+        [(1, {"g2": 1, "g13": 1})],
+    ),
+    7: (
+        [(1, {"X": 1, "Y": 1, "Z": 1, "g": -1}),
+         (1, {"g1": 1, "g2": 1, "g3": 1, "g": -1})],
+        [(1, {"X1": 1, "Y2": 1, "Z3": 1, "G123": -1}),
+         (1, {"g12": 1, "g13": 1, "g23": 1, "G123": -1})],
+    ),
+}
+
+_DUAL_MAP = {
+    "g": "G123", "G123": "g",
+    "g1": "g23", "g23": "g1",
+    "g2": "g13", "g13": "g2",
+    "g3": "g12", "g12": "g3",
+    "X": "X1", "X1": "X",
+    "Y": "Y2", "Y2": "Y",
+    "Z": "Z3", "Z3": "Z",
+}
+
+
+def _yb_registry():
+    squares = {
+        "X": [({"g": 1, "g23": 1}, 1), ({"g2": 1, "g3": 1}, 1)],
+        "Y": [({"g": 1, "g13": 1}, 1), ({"g1": 1, "g3": 1}, 1)],
+        "Z": [({"g": 1, "g12": 1}, 1), ({"g1": 1, "g2": 1}, 1)],
+    }
+    return VarRegistry(list(BASE_VARS), squares)
+
+
+def _dualize(terms):
+    return [(c, {_DUAL_MAP.get(n, n): e for n, e in exps.items()})
+            for c, exps in terms]
+
+
+def _normalize_side(terms):
+    """Split off negative G123 powers: side = expr / G123^k with k >= 0."""
+    k = max((-exps.get("G123", 0) for _c, exps in terms), default=0)
+    k = max(k, 0)
+    out = []
+    for c, exps in terms:
+        e = dict(exps)
+        e["G123"] = e.get("G123", 0) + k
+        if e["G123"] == 0:
+            del e["G123"]
+        out.append((c, e))
+    return out, k
+
+
+def _expand(terms, reg):
+    """Substitute the completed quantities and return a LaurentPoly."""
+    subs = completed({n: reg.var(n) for n in BASE_VARS + ROOT_VARS})
+    total = reg.zero()
+    for coeff, exps in terms:
+        part = reg.const(coeff)
+        base = {n: e for n, e in exps.items() if n not in AUX_VARS}
+        part = part * reg.monomial(base)
+        for name in AUX_VARS:
+            e = exps.get(name, 0)
+            if e < 0:
+                raise KashaevError("negative aux power after normalization")
+            for _ in range(e):
+                part = part * subs[name]
+        total = total + part
+    return total
+
+
+def transcribed_row_holds(row, side_swap=False):
+    """Verify one transcribed row identity in the root-reduced ring.
+
+    With side_swap the dual row (central flip of every picture) is checked
+    instead; rows 2, 6 and 7 are self-dual.
+    """
+    lhs, rhs = _ROW_TABLE[row]
+    if side_swap:
+        lhs, rhs = _dualize(lhs), _dualize(rhs)
+    lhs, k_l = _normalize_side(lhs)
+    rhs, k_r = _normalize_side(rhs)
+    # Cross-multiply the G123 denominators before substitution.
+    lhs = [(c, _mul_exp(e, "G123", k_r)) for c, e in lhs]
+    rhs = [(c, _mul_exp(e, "G123", k_l)) for c, e in rhs]
+    reg = _yb_registry()
+    return _expand(lhs, reg) == _expand(rhs, reg)
+
+
+def _mul_exp(exps, name, k):
+    if k == 0:
+        return exps
+    e = dict(exps)
+    e[name] = e.get(name, 0) + k
+    if e[name] == 0:
+        del e[name]
+    return e
+
+
+def completed(v):
+    """G123, X1, Y2 and Z3 by the completion formulas, over the corner and
+    face values v."""
+    g, g1, g2, g3 = v["g"], v["g1"], v["g2"], v["g3"]
+    X, Y, Z = v["X"], v["Y"], v["Z"]
+    return {"G123": (2 * g1 * g2 * g3 + 2 * X * Y * Z
+                     + g * (g1 * v["g23"] + g2 * v["g13"] + g3 * v["g12"]))
+            / (g * g),
+            "X1": (g1 * X + Y * Z) / g, "Y2": (g2 * Y + X * Z) / g,
+            "Z3": (g3 * Z + X * Y) / g}
+
+
+def in_window(terms, sg, v):
+    """A transcribed side as {power of G123: polynomial} in the registry of
+    ONE's window sg, with v the values of X, Y, Z, X1, Y2 and Z3."""
+    reg = sg.registry
+    out = {}
+    for coeff, exps in terms:
+        part = reg.monomial({sg.vertex_var_name(CORNERS[n]): e
+                             for n, e in exps.items() if n in CORNERS}, coeff)
+        for name, e in exps.items():
+            if name not in CORNERS and name != "G123":
+                for _ in range(e):
+                    part = part * v[name]
+        m = exps.get("G123", 0)
+        out[m] = out.get(m, reg.zero()) + part
+    return out
+
+
+def test_row_table_pins_the_derivation():
+    # each representative class's carved and flat sums are the transcribed
+    # sides exactly: the common monomial of the classes chosen is 1; a dual
+    # row's pictures are the reflected ones, so the carved sum is the
+    # dualized right side
+    sg = surface_graph(ONE)
+    v = cube_variables(sg)
+    v.update(completed(v))
+    _top, sums = cube_flip_sums()
+    for row, (lhs, rhs) in _ROW_TABLE.items():
+        for dual in (False, True):
+            assert transcribed_row_holds(row, side_swap=dual)
+            sides = (_dualize(rhs), _dualize(lhs)) if dual else (lhs, rhs)
+            got = sums[yang_baxter_row_class(row, dual)]
+            for derived, transcribed in zip(got, sides):
+                assert _same_sum(derived, in_window(transcribed, sg, v),
+                                 v["G123"]), (row, dual)
+
+
+def test_criterion_2_fails_on_a_mutated_step(monkeypatch):
+    # g123 with one X Y Z in its numerator instead of two
+    def mutated(c):
+        kashaev_step(c)
+        c.g123 = c.g123 - c.X * c.Y * c.Z / (c.g * c.g)
+        return c
+
+    monkeypatch.setattr("c2loop.kashaev.kashaev_step", mutated)
+    holds = yang_baxter_classes()
+    assert len(holds) == 70 and not all(holds.values())
+    assert not criterion_2_yang_baxter()["passed"]
 
 
 def test_laurentness_never_fails_small_solids():
