@@ -98,6 +98,8 @@ def _reading(what):
 
 
 def _load_json(path):
+    if path is None:
+        raise InputError("a required input file is missing")
     try:
         with open(path) as fh:
             return json.load(fh)

@@ -11,15 +11,18 @@ Exact arithmetic: weights may be Fractions or quadratic-field values, and
 every partition-function identity in the tests is checked with equality, not
 tolerances, whenever the inputs are exact.
 
-One builder, kasteleyn_matrix, fills every Kasteleyn matrix: the signed
-white-by-black matrix sum c * z**m * w**n over precomputed entries.  The
-sphere determinant evaluates it at z = w = 1; on the torus it is the
-magnetically modified matrix of a fundamental domain, whose determinant is
-the spectral curve P(z, w).  P is a Laurent polynomial with a handful of
-monomials: its coefficients come from one batch of determinants on a grid of
-roots of unity as wide as its exponent ranges.  The free energy integrates
-log|P| over the unit torus on half-shifted uniform grids, evaluating P there
-from those coefficients (with one step of Richardson extrapolation, since the
+Sphere and torus share one Kasteleyn path: faces read off the complex by
+gq_faces, never from coordinates; one GF(2) solve making them odd; one
+entry builder ranking the vertices and signing the edges; and one builder,
+kasteleyn_matrix, filling every Kasteleyn matrix: the signed white-by-black
+matrix sum c * z**m * w**n over those entries.  The sphere determinant
+evaluates it at z = w = 1; on the torus it is the magnetically modified
+matrix of a fundamental domain, whose determinant is the spectral curve
+P(z, w).  P is a Laurent polynomial with a handful of monomials: its
+coefficients come from one batch of determinants on a grid of roots of
+unity as wide as its exponent ranges.  The free energy integrates log|P|
+over the unit torus on half-shifted uniform grids, evaluating P there from
+those coefficients (with one step of Richardson extrapolation, since the
 plain grid sum converges like 1/grid^2, slower than the verification
 tolerance).
 """
@@ -42,6 +45,7 @@ from .loopmodel import (
     partition_function,
     weight as loop_weight,
 )
+from .fixtures import torus_two_faces
 from .quadfield import QuadVal
 from .quadgraph import NotFreeFermionic
 
@@ -442,27 +446,36 @@ def _odd_orientation(cycles, white_first):
     return bits
 
 
+def _constrained(comp, gq, faces):
+    """The faces an orientation must make odd: all of them, or all but the
+    last on a closed surface, which must be a sphere (V - E + F = 2)."""
+    if not comp.is_closed():
+        return faces
+    euler = len(gq.vertices) - len(gq.edges) + len(faces)
+    if euler != 2:
+        raise FFDimersError(f"closed surface of Euler characteristic {euler}"
+                            " is not a sphere; use torus_domain")
+    return faces[:-1]
+
+
 def kasteleyn_orientation(gq, comp):
     """Edge orientation with an odd number of clockwise edges around every
     constrained face (all cities and closed vertex links; on a closed sphere
-    one face is left unconstrained, as in the planar picture where the outer
-    face is free).  Returns {"bits": ..., "faces": ...}; bit 0 means the edge
-    points from its white endpoint to its black endpoint."""
+    one face is left unconstrained).  Returns {"bits", "faces", "color"};
+    bit 0 means the edge points from its white endpoint to its black
+    endpoint."""
     color = _gq_colors(gq)
     faces = gq_faces(comp, gq)
-    constrained = faces[:-1] if comp.is_closed() else faces
-    bits = _odd_orientation([cycle for _kind, _key, cycle in constrained],
-                            [color[u] == 1 for u, *_rest in gq.edges])
+    bits = _odd_orientation(
+        [cycle for _kind, _key, cycle in _constrained(comp, gq, faces)],
+        [color[u] == 1 for u, *_rest in gq.edges])
     return {"bits": bits, "faces": faces, "color": color}
 
 
 def kasteleyn_valid(gq, data, comp):
     """Independent checker for the odd-clockwise property."""
     color = data["color"]
-    faces = gq_faces(comp, gq)
-    if comp.is_closed():
-        faces = faces[:-1]
-    for _kind, _key, cycle in faces:
+    for _kind, _key, cycle in _constrained(comp, gq, gq_faces(comp, gq)):
         clockwise = 0
         for (i, forward) in cycle:
             u = gq.edges[i][0]
@@ -474,6 +487,23 @@ def kasteleyn_valid(gq, data, comp):
         if clockwise % 2 == 0:
             return False
     return True
+
+
+def _kasteleyn_entries(white, edges, bits, twist=(0, 0)):
+    """(entries, shape) of the white-by-black Kasteleyn matrix over edges
+    (u, v, weight, (m, n)), v lying in cell (m, n) as seen from u.  Rows and
+    columns rank the white and the black vertices by str; edge i enters with
+    sign (-1)**(bits[i] + twist . (m, n)), bit 0 pointing it white -> black."""
+    ends = sorted({x for u, v, *_rest in edges for x in (u, v)}, key=str)
+    whites = [v for v in ends if v in white]
+    blacks = [v for v in ends if v not in white]
+    rank = {v: k for part in (whites, blacks) for k, v in enumerate(part)}
+    entries = []
+    for i, (u, v, wt, (m, n)) in enumerate(edges):
+        c = (-1.0) ** (bits[i] + twist[0] * m + twist[1] * n) * float(wt)
+        entries.append((rank[u], rank[v], c, (m, n)) if u in white
+                       else (rank[v], rank[u], c, (-m, -n)))
+    return entries, (len(whites), len(blacks))
 
 
 def kasteleyn_matrix(entries, shape, z, w):
@@ -490,17 +520,10 @@ def kasteleyn_matrix(entries, shape, z, w):
 def kasteleyn_determinant(gq, data):
     """|det K| for the signed white-by-black matrix (planar/sphere check)."""
     color = data["color"]
-    whites = sorted((v for v in gq.vertices if color[v] == 1), key=str)
-    blacks = sorted((v for v in gq.vertices if color[v] == 0), key=str)
-    wi = {v: i for i, v in enumerate(whites)}
-    bi = {v: i for i, v in enumerate(blacks)}
-    entries = []
-    for i, (u, v, w, _k) in enumerate(gq.edges):
-        wv, bv = (u, v) if color[u] == 1 else (v, u)
-        # bit 0 already means the edge points white -> black
-        c = -float(w) if data["bits"][i] else float(w)
-        entries.append((wi[wv], bi[bv], c, (0, 0)))
-    K = kasteleyn_matrix(entries, (len(whites), len(blacks)), 1.0, 1.0)
+    entries, shape = _kasteleyn_entries(
+        {v for v in gq.vertices if color[v] == 1},
+        [(u, v, w, (0, 0)) for u, v, w, _k in gq.edges], data["bits"])
+    K = kasteleyn_matrix(entries, shape, 1.0, 1.0)
     return abs(np.linalg.det(K.real))         # real at z = w = 1
 
 
@@ -513,72 +536,24 @@ _GRID_BLOCK = 8192
 
 
 class TorusDimerGraph:
-    """Bipartite weighted graph on the torus: canonical-cell vertices plus
-    edges with cell offsets (m, n) in the period lattice.
+    """Bipartite weighted graph on the torus: edges (u, v, weight, (m, n))
+    from a canonical-cell vertex u to v in cell (m, n) of the period lattice,
+    the set of white vertices, and the face cycles as lists of (edge index,
+    traversed u -> v) steps.
 
     The constructor solves the Kasteleyn signs (every face odd) and the
     twist sector, chosen so that the spectral determinant vanishes at (1, 1)
     when possible, into the matrix entries that char_poly evaluates."""
 
-    def __init__(self, colors, positions, periods, edges):
-        self.colors = dict(colors)            # id -> "white"/"black"
-        self.positions = dict(positions)
-        self.periods = periods                # ((px, py), (qx, qy))
-        self.edges = list(edges)              # (u, v, weight, (m, n))
-        whites = sorted(v for v in self.colors if self.colors[v] == "white")
-        blacks = sorted(v for v in self.colors if self.colors[v] == "black")
-        wi = {v: i for i, v in enumerate(whites)}
-        bi = {v: i for i, v in enumerate(blacks)}
-        self.shape = (len(whites), len(blacks))
-        white_first = [self.colors[u] == "white" for u, *_rest in self.edges]
-        bits = _odd_orientation(
-            [[(i, d == 0) for i, d in cyc] for cyc in self.faces()],
-            white_first)
-        best = None
-        for tz, tw in itertools.product((0, 1), repeat=2):
-            self.entries = []
-            for i, (u, v, wt, (m, n)) in enumerate(self.edges):
-                c = (-1.0) ** (bits[i] + tz * m + tw * n) * float(wt)
-                self.entries.append(
-                    (wi[u], bi[v], c, (m, n)) if white_first[i]
-                    else (wi[v], bi[u], c, (-m, -n)))
-            key = (round(abs(self.char_poly(1.0, 1.0)), 9), tz, tw)
-            if best is None or key < best[0]:
-                best = (key, self.entries)
-        self.entries = best[1]
-
-    def pos(self, v, cell=(0, 0)):
-        x, y = self.positions[v]
-        (px, py), (qx, qy) = self.periods
-        return (x + cell[0] * px + cell[1] * qx,
-                y + cell[0] * py + cell[1] * qy)
-
-    def faces(self):
-        """Face cycles from the rotation system of the periodic embedding."""
-        at = {v: [] for v in self.colors}
-        for i, (u, v, _w, off) in enumerate(self.edges):
-            pu, pv = self.pos(u), self.pos(v, off)
-            at[u].append((math.atan2(pv[1] - pu[1], pv[0] - pu[0]), (i, 0)))
-            pu2 = self.pos(u, (-off[0], -off[1]))
-            pv2 = self.pos(v)
-            at[v].append((math.atan2(pu2[1] - pv2[1], pu2[0] - pv2[0]),
-                          (i, 1)))
-        rot = {}
-        for v, lst in at.items():
-            lst.sort()
-            for k, (_a, d) in enumerate(lst):
-                rot[d] = lst[(k + 1) % len(lst)][1]
-        faces, seen = [], set()
-        for d0 in sorted(rot):
-            if d0 in seen:
-                continue
-            cyc, d = [], d0
-            while d not in seen:
-                seen.add(d)
-                cyc.append(d)
-                d = rot[(d[0], 1 - d[1])]
-            faces.append(cyc)
-        return faces
+    def __init__(self, white, edges, faces):
+        self.white = frozenset(white)
+        self.edges = list(edges)
+        bits = _odd_orientation(faces, [u in self.white
+                                        for u, *_rest in self.edges])
+        sectors = [_kasteleyn_entries(self.white, self.edges, bits, twist)
+                   for twist in itertools.product((0, 1), repeat=2)]
+        self.entries, self.shape = min(sectors, key=lambda sector: round(
+            abs(np.linalg.det(kasteleyn_matrix(*sector, 1.0, 1.0))), 9))
 
     def char_poly(self, z, w):
         K = kasteleyn_matrix(self.entries, self.shape, z, w)
@@ -660,52 +635,59 @@ def _sin_cos(theta):
     return math.sin(theta), math.cos(theta)
 
 
+def torus_domain(comp, params, offsets):
+    """Fundamental domain of a periodic decorated graph: build_gq on comp,
+    a closed FaceComplex of Euler characteristic 0, with _gq_colors' colors
+    and gq_faces' faces.  offsets maps the side (fid, s) where a road starts
+    to the period-lattice cell (m, n) of the face across it."""
+    gq = build_gq(comp, params)
+    faces = gq_faces(comp, gq)
+    if not comp.is_closed() or \
+            len(gq.vertices) - len(gq.edges) + len(faces) != 0:
+        raise FFDimersError("a torus domain needs a closed complex of Euler "
+                            "characteristic 0")
+    edges = [(u, v, w, offsets[u] if kind == "road" else (0, 0))
+             for u, v, w, kind in gq.edges]
+    color = _gq_colors(gq)
+    g = TorusDimerGraph({v for v in color if color[v] == 1}, edges,
+                        [cycle for _kind, _key, cycle in faces])
+    return TorusDomain([params[fid].lam for fid in comp.face_ids()], g)
+
+
 def fig_octa_domain(theta):
     """Fundamental domain of the integrable-weight model: the renewed square
     lattice with horizontal weight sin(theta) and vertical weight cos(theta),
     four vertices per cell, periods (2,0) and (0,2)."""
     a, b = _sin_cos(theta)
-    colors = {(0, 0): "black", (1, 1): "black",
-              (1, 0): "white", (0, 1): "white"}
-    positions = {v: v for v in colors}
     edges = [
         ((0, 0), (1, 0), a, (0, 0)), ((1, 0), (0, 0), a, (1, 0)),
         ((0, 1), (1, 1), a, (0, 0)), ((1, 1), (0, 1), a, (1, 0)),
         ((0, 0), (0, 1), b, (0, 0)), ((0, 1), (0, 0), b, (0, 1)),
         ((1, 0), (1, 1), b, (0, 0)), ((1, 1), (1, 0), b, (0, 1)),
     ]
-    g = TorusDimerGraph(colors, positions, ((2, 0), (0, 2)), edges)
+    # the edge leaving p along axis 0 (horizontal) or 1 (vertical); the
+    # square at p runs out along p's and p + e1's, back along p + e2's and p's
+    out = {(u, int(u[0] == v[0])): i for i, (u, v, _w, _o) in enumerate(edges)}
+    faces = [[(out[p, 0], True), (out[(1 - p[0], p[1]), 1], True),
+              (out[(p[0], 1 - p[1]), 0], False), (out[p, 1], False)]
+             for p in itertools.product((0, 1), repeat=2)]
+    g = TorusDimerGraph({(1, 0), (0, 1)}, edges, faces)
     return TorusDomain([1.0, 1.0], g)
 
 
 def gq_torus_domain(theta):
-    """The decorated-graph fundamental domain of the same model (two cities,
-    twelve edges).  Its free energy matches the Lobachevsky closed form only
-    at theta = pi/4 and is off elsewhere (+0.2871 at pi/6 and pi/3); finding
-    that fault is ROADMAP item 1."""
+    """The decorated-graph domain of the same model on torus_two_faces,
+    periods (1, 1) and (1, -1), with (a, b) = (sin, cos)(theta) on both
+    faces.  That uniform angle is the fault: the free energy matches the
+    closed form only at pi/4 (+0.2871 at pi/6 and pi/3).  The rhombic
+    (b, a) on f1 matches it; the swap waits for the benchmark's self-test
+    (ROADMAP item 1(a))."""
     a, b = _sin_cos(theta)
-    colors = {}
-    positions = {}
-    off = {"S": (0, -0.3), "E": (0.3, 0), "N": (0, 0.3), "W": (-0.3, 0)}
-    centers = {0: (0.5, 0.5), 1: (1.5, 0.5)}
-    parity = {(0, "S"): "white", (0, "N"): "white", (1, "W"): "white",
-              (1, "E"): "white"}
-    for f in (0, 1):
-        for c in "SENW":
-            colors[(f, c)] = parity.get((f, c), "black")
-            positions[(f, c)] = (centers[f][0] + off[c][0],
-                                 centers[f][1] + off[c][1])
-    edges = []
-    for f, wts in ((0, {"SE": a, "EN": b, "NW": a, "WS": b}),
-                   (1, {"SE": b, "EN": a, "NW": b, "WS": a})):
-        for pair, w in wts.items():
-            edges.append(((f, pair[0]), (f, pair[1]), w, (0, 0)))
-    edges.append(((0, "S"), (1, "N"), 1.0, (-1, 0)))
-    edges.append(((0, "E"), (1, "W"), 1.0, (0, 0)))
-    edges.append(((0, "N"), (1, "S"), 1.0, (0, -1)))
-    edges.append(((0, "W"), (1, "E"), 1.0, (-1, -1)))
-    g = TorusDimerGraph(colors, positions, ((1, 1), (1, -1)), edges)
-    return TorusDomain([1.0, 1.0], g)
+    comp = torus_two_faces()
+    cells = ((0, 0), (1, 0), (1, 1), (0, 1))
+    return torus_domain(comp, dict.fromkeys(comp.face_ids(),
+                                            FFParams(1.0, a, b)),
+                        {("f0", s): cell for s, cell in enumerate(cells)})
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 from .kashaev import fill_corners, lift_state
 from .loopmodel import LOCAL_CONFIGS, side_colors
 from .stepped import fill_order, is_regular
-from .taut import build_taut_window, enumerate_taut, taut_weight
+from .taut import enumerate_taut, taut_weight, window_for
 
 
 class GrovesError(Exception):
@@ -78,7 +78,7 @@ def cube_recurrence_solve(U, g_init=None, mode="symbolic", window=None):
     """Origin value of the all-plus-sign recurrence along the fill order."""
     if not is_regular(U)["regular"]:
         raise GrovesError("requires a regular solid")
-    win = window or build_taut_window(U)
+    win = window_for(U, window)
     g = lift_state(win.sg, g_init, mode).g_values
     fill_corners(fill_order(U), g, _all_plus_step)
     return g[(0, 0, 0)]
@@ -87,7 +87,7 @@ def cube_recurrence_solve(U, g_init=None, mode="symbolic", window=None):
 def verify_grove_equality(U, window=None):
     """Loop-free partition function against the all-plus recurrence, as
     Laurent polynomials, plus the coefficient-parity reduction."""
-    win = window or build_taut_window(U)
+    win = window_for(U, window)
     configs = enumerate_taut(U, win)
     free = filter_no_loops(configs)
     total = win.registry.zero()

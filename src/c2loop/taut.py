@@ -218,6 +218,15 @@ def build_taut_window(U):
                        for k in zone})
 
 
+def window_for(U, window):
+    """window, checked to be one of the solid U, or U's own when None."""
+    if window is None:
+        return build_taut_window(U)
+    if window.sg.solid != U:
+        raise TautError("window is not one of this solid")
+    return window
+
+
 @dataclass
 class TautConfig(LoopConfig):
     """A LoopConfig on the zone faces of its window.
@@ -278,7 +287,7 @@ def enumerate_taut(U, window=None):
     The zone sides on the interface are the search's terminals, preset
     blue and paired as the reference picture pairs them; the search visits
     the faces in constraint order, so colors and the pairing prune early."""
-    win = window or build_taut_window(U)
+    win = window_for(U, window)
     zone = win.zone
     ids = win.comp.side_ids(zone)
     sides = [tuple(ids[(key, s)] for s in range(4)) for key in zone]
@@ -351,7 +360,7 @@ def taut_weight(win, config, symbolic=True, g_init=None):
 
 def y_taut(U, g_init=None, symbolic=True, window=None):
     """Renormalized partition function over all taut configurations."""
-    win = window or build_taut_window(U)
+    win = window_for(U, window)
     return sum(taut_weight(win, cfg, symbolic, g_init)
                for cfg in enumerate_taut(U, win))
 
@@ -361,7 +370,7 @@ def verify_partition_identity(U, mode="symbolic", g_init=None, window=None,
     """Partition function against the recurrence solution at the origin:
     exactly in symbolic mode, to tol in numeric mode at the values g_init
     (which symbolic mode does not take)."""
-    win = window or build_taut_window(U)
+    win = window_for(U, window)
     symbolic = mode == "symbolic"
     lhs = y_taut(U, g_init=g_init, symbolic=symbolic, window=win)
     rhs = win.symbolic_origin if symbolic else \
@@ -371,7 +380,7 @@ def verify_partition_identity(U, mode="symbolic", g_init=None, window=None,
 
 def verify_monomial_bijection(U, window=None):
     """Monomial <-> configuration checks on the symbolic solution."""
-    win = window or build_taut_window(U)
+    win = window_for(U, window)
     configs = enumerate_taut(U, win)
     poly = win.symbolic_origin
     report = {"n_configs": len(configs), "n_monomials": poly.num_terms()}
@@ -538,7 +547,7 @@ def reconstruct_from_monomial(U, monomial, window=None):
     presence and the residual half-integer exponent, and the variant off a
     known incident edge color.
     """
-    win = window or build_taut_window(U)
+    win = window_for(U, window)
     comp = win.comp
     root_faces = set()
     residual = {}
@@ -639,7 +648,7 @@ def reconstruct_from_monomial(U, monomial, window=None):
 def sample_taut(U, g_init, seed=0, n=1, window=None):
     """Exact sampling proportional to the numeric weight; deterministic for
     a given seed.  Returns one configuration, or a list when n > 1."""
-    win = window or build_taut_window(U)
+    win = window_for(U, window)
     configs = enumerate_taut(U, win)
     weights = [taut_weight(win, c, symbolic=False, g_init=g_init)
                for c in configs]

@@ -407,6 +407,13 @@ MALFORMED = {
         ["kashaev", "solve", "{d}/one_cube.json", "{d}/i.json"]),
     "kashaev-yb-row-zero": ({}, ["kashaev", "yb", "--row", "0"]),
     "kashaev-yb-row-eight": ({}, ["kashaev", "yb", "--row", "8", "--dual"]),
+    # input files the action needs but argv leaves out
+    "dimers-verify-no-graph": ({}, ["dimers", "verify"]),
+    "dimers-verify-no-weights": (
+        {}, ["dimers", "verify", "{d}/cube_graph.json"]),
+    "kashaev-solve-no-solid": ({}, ["kashaev", "solve"]),
+    "taut-reconstruct-no-monomial": (
+        {}, ["taut", "reconstruct", "{d}/one_cube.json"]),
 }
 # initial values that are not finite and positive, or whose weights leave
 # the float range
@@ -424,6 +431,9 @@ ERROR_START = {
     "kashaev-init-tiny": "NonPositive: face (0, (-1, -1, -1)) is 0.0, out of "
                          "float range, from the initial values 1e-200,",
     "kashaev-yb-row-zero": "TautError: row 0 is not one of 1-7",
+    **dict.fromkeys(["dimers-verify-no-graph", "dimers-verify-no-weights",
+                     "kashaev-solve-no-solid", "taut-reconstruct-no-monomial"],
+                    "a required input file is missing"),
 }
 
 

@@ -15,11 +15,13 @@ from c2loop.fixtures import (
     integrable_weights,
     pillow_sphere,
     rational_ff_weights,
+    torus_two_faces,
 )
 import c2loop.ffdimers as ffdimers
 from c2loop.ffdimers import (
     DecoratedDimerGraph,
     FFDimersError,
+    FFParams,
     NotARoad,
     TorusDimerGraph,
     TorusDomain,
@@ -40,6 +42,7 @@ from c2loop.ffdimers import (
     lobachevsky,
     lobachevsky_free_energy,
     road_probability,
+    torus_domain,
     verify_blue_marginal,
     verify_correspondence,
 )
@@ -49,6 +52,88 @@ from c2loop.quadfield import QuadVal
 from c2loop.quadgraph import FaceWeights, NotFreeFermionic
 
 CATALAN = 0.915965594177219015
+THETAS = [0.15, 0.3, math.pi / 6, math.pi / 4, math.pi / 3, 1.2]
+# f0's sides 0-3 see f1 in these cells of the periods (1, 1) and (1, -1)
+TWO_FACE_CELLS = {("f0", s): cell for s, cell in
+                  enumerate(((0, 0), (1, 0), (1, 1), (0, 1)))}
+
+
+# ---------------------------------------------------------------------------
+# oracles: the float-angle face finder, the hand-written twelve-edge domain
+# and the sphere's own vertex ranking that the shared Kasteleyn path replaced
+# ---------------------------------------------------------------------------
+
+def _angle_faces(positions, periods, edges):
+    """Face cycles of a periodic embedding from its rotation system: the
+    edges at each vertex sorted by the float angle to their far endpoint."""
+    def pos(v, cell=(0, 0)):
+        (x, y), ((px, py), (qx, qy)) = positions[v], periods
+        return (x + cell[0] * px + cell[1] * qx,
+                y + cell[0] * py + cell[1] * qy)
+
+    at = {v: [] for v in positions}
+    for i, (u, v, _w, off) in enumerate(edges):
+        pu, pv = pos(u), pos(v, off)
+        at[u].append((math.atan2(pv[1] - pu[1], pv[0] - pu[0]), (i, 0)))
+        pu2, pv2 = pos(u, (-off[0], -off[1])), pos(v)
+        at[v].append((math.atan2(pu2[1] - pv2[1], pu2[0] - pv2[0]), (i, 1)))
+    rot = {}
+    for lst in at.values():
+        lst.sort()
+        for k, (_a, d) in enumerate(lst):
+            rot[d] = lst[(k + 1) % len(lst)][1]
+    faces, seen = [], set()
+    for d0 in sorted(rot):
+        cyc, d = [], d0
+        while d not in seen:
+            seen.add(d)
+            cyc.append((d[0], d[1] == 0))
+            d = rot[(d[0], 1 - d[1])]
+        if cyc:
+            faces.append(cyc)
+    return faces
+
+
+def _octa_angle_faces(edges):
+    return _angle_faces({v: v for v in itertools.product((0, 1), repeat=2)},
+                        ((2, 0), (0, 2)), edges)
+
+
+def _hand_gq_domain(theta):
+    """The decorated domain written out by hand: two cities of corners
+    S, E, N, W, placed in the plane for the angle face finder."""
+    a, b = math.sin(theta), math.cos(theta)
+    off = {"S": (0, -0.3), "E": (0.3, 0), "N": (0, 0.3), "W": (-0.3, 0)}
+    centers = {0: (0.5, 0.5), 1: (1.5, 0.5)}
+    positions = {(f, c): (centers[f][0] + off[c][0], centers[f][1] + off[c][1])
+                 for f in (0, 1) for c in "SENW"}
+    edges = [((f, pair[0]), (f, pair[1]), w, (0, 0))
+             for f, wts in ((0, {"SE": a, "EN": b, "NW": a, "WS": b}),
+                            (1, {"SE": b, "EN": a, "NW": b, "WS": a}))
+             for pair, w in wts.items()]
+    edges += [((0, "S"), (1, "N"), 1.0, (-1, 0)),
+              ((0, "E"), (1, "W"), 1.0, (0, 0)),
+              ((0, "N"), (1, "S"), 1.0, (0, -1)),
+              ((0, "W"), (1, "E"), 1.0, (-1, -1))]
+    white = {(0, "S"), (0, "N"), (1, "W"), (1, "E")}
+    faces = _angle_faces(positions, ((1, 1), (1, -1)), edges)
+    return TorusDomain([1.0, 1.0], TorusDimerGraph(white, edges, faces))
+
+
+def _ranked_determinant(gq, data):
+    """|det K| from the sphere's own white/black ranking and signs."""
+    color = data["color"]
+    whites = sorted((v for v in gq.vertices if color[v] == 1), key=str)
+    blacks = sorted((v for v in gq.vertices if color[v] == 0), key=str)
+    wi = {v: i for i, v in enumerate(whites)}
+    bi = {v: i for i, v in enumerate(blacks)}
+    entries = []
+    for i, (u, v, w, _k) in enumerate(gq.edges):
+        wv, bv = (u, v) if color[u] == 1 else (v, u)
+        c = -float(w) if data["bits"][i] else float(w)
+        entries.append((wi[wv], bi[bv], c, (0, 0)))
+    K = kasteleyn_matrix(entries, (len(whites), len(blacks)), 1.0, 1.0)
+    return abs(np.linalg.det(K.real))
 
 
 def test_ff_check_cases():
@@ -277,10 +362,72 @@ def test_kasteleyn_cube_gq():
             bits = list(data["bits"])
             bits[i] ^= 1
             assert not kasteleyn_valid(gq, dict(data, bits=bits), comp)
-        # determinant reproduces the brute-force matching sum
+        # determinant reproduces the brute-force matching sum, and the
+        # shared entry builder leaves it bit for bit as it was
         z = dimer_partition_bruteforce(gq)
-        assert kasteleyn_determinant(gq, data) == pytest.approx(float(z),
-                                                                rel=1e-9)
+        det = kasteleyn_determinant(gq, data)
+        assert det == pytest.approx(float(z), rel=1e-9)
+        assert det == _ranked_determinant(gq, data)
+
+
+def test_kasteleyn_rejects_torus():
+    # on the torus the odd-face solve succeeds, but |det K| is not Z (0.580
+    # against 3.420 on the draw below), so a closed surface must be a sphere
+    comp = torus_two_faces()
+    gq = build_gq(comp, {f: ff_decompose(rational_ff_weights(random.Random(4)))
+                         for f in comp.face_ids()})
+    assert len(gq.vertices) - len(gq.edges) + len(gq_faces(comp, gq)) == 0
+    with pytest.raises(FFDimersError, match="Euler characteristic 0"):
+        kasteleyn_orientation(gq, comp)
+    data = {"bits": [0] * len(gq.edges), "color": ffdimers._gq_colors(gq)}
+    with pytest.raises(FFDimersError):
+        kasteleyn_valid(gq, data, comp)
+
+
+def test_torus_domain_rejects_sphere():
+    comp = complex_from_quadgraph(pillow_sphere())
+    params = dict.fromkeys(comp.face_ids(), FFParams(1.0, 0.6, 0.8))
+    with pytest.raises(FFDimersError):
+        torus_domain(comp, params, {})
+
+
+@pytest.mark.parametrize("theta", THETAS)
+def test_fig_octa_faces_match_angle_faces(theta):
+    # the generated squares give the entries the float-angle finder gave
+    g = fig_octa_domain(theta).dimer_graph
+    assert g.white == {(1, 0), (0, 1)}
+    oracle = TorusDimerGraph(g.white, g.edges, _octa_angle_faces(g.edges))
+    assert g.entries == oracle.entries and g.shape == oracle.shape
+
+
+@pytest.mark.parametrize("theta", THETAS)
+def test_gq_torus_domain_matches_hand_domain(theta):
+    assert free_energy(gq_torus_domain(theta)) == pytest.approx(
+        free_energy(_hand_gq_domain(theta)), abs=1e-12)
+
+
+@pytest.mark.parametrize("theta", [math.pi / 6, 0.3, math.pi / 4,
+                                   math.pi / 3])
+def test_rhombic_decorated_domain_matches_closed_form(theta):
+    # (a, b) on f0 and (b, a) on f1 make the embedding rhombic: P gets its
+    # real node at (1, 1) and the free energy its closed form
+    a, b = math.sin(theta), math.cos(theta)
+    dom = torus_domain(torus_two_faces(), {"f0": FFParams(1.0, a, b),
+                                           "f1": FFParams(1.0, b, a)},
+                       TWO_FACE_CELLS)
+    assert abs(dom.dimer_graph.char_poly(1.0, 1.0)) < 1e-12
+    assert free_energy(dom, grid=512) == pytest.approx(
+        lobachevsky_free_energy(theta), abs=1e-6)
+
+
+def test_uniform_decorated_domain_is_off_the_closed_form():
+    # the uniform angle of gq_torus_domain is an off-critical model
+    dom = torus_domain(torus_two_faces(), dict.fromkeys(
+        ("f0", "f1"), FFParams(1.0, math.sin(0.3), math.cos(0.3))),
+        TWO_FACE_CELLS)
+    fe = free_energy(dom, grid=512)
+    assert fe == free_energy(gq_torus_domain(0.3), grid=512)
+    assert abs(fe - lobachevsky_free_energy(0.3)) > 0.05
 
 
 def test_kasteleyn_single_city():
@@ -362,8 +509,8 @@ def test_char_poly_coeffs_reproduce_char_poly(make_domain, theta):
 def test_free_energy_rejects_vanishing_char_poly():
     # all-zero weights: P is identically 0, so log|P| is -inf at every node
     g = fig_octa_domain(0.3).dimer_graph
-    g = TorusDimerGraph(g.colors, g.positions, g.periods,
-                        [(u, v, 0.0, off) for u, v, _w, off in g.edges])
+    edges = [(u, v, 0.0, off) for u, v, _w, off in g.edges]
+    g = TorusDimerGraph(g.white, edges, _octa_angle_faces(edges))
     with pytest.raises(FFDimersError):
         free_energy(TorusDomain([1.0, 1.0], g), grid=64)
 

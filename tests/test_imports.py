@@ -1,10 +1,13 @@
-"""Every name a module under src/c2loop imports is used in that module, and
-every module-level private name it defines is read somewhere in the package."""
+"""Every name a module under src/c2loop imports is used in that module,
+every module-level private name it defines is read somewhere in the package,
+and every c2loop name the benchmark calls still resolves."""
 
 import ast
+import importlib
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "c2loop"
+PERFBENCH = SRC.parent.parent / "perfbench"
 
 
 def unused_imports(source):
@@ -78,3 +81,50 @@ def test_no_dead_private_names():
     found = unused_private_names({p.name: p.read_text()
                                   for p in sorted(SRC.glob("*.py"))})
     assert found == []
+
+
+def c2loop_reads(source):
+    """(module, name) of each c2loop name the source reads: names it imports
+    from a c2loop module, and attributes it reads off the c2loop modules it
+    imports."""
+    tree = ast.parse(source)
+    modules, reads = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "c2loop":
+            modules.update((a.asname or a.name, a.name) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and \
+                (node.module or "").startswith("c2loop."):
+            reads.update((node.module[7:], a.name) for a in node.names)
+    reads.update((modules[node.value.id], node.attr)
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name)
+                 and node.value.id in modules)
+    return reads
+
+
+def traced_names():
+    """(module, function) of each entry of the benchmark tracer's TARGETS."""
+    tree = ast.parse((PERFBENCH / "spans.py").read_text())
+    targets, = (node.value for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["TARGETS"])
+    return {(t.elts[0].value, t.elts[1].value) for t in targets.elts}
+
+
+def test_scan_finds_benchmark_reads():
+    src = ("from c2loop import (ffdimers,\n    taut as t)\n"
+           "from c2loop.kashaev import solve_origin\n"
+           "ffdimers.build_gq(t.window.sg, taut.gone)\n")
+    assert c2loop_reads(src) == {("ffdimers", "build_gq"), ("taut", "window"),
+                                 ("kashaev", "solve_origin")}
+
+
+def test_benchmark_names_resolve():
+    # a rename of a benchmarked function fails here, not in a benchmark run
+    reads = c2loop_reads((PERFBENCH / "ops.py").read_text())
+    assert ("ffdimers", "gq_torus_domain") in reads
+    names = reads | traced_names()
+    missing = [f"c2loop.{mod}.{name}" for mod, name in sorted(names)
+               if not hasattr(importlib.import_module(f"c2loop.{mod}"), name)]
+    assert missing == []

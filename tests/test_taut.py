@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import c2loop.groves
 import c2loop.stepped
 import c2loop.taut
 from c2loop.kashaev import cube_from_bottom, kashaev_step, solve_origin
@@ -600,3 +601,24 @@ def test_numeric_weights_out_of_range_raise(monkeypatch):
                         lambda *args, **kwargs: 1e308)
     with pytest.raises(TautError, match="finite positive total"):
         sample_taut(ONE, dict.fromkeys(win.sg.vertices, 1.0), window=win)
+
+
+TWO = SteppedSolid.from_removed([(-1, -1, -1), (-2, -1, -1)])
+
+
+@pytest.mark.parametrize("call", [
+    lambda w: enumerate_taut(ONE, w),
+    lambda w: y_taut(ONE, window=w),
+    lambda w: verify_partition_identity(ONE, window=w),
+    lambda w: verify_monomial_bijection(ONE, window=w),
+    lambda w: reconstruct_from_monomial(ONE, {}, window=w),
+    lambda w: sample_taut(ONE, {}, window=w),
+    lambda w: c2loop.groves.cube_recurrence_solve(ONE, window=w),
+    lambda w: c2loop.groves.verify_grove_equality(ONE, window=w),
+], ids=["enumerate_taut", "y_taut", "verify_partition_identity",
+        "verify_monomial_bijection", "reconstruct_from_monomial",
+        "sample_taut", "cube_recurrence_solve", "verify_grove_equality"])
+def test_window_of_another_solid_is_rejected(call):
+    # a two-cube window would check, enumerate or fail on the wrong solid
+    with pytest.raises(TautError, match="not one of this solid"):
+        call(build_taut_window(TWO))
