@@ -18,7 +18,9 @@ One kernel, _mul, multiplies and reduces in a single pass: merging two
 monomials, it rewrites a root that reaches s^2 by its square on the spot,
 from tables the registry builds once.  Products and monomial division go
 through it, and so does a constructed term with a root variable: poly(),
-which var() and monomial() call, builds every term list.
+which monomial() calls, builds every term list.  A variable to the first
+power is already canonical, so var() builds that term itself, and a square
+may be given as a term dict already in canonical form.
 
 Representation:
 
@@ -35,6 +37,9 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+
+
+_ONE = Fraction(1)
 
 
 class LaurentError(Exception):
@@ -64,9 +69,11 @@ class NegativeUnderRoot(LaurentError):
 class VarRegistry:
     """Immutable registry of vertex variables and root variables.
 
-    Root variables are declared with their defining square, a LaurentPoly in
-    vertex variables only.  The registry fixes the global variable order used
-    by the graded-lexicographic term order.
+    Root variables are declared with their defining square, a polynomial in
+    vertex variables only: a list of (exps_dict, coeff) pairs, summed as
+    poly() sums them, or a term dict {Monomial: coeff} already in canonical
+    form.  The registry fixes the global variable order used by the
+    graded-lexicographic term order.
     """
 
     def __init__(self, vertex_vars, root_squares=None):
@@ -77,21 +84,23 @@ class VarRegistry:
         if len(set(names)) != len(names):
             raise LaurentError("variable names must be unique")
         # the multiply kernel's tables: the variable order, the roots, and
-        # each root's square
+        # each root's square as a term dict with integral coefficients as
+        # int.  A square holds no LaurentPoly, whose registry would point
+        # back here and make a cycle that only the garbage collector frees.
         self._index = {n: i for i, n in enumerate(names)}
         self._squares = {}
         # with no roots known yet, poly() sums each square's terms as they
         # stand, and a square that names a root is refused below
         self._roots = frozenset()
         for name, sq in root_squares.items():
-            if not isinstance(sq, LaurentPoly):
-                sq = self.poly(sq)
-            for mono in sq.terms:
+            terms = self._canonical(sq) if isinstance(sq, dict) \
+                else self.poly(sq).terms
+            for mono in terms:
                 for var, _e in mono:
                     if var in root_squares:
                         raise LaurentError(
                             "root definitions must use vertex variables only")
-            self._squares[name] = sq
+            self._squares[name] = dict(_int_terms(terms))
         self._roots = frozenset(self.root_vars)
         self._frozen = True
 
@@ -108,7 +117,7 @@ class VarRegistry:
         if (self.vertex_vars, self.root_vars) != (other.vertex_vars,
                                                   other.root_vars):
             return False
-        return all(self._squares[n].terms == other._squares[n].terms
+        return all(self._squares[n] == other._squares[n]
                    for n in self.root_vars)
 
     def __hash__(self):
@@ -121,7 +130,25 @@ class VarRegistry:
         return name in self._squares
 
     def root_square(self, name):
-        return self._squares[name]
+        return LaurentPoly({m: Fraction(c)
+                            for m, c in self._squares[name].items()}, self)
+
+    def _canonical(self, terms):
+        """A term dict, checked to be in canonical form: every monomial's
+        variables known, in registry order, with nonzero exponents, and no
+        zero coefficient."""
+        index = self._index
+        for mono, c in terms.items():
+            last = -1
+            for n, e in mono:
+                if index[n] <= last or not e:
+                    break
+                last = index[n]
+            else:
+                if c:
+                    continue
+            raise LaurentError(f"term {mono}: {c} is not canonical")
+        return terms
 
     # -- constructors ----------------------------------------------------
 
@@ -137,6 +164,8 @@ class VarRegistry:
     def var(self, name, exp=1, coeff=1):
         if name not in self._index:
             raise LaurentError(f"unknown variable {name!r}")
+        if exp == 1 and coeff == 1:
+            return LaurentPoly({((name, 1),): _ONE}, self)
         return self.monomial({name: exp}, coeff)
 
     def monomial(self, exps, coeff=1):
@@ -291,7 +320,7 @@ def _mul(terms1, terms2, reg):
                         f"negative exponent on root variable {n!r}")
                 for _ in range(e // 2):
                     mono = None
-                    square = _int_terms(reg._squares[n].terms)
+                    square = reg._squares[n].items()
                     products = [(_merge(dp, sm + ((n, -2),)), cp * sc)
                                 for dp, cp in products for sm, sc in square]
             for d, c in products:

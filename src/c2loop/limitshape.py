@@ -34,6 +34,13 @@ def intrinsic_residual(R, S):
     return R * R * S * S - 6 * R * S - 4 * R - 4 * S - 3
 
 
+def _finite_positive(**values):
+    """LimitShapeError unless every value is a finite positive float."""
+    for name, x in values.items():
+        if not 0 < x < math.inf:
+            raise LimitShapeError(f"{name} = {x} is not finite and positive")
+
+
 def s_from_r(R):
     """Greatest root of the intrinsic relation in S."""
     if not R > 0:
@@ -41,16 +48,26 @@ def s_from_r(R):
     A = R * R
     B = -(6 * R + 4)
     C = -(4 * R + 3)
-    return (-B + math.sqrt(B * B - 4 * A * C)) / (2 * A)
+    try:
+        S = (-B + math.sqrt(B * B - 4 * A * C)) / (2 * A)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise LimitShapeError(f"S is out of float range at R = {R}") from exc
+    _finite_positive(R=R, S=S)
+    return S
 
 
 def rs_from_abc(a, b, c):
     """R, S and the first new layer d from three initial layers."""
     if min(a, b, c) <= 0:
         raise LimitShapeError("layers must be positive")
-    d = (2 * b ** 3 + 3 * a * b * c + 2 * (a * c + b * b) ** 1.5) / a ** 2
-    R = a * c / (b * b)
-    S = b * d / (c * c)
+    try:
+        d = (2 * b ** 3 + 3 * a * b * c + 2 * (a * c + b * b) ** 1.5) / a ** 2
+        R = a * c / (b * b)
+        S = b * d / (c * c)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise LimitShapeError("R, S or d is out of float range at layers "
+                              f"{a}, {b}, {c}") from exc
+    _finite_positive(R=R, S=S, d=d)
     res = intrinsic_residual(R, S)
     if abs(res) > 1e-9 * (1 + (R * S) ** 2):
         raise IntrinsicViolated(f"residual {res}")

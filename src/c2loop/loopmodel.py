@@ -114,12 +114,15 @@ class FaceComplex:
     @classmethod
     def from_corners(cls, corner_ids):
         """Glue the two face sides over each primal edge, visiting faces in
-        corner_ids order; an edge may bound at most two faces."""
+        corner_ids order; an edge may bound at most two faces.  An edge is
+        keyed by its sorted corner pair."""
         comp = cls(corner_ids)
         incid = {}
-        for fid in corner_ids:
+        for fid, cyc in corner_ids.items():
             for s in range(4):
-                incid.setdefault(comp.edge_of(fid, s), []).append((fid, s))
+                a, b = cyc[s], cyc[(s + 1) % 4]
+                incid.setdefault((a, b) if a <= b else (b, a),
+                                 []).append((fid, s))
         for e, slots in incid.items():
             if len(slots) > 2:
                 raise LoopModelError(

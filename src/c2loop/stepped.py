@@ -327,11 +327,16 @@ class SurfaceGraph:
     def registry(self):
         """Variables of exact initial data, built on first symbolic use: one
         per vertex, and one root per face whose square is the sum of the
-        face's two diagonal products."""
+        face's two diagonal products.  The variables follow the vertex
+        order, so each square is built in canonical form: a diagonal's
+        corners in vertex order, the (a, c) diagonal's term first."""
         names = {v: self.vertex_var_name(v) for v in sorted(self.vertices)}
-        squares = {self.face_root_name(key): [
-            ({names[a]: 1, names[c]: 1}, 1), ({names[b]: 1, names[d]: 1}, 1)]
-            for key, (a, b, c, d) in self.faces.items()}
+
+        def term(p, q):
+            return ((names[p], 1), (names[q], 1)) if p < q else \
+                ((names[q], 1), (names[p], 1))
+        squares = {self.face_root_name(key): {term(a, c): 1, term(b, d): 1}
+                   for key, (a, b, c, d) in self.faces.items()}
         return VarRegistry(names.values(), squares)
 
 

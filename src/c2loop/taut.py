@@ -44,6 +44,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .kashaev import agree, positive_value, solve_origin, solve_state
 from .laurent import LaurentPoly
@@ -80,10 +81,13 @@ ROW_TYPES = {1: ("1a", "1b"), 2: ("2a", "2b"), 3: ("3a", "3b"),
 
 
 def _rotate_black_first(cyc):
-    """Rotate a face cycle so the lex-least even-height corner leads."""
-    blacks = [i for i, c in enumerate(cyc) if height(c) % 2 == 0]
-    i = min(blacks, key=lambda k: cyc[k])
-    return tuple(cyc[(i + j) % 4] for j in range(4))
+    """Rotate a face cycle so the lex-least even-height corner leads.  The
+    heights alternate in parity around a face, so the even-height corners
+    are slots 0 and 2 or slots 1 and 3."""
+    i = height(cyc[0]) % 2
+    if cyc[i + 2] < cyc[i]:
+        i += 2
+    return cyc[i:] + cyc[:i]
 
 
 def window_complex(sg):
@@ -154,10 +158,80 @@ class TautWindow:
         return {key for key in self.comp.face_ids()
                 if not corners.isdisjoint(self.comp.corner_ids[key])}
 
+    @cached_property
+    def peel_plan(self):
+        """The order in which reconstruction decides the zone faces.
+
+        Reconstruction always decides next the face of the least vertex
+        with one undecided zone face, and which face that is depends only on
+        the window's corner incidence, never on the monomial.  So the order
+        is worked out once: each step gives its pivot, the face, the face's
+        corners and sides, and the face's sides already colored (by the
+        interface or by an earlier face) and not yet colored, all as
+        positions in the plan's vertex and side lists.  Raises Stuck when no
+        vertex has a single undecided face, or when a face comes up with no
+        colored side, whose row's two variants could not then be told
+        apart."""
+        comp = self.comp
+        unknown_at = {}
+        for key in self.zone:
+            for c in comp.corner_ids[key]:
+                unknown_at.setdefault(c, set()).add(key)
+        at = {v: i for i, v in enumerate(unknown_at)}
+        side_at = {}
+        for key in self.zone:
+            for e in self.sides[key]:
+                side_at.setdefault(e, len(side_at))
+        colors = [None] * len(side_at)
+        for e in self.interface_edges:
+            colors[side_at[e]] = "B"
+        colored = {side_at[e] for e in self.interface_edges}
+        # a vertex's count only falls, so it enters the heap once, and
+        # entries whose count has reached zero since are stale
+        ready = [v for v, faces in unknown_at.items() if len(faces) == 1]
+        heapq.heapify(ready)
+        steps = []
+        for _ in self.zone:
+            while ready and not unknown_at[ready[0]]:
+                heapq.heappop(ready)
+            if not ready:
+                raise Stuck("no vertex with a single unknown face")
+            v = heapq.heappop(ready)
+            key, = unknown_at[v]
+            cyc = comp.corner_ids[key]
+            sides = tuple(side_at[e] for e in self.sides[key])
+            known = tuple(s for s in range(4) if sides[s] in colored)
+            if not known:
+                raise Stuck(f"variant ambiguous at {key}")
+            colored.update(sides)
+            steps.append((at[v], cyc.index(v) % 2 == 0, key,
+                          tuple(at[c] for c in cyc), sides, known,
+                          tuple(s for s in range(4) if s not in known)))
+            for c in cyc:
+                unknown_at[c].discard(key)
+                if len(unknown_at[c]) == 1:
+                    heapq.heappush(ready, c)
+        return PeelPlan(list(unknown_at), {self.vnames[v]: i
+                                           for v, i in at.items()},
+                        [-self.collar[v] for v in unknown_at], colors, steps)
+
+
+class PeelPlan(NamedTuple):
+    """A window's reconstruction order (TautWindow.peel_plan)."""
+
+    vertices: list      # the vertices of the zone faces
+    position: dict      # their variable names -> positions in vertices
+    residuals: list     # per vertex, minus its frozen collar, half-units
+    colors: list        # per zone side, its color before any step
+    steps: list         # (pivot, pivot on the black diagonal, face,
+    #                      corners, sides, colored slots, fresh slots)
+
 
 def _unglued_sides(comp):
     """Primal edge -> (face, slot) of each side no other face shares."""
-    return {comp.edge_of(*side): side for side in comp.half_edges()}
+    return {comp.edge_of(key, s): (key, s)
+            for key in comp.corner_ids for s in range(4)
+            if (key, s) not in comp.gluing}
 
 
 # window radius beyond R_U: the frozen collar around the zone ball
@@ -251,18 +325,20 @@ class TautConfig(LoopConfig):
 
     @cached_property
     def monomial_key(self):
-        """The weight's canonical monomial in the window's registry."""
+        """The weight's canonical monomial in the window's registry: the
+        nonzero exponents sorted by variable, each root to the first power,
+        so nothing needs reducing."""
         win = self.window
         exps, roots = self.exponents
-        mono = {}
+        mono = []
         for v, e in exps.items():
             if e % 2:
                 raise TautError(f"half-integer exponent survived at {v}")
-            mono[win.vnames[v]] = e // 2
-        for key in roots:
-            mono[win.sg.face_root_name(key)] = 1
-        (key,) = win.registry.monomial(mono).terms
-        return key
+            mono.append((win.vnames[v], e // 2))
+        mono.extend((win.sg.face_root_name(key), 1) for key in roots)
+        index = win.registry.index
+        mono.sort(key=lambda t: index(t[0]))
+        return tuple(mono)
 
     def full_assignment(self):
         out = {key: sigma0_type(self.window.comp.corner_ids[key])
@@ -539,108 +615,72 @@ def yang_baxter_row_check(row, side_swap=False):
 # reconstruction
 # ---------------------------------------------------------------------------
 
+# (face root present, residual at the pivot in half-units, pivot on the
+# black diagonal) -> the row of the pivot's face
+_PIVOT_ROW = {(True, 1, True): 3, (True, 1, False): 4,
+              (True, 0, True): 4, (True, 0, False): 3,
+              (False, 2, True): 1, (False, 2, False): 2,
+              (False, 0, True): 2, (False, 0, False): 1,
+              (False, 1, True): 5, (False, 1, False): 5}
+
+
 def reconstruct_from_monomial(U, monomial, window=None):
     """Rebuild the unique configuration whose weight is the given monomial.
 
-    monomial: {var name: exponent} over the window's variables.  Repeatedly
-    finds a vertex with one unknown face, reads the row off the face-root
-    presence and the residual half-integer exponent, and the variant off a
-    known incident edge color.
+    monomial: {var name: exponent} over the window's variables.  The faces
+    are decided in the window's peel plan: at each step's pivot, the one
+    vertex left with a single undecided face, the row is read off the
+    face-root presence and the residual half-integer exponent, and the
+    variant off one colored side, since the two variants of a row color
+    all four sides oppositely; the face's other colored sides must agree.
+    The loop count comes from tracing the zone independently, and the
+    configuration's weight must be the input.
     """
     win = window_for(U, window)
-    comp = win.comp
-    root_faces = set()
-    residual = {}
+    plan = win.peel_plan
+    roots = set()
+    # res tracks, in half-units, the exponent not yet explained by decided
+    # faces; the frozen collar and the +2 renormalization are folded in up
+    # front
+    res = list(plan.residuals)
     for name, e in monomial.items():
-        if win.registry.is_root(name):
+        if name in win.face_of:
             if e not in (0, 1):
                 raise NotAMonomial(f"root exponent {e}")
             if e:
-                root_faces.add(win.face_of[name])
-        elif name in win.vertex_of:
-            residual[win.vertex_of[name]] = e
-        else:
+                roots.add(win.face_of[name])
+        elif name in plan.position:
+            res[plan.position[name]] += 2 * e
+        elif name not in win.vertex_of:
             raise NotAMonomial(f"unknown variable {name!r}")
-
+    colors = list(plan.colors)
     assign = {}
-    # res tracks, in half-units, the exponent not yet explained by known
-    # faces; the frozen collar and the +2 renormalization are folded in up
-    # front
-    unknown_at = {}
-    for key in win.zone:
-        for c in comp.corner_ids[key]:
-            unknown_at.setdefault(c, set()).add(key)
-    res = {v: 2 * residual.get(v, 0) - win.collar[v] for v in unknown_at}
-    edge_color = {e: "B" for e in win.interface_edges}
-    # the least vertex with one unknown face comes next; a vertex's count
-    # only falls, so it enters the heap once, and entries whose count has
-    # reached zero since are stale
-    ready = [v for v, faces in unknown_at.items() if len(faces) == 1]
-    heapq.heapify(ready)
-    for _ in win.zone:
-        while ready and not unknown_at[ready[0]]:
-            heapq.heappop(ready)
-        if not ready:
-            raise Stuck("no vertex with a single unknown face")
-        v = heapq.heappop(ready)
-        key, = unknown_at[v]
-        cyc = comp.corner_ids[key]
-        sides = win.sides[key]
-        slot = cyc.index(v)
-        on_black_diag = slot % 2 == 0
-        r = res[v]
-        if key in root_faces:
-            if r == 1:
-                row = 3 if on_black_diag else 4
-            elif r == 0:
-                row = 4 if on_black_diag else 3
-            else:
-                raise NotAMonomial(
-                    f"residual {Fraction(r) / 2} at {v} with face root")
-        else:
-            if r == 2:
-                row = 1 if on_black_diag else 2
-            elif r == 0:
-                row = 2 if on_black_diag else 1
-            elif r == 1:
-                row = 5
-            else:
-                raise NotAMonomial(f"residual {Fraction(r) / 2} at {v}")
-        # variant from any known incident edge color
-        name = None
-        for cand in ROW_TYPES[row]:
-            cols = _SIDE_COLORS[cand]
-            ok = True
-            for s, e in enumerate(sides):
-                if e in edge_color and edge_color[e] != cols[s]:
-                    ok = False
-                    break
-            if ok and name is not None:
-                raise Stuck(f"variant ambiguous at {key}")
-            if ok:
-                name = cand
-        if name is None:
-            raise NotAMonomial(f"no variant of row {row} fits at {key}")
-        assign[key] = name
+    for v, black, key, corners, sides, known, fresh in plan.steps:
+        rooted = key in roots
+        row = _PIVOT_ROW.get((rooted, res[v], black))
+        if row is None:
+            with_root = " with face root" if rooted else ""
+            raise NotAMonomial(f"residual {Fraction(res[v]) / 2} at "
+                               f"{plan.vertices[v]}{with_root}")
+        a, b = ROW_TYPES[row]
+        s = known[0]
+        name = a if _SIDE_COLORS[a][s] == colors[sides[s]] else b
         cols = _SIDE_COLORS[name]
-        contrib = _CORNER_EXP[name]
-        for s, e in enumerate(sides):
-            if e not in edge_color:
-                edge_color[e] = cols[s]
-            c = cyc[s]
-            res[c] -= contrib[s]
-            unknown_at[c].discard(key)
-            if len(unknown_at[c]) == 1:
-                heapq.heappush(ready, c)
-    if any(r != 0 for r in res.values()):
+        if any(colors[sides[s]] != cols[s] for s in known):
+            raise NotAMonomial(f"no variant of row {row} fits at {key}")
+        for s in fresh:
+            colors[sides[s]] = cols[s]
+        for c, e in zip(corners, _CORNER_EXP[name]):
+            res[c] -= e
+        assign[key] = name
+    if any(res):
         raise NotAMonomial("unexplained exponents remain")
     # loops by independent tracing
     cfg = TautConfig(assign, count_loops(win.zone_comp, assign), win)
-    w = taut_weight(win, cfg, symbolic=True)
-    (m2, _c2), = w.terms.items()
+    index = win.registry.index
     want = tuple(sorted(((n, e) for n, e in monomial.items() if e != 0),
-                        key=lambda t: win.registry.index(t[0])))
-    if m2 != want:
+                        key=lambda t: index(t[0])))
+    if cfg.monomial_key != want:
         raise NotAMonomial("reconstructed weight does not match the input")
     return cfg
 

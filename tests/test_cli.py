@@ -368,6 +368,20 @@ MALFORMED = {
         {}, ["shape", "rho", "--N", "8", "--R", "-1"]),
     "shape-rho-huge-n": (
         {}, ["shape", "rho", "--N", "100000", "--R", "1"]),
+    # finite layers and R whose R, S or d leave the float range
+    "shape-params-huge-a-tiny-b": (
+        {}, ["shape", "params", "--a", "1e300", "--b", "1e-300"]),
+    "shape-params-huge-a-and-c": (
+        {}, ["shape", "params", "--a", "1e200", "--b", "1", "--c", "1e200"]),
+    "shape-params-tiny-a-huge-b": (
+        {}, ["shape", "params", "--a", "1e-300", "--b", "1e300"]),
+    "shape-params-tiny-a-and-c": (
+        {}, ["shape", "params", "--a", "1e-200", "--b", "1", "--c",
+             "1e-200"]),
+    "shape-rho-tiny-r": (
+        {}, ["shape", "rho", "--R", "1e-300", "--N", "5"]),
+    "shape-curve-tiny-r": (
+        {}, ["shape", "curve", "--R", "1e-300"]),
     "stepped-window-nan": (
         {}, ["stepped", "surface", "{d}/one_cube.json", "--window", "nan"]),
     "stepped-window-inf": (
@@ -434,6 +448,10 @@ ERROR_START = {
     **dict.fromkeys(["dimers-verify-no-graph", "dimers-verify-no-weights",
                      "kashaev-solve-no-solid", "taut-reconstruct-no-monomial"],
                     "a required input file is missing"),
+    **dict.fromkeys(["shape-params-huge-a-tiny-b", "shape-params-huge-a-and-c",
+                     "shape-params-tiny-a-huge-b", "shape-params-tiny-a-and-c",
+                     "shape-rho-tiny-r", "shape-curve-tiny-r"],
+                    "LimitShapeError: "),
 }
 
 

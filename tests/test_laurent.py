@@ -231,6 +231,19 @@ def test_squares_match_poly_in_insertion_order():
         assert all(type(c) is Fraction for c in got.values())
     with pytest.raises(KeyError):
         VarRegistry(names, {"s": [({"h": 1}, 1)]})
+    # a square given as a term dict is taken only in canonical form
+    canonical = {(("g", 1), ("g2", 1)): 1, (("g1", 1), ("g3", 1)): 1}
+    reg = VarRegistry(names, {"s": canonical})
+    assert list(reg.root_square("s").terms.items()) == list(
+        VarRegistry(names, {"s": [({"g2": 1, "g": 1}, 1),
+                                  ({"g3": 1, "g1": 1}, 1)]})
+        .root_square("s").terms.items())
+    for terms in ({(("g2", 1), ("g", 1)): 1}, {(("g", 1), ("g", 1)): 1},
+                  {(("g", 0),): 1}, {(("g", 1),): 0}):
+        with pytest.raises(LaurentError, match="not canonical"):
+            VarRegistry(names, {"s": terms})
+    with pytest.raises(KeyError):
+        VarRegistry(names, {"s": {(("h", 1),): 1}})
     for sq in ([({"g": 1, "t": 1}, 1)], [({"s": 1}, 1)], [({"s": 2}, 1)]):
         with pytest.raises(LaurentError, match="vertex variables only"):
             VarRegistry(names, {"t": [({"g": 1}, 1)], "s": sq})

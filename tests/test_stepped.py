@@ -371,10 +371,26 @@ def test_window_registry_matches_sums_of_diagonal_monomials():
         roots = [sg.face_root_name(key) for key in sorted(sg.faces)]
         assert reg.vertex_vars == tuple(names)
         assert reg.root_vars == tuple(roots)
+        # and against the squares poly() sums from the two diagonal terms,
+        # in the same insertion order
+        summed = VarRegistry(names, {
+            sg.face_root_name(key): [({sg.vertex_var_name(a): 1,
+                                       sg.vertex_var_name(b): 1}, 1)
+                                     for a, b in face_diagonals(*key)]
+            for key in sorted(sg.faces)})
         for key, root in zip(sorted(sg.faces), roots):
             want = plain.zero()
             for a, b in face_diagonals(*key):
                 want = want + plain.monomial(
                     {sg.vertex_var_name(a): 1, sg.vertex_var_name(b): 1})
-            assert list(reg.root_square(root).terms.items()) == \
-                list(want.terms.items())
+            got = list(reg.root_square(root).terms.items())
+            assert got == list(want.terms.items())
+            assert got == list(summed.root_square(root).terms.items())
+        assert reg == summed
+
+
+def test_window_variables_are_first_power_monomials():
+    for U, radius in _window_cases():
+        reg = surface_graph(U, radius).registry
+        for name in reg.vertex_vars + reg.root_vars:
+            assert reg.var(name).terms == reg.monomial({name: 1}).terms

@@ -1,6 +1,7 @@
 """Taut configurations: reference picture, enumeration, weights, theorems."""
 
 import dataclasses
+import heapq
 import math
 import random
 from fractions import Fraction
@@ -27,7 +28,10 @@ from c2loop.stepped import (
 )
 from c2loop.taut import (
     _CORNER_EXP,
+    ROW_TYPES,
     NotAMonomial,
+    Stuck,
+    TautConfig,
     TautError,
     TautWindow,
     build_taut_window,
@@ -179,6 +183,18 @@ def test_verify_solves_each_window_once(monkeypatch):
     assert modes == ["symbolic"]
     assert win.symbolic_origin == solve_origin(ONE, mode="symbolic",
                                                window=win.sg)
+
+
+def test_face_cycles_lead_with_least_black_corner():
+    # against the rotation that searches all four corners for the
+    # even-height ones
+    for U in (*enumerate_solids(3), slab_solid(4), BOX):
+        sg = surface_graph(U)
+        comp = window_complex(sg)
+        for key, cyc in sg.faces.items():
+            blacks = [c for c in cyc if height(c) % 2 == 0]
+            i = cyc.index(min(blacks))
+            assert comp.corner_ids[key] == cyc[i:] + cyc[:i]
 
 
 def test_sigma0_all_blue_turns():
@@ -413,16 +429,151 @@ def test_reconstruct_roundtrip_one_and_three():
             assert m2 == mono and c2 == coeff
 
 
+ROW3 = SteppedSolid.from_removed([(-3, -1, -1), (-2, -1, -1), (-1, -1, -1)])
+ELL3 = SteppedSolid.from_removed([(-2, -1, -1), (-1, -2, -1), (-1, -1, -1)])
+
+
 def test_reconstruct_rejects_corrupted():
-    win = build_taut_window(ONE)
-    poly = solve_origin(ONE, mode="symbolic",
-                        window_radius=win.sg.window_radius)
-    mono = dict(max(poly.terms))
-    name = win.vnames[(-1, -1, -1)]
-    bad = dict(mono)
-    bad[name] = bad.get(name, 0) + 1
-    with pytest.raises((NotAMonomial,)):
-        reconstruct_from_monomial(ONE, bad, window=win)
+    # every single perturbation of every weight monomial is refused: each
+    # vertex exponent moved by one either way, each face root toggled.  A
+    # weight names only the zone faces' corners and roots; on ONE every
+    # window variable is perturbed, on the others those of the zone faces
+    for U in (ONE, ROW3, ELL3):
+        win = build_taut_window(U)
+        reg = win.registry
+        if U == ONE:
+            names = reg.vertex_vars + reg.root_vars
+        else:
+            names = [*win.peel_plan.position,
+                     *(win.sg.face_root_name(key) for key in win.zone)]
+        for cfg in enumerate_taut(U, win):
+            mono = dict(cfg.monomial_key)
+            for name in names:
+                e = mono.get(name, 0)
+                for bad_e in ((1 - e,) if reg.is_root(name)
+                              else (e - 1, e + 1)):
+                    bad = {**mono, name: bad_e}
+                    with pytest.raises(NotAMonomial):
+                        reconstruct_from_monomial(U, bad, window=win)
+
+
+def heap_reconstruct(win, monomial):
+    """Reconstruction as a search: the least vertex with one unknown zone
+    face is found afresh, from a heap, at every step, and the variant is
+    whichever of the row's two fits every colored side."""
+    comp = win.comp
+    root_faces = set()
+    residual = {}
+    for name, e in monomial.items():
+        if win.registry.is_root(name):
+            if e not in (0, 1):
+                raise NotAMonomial(f"root exponent {e}")
+            if e:
+                root_faces.add(win.face_of[name])
+        elif name in win.vertex_of:
+            residual[win.vertex_of[name]] = e
+        else:
+            raise NotAMonomial(f"unknown variable {name!r}")
+    assign = {}
+    unknown_at = {}
+    for key in win.zone:
+        for c in comp.corner_ids[key]:
+            unknown_at.setdefault(c, set()).add(key)
+    res = {v: 2 * residual.get(v, 0) - win.collar[v] for v in unknown_at}
+    edge_color = {e: "B" for e in win.interface_edges}
+    ready = [v for v, faces in unknown_at.items() if len(faces) == 1]
+    heapq.heapify(ready)
+    for _ in win.zone:
+        while ready and not unknown_at[ready[0]]:
+            heapq.heappop(ready)
+        if not ready:
+            raise Stuck("no vertex with a single unknown face")
+        v = heapq.heappop(ready)
+        key, = unknown_at[v]
+        cyc = comp.corner_ids[key]
+        on_black_diag = cyc.index(v) % 2 == 0
+        r = res[v]
+        if key in root_faces:
+            if r not in (0, 1):
+                raise NotAMonomial(f"residual {r} at {v} with face root")
+            row = 3 if (r == 1) == on_black_diag else 4
+        else:
+            if r not in (0, 1, 2):
+                raise NotAMonomial(f"residual {r} at {v}")
+            row = 5 if r == 1 else 1 if (r == 2) == on_black_diag else 2
+        fits = [cand for cand in ROW_TYPES[row]
+                if all(edge_color.get(e, c) == c for e, c in
+                       zip(win.sides[key], side_colors(cand)))]
+        if len(fits) > 1:
+            raise Stuck(f"variant ambiguous at {key}")
+        if not fits:
+            raise NotAMonomial(f"no variant of row {row} fits at {key}")
+        name, = fits
+        assign[key] = name
+        for s, (e, c) in enumerate(zip(win.sides[key], side_colors(name))):
+            edge_color.setdefault(e, c)
+            res[cyc[s]] -= _CORNER_EXP[name][s]
+            unknown_at[cyc[s]].discard(key)
+            if len(unknown_at[cyc[s]]) == 1:
+                heapq.heappush(ready, cyc[s])
+    if any(r != 0 for r in res.values()):
+        raise NotAMonomial("unexplained exponents remain")
+    cfg = TautConfig(assign, count_loops(win.zone_comp, assign), win)
+    (m2, _c2), = taut_weight(win, cfg, symbolic=True).terms.items()
+    if m2 != tuple(sorted(((n, e) for n, e in monomial.items() if e != 0),
+                          key=lambda t: win.registry.index(t[0]))):
+        raise NotAMonomial("reconstructed weight does not match the input")
+    return cfg
+
+
+@pytest.mark.parametrize("U", [*enumerate_solids(4), slab_solid(4)],
+                         ids=[*(f"solid{i}" for i in range(
+                             len(enumerate_solids(4)))), "slab4"])
+def test_reconstruct_matches_heap_oracle(U):
+    win = build_taut_window(U)
+    for cfg in enumerate_taut(U, win):
+        mono = dict(cfg.monomial_key)
+        got = reconstruct_from_monomial(U, mono, window=win)
+        want = heap_reconstruct(win, mono)
+        assert list(got.assignment.items()) == list(want.assignment.items())
+        assert got.n_loops == want.n_loops == cfg.n_loops
+        assert got.assignment == cfg.assignment
+        # the sorted monomial key is the one the ring's constructor builds
+        assert (cfg.monomial_key,) == tuple(win.registry.monomial(mono).terms)
+
+
+def test_window_without_colored_sides_is_stuck():
+    # with no interface colors the first face's variant cannot be read, so
+    # the window has no plan, whatever the monomial
+    blind = dataclasses.replace(build_taut_window(ONE), interface_edges=set())
+    with pytest.raises(Stuck, match="variant ambiguous"):
+        blind.peel_plan
+    with pytest.raises(Stuck, match="variant ambiguous"):
+        reconstruct_from_monomial(ONE, {}, window=blind)
+    with pytest.raises(Stuck, match="variant ambiguous"):
+        heap_reconstruct(blind, {})
+
+
+def test_dropped_solid_is_freed_without_the_collector():
+    # no window-sized object forms a reference cycle, so reference counting
+    # alone frees a solid, its taut window, surface and registry after a
+    # full theorem run
+    import gc
+    import weakref
+    gc.collect()
+    gc.disable()
+    try:
+        U = SteppedSolid.from_removed(ELL3.removed)
+        win = build_taut_window(U)
+        assert verify_partition_identity(U, window=win)
+        assert verify_monomial_bijection(U, window=win)["all"]
+        for mono in win.symbolic_origin.terms:
+            reconstruct_from_monomial(U, dict(mono), window=win)
+        refs = [weakref.ref(x) for x in (U, win, win.sg, win.registry)]
+        del U, win, mono
+        assert [r() for r in refs] == [None] * 4
+    finally:
+        gc.enable()
 
 
 def test_sample_u0_deterministic():
