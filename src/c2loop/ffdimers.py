@@ -46,7 +46,7 @@ from .loopmodel import (
     weight as loop_weight,
 )
 from .fixtures import torus_two_faces
-from .quadfield import QuadVal
+from .quadfield import QuadVal, exact_product
 from .quadgraph import NotFreeFermionic
 
 
@@ -161,37 +161,41 @@ def build_gq(graph, params):
 
 
 def enumerate_matchings(gq):
-    """All perfect matchings as (tuple of edge indices, weight)."""
+    """All perfect matchings as (tuple of edge indices, weight).  The search
+    collects edge indices only; each matching is weighed once, by
+    exact_product over its edges in the order they were chosen."""
     verts = sorted(gq.vertices, key=str)
     if len(verts) % 2:
         raise OddVertexCount(f"{len(verts)} vertices")
     vpos = {v: i for i, v in enumerate(verts)}
     inc = [[] for _ in verts]
-    for i, (u, v, w, _k) in enumerate(gq.edges):
-        inc[vpos[u]].append((i, vpos[v], w))
-        inc[vpos[v]].append((i, vpos[u], w))
-    out = []
+    for i, (u, v, _w, _k) in enumerate(gq.edges):
+        inc[vpos[u]].append((i, vpos[v]))
+        inc[vpos[v]].append((i, vpos[u]))
+    found = []
     covered = [False] * len(verts)
     chosen = []
 
-    def rec(weight):
+    def rec():
         try:
             x = covered.index(False)
         except ValueError:
-            out.append((tuple(chosen), weight))
+            found.append(tuple(chosen))
             return
         covered[x] = True
-        for (i, y, w) in inc[x]:
+        for (i, y) in inc[x]:
             if not covered[y]:
                 covered[y] = True
                 chosen.append(i)
-                rec(weight * w)
+                rec()
                 chosen.pop()
                 covered[y] = False
         covered[x] = False
 
-    rec(Fraction(1))
-    return out
+    rec()
+    del rec             # rec holds itself through its cell
+    weights = [e[2] for e in gq.edges]
+    return [(m, exact_product([weights[i] for i in m])) for m in found]
 
 
 def dimer_partition_bruteforce(gq):

@@ -25,7 +25,8 @@ an assignment on its own, for reconstruction and for checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+
+from .quadfield import exact_product
 
 
 class LoopModelError(Exception):
@@ -316,6 +317,7 @@ def search(sides, colors, target=None):
                 color[e] = None
 
     rec(0)
+    del rec             # rec holds itself through its cell
     found.sort()
     return found
 
@@ -395,12 +397,10 @@ def crossing_parity_check(graph, assignment):
 
 def weight(graph, config, W):
     """2^loops * prod of local weights, with the loop count the search
-    reported (graph is not traced)."""
-    total = Fraction(1)
-    for fid, name in config.assignment.items():
-        row = LOCAL_CONFIGS[name][0]
-        total = total * W[fid].as_tuple()[row - 1]
-    return total * Fraction(2) ** config.n_loops
+    reported (graph is not traced), as one exact_product."""
+    return exact_product([W[fid].as_tuple()[LOCAL_CONFIGS[name][0] - 1]
+                          for fid, name in config.assignment.items()],
+                         2 ** config.n_loops)
 
 
 def partition_function(graph, W, boundary=None):

@@ -4,11 +4,16 @@ Values are a + b*sqrt(d) with Fraction components.  Mixing two different
 irrationalities is not supported (and not needed: each exact computation in
 this package lives in a single Q(sqrt(d))).  Rationals embed with b = 0 and
 combine with any d.
+
+exact_product multiplies a sequence of ints, Fractions and QuadVals as
+integer triples (n_a, n_b, den), standing for (n_a + n_b*sqrt(d)) / den, and
+reduces each component once at the end instead of after every factor.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 
 
@@ -21,6 +26,15 @@ class QuadVal:
         self.d = int(d)
         if self.b == 0:
             self.d = 0
+
+    @classmethod
+    def _of(cls, a, b, d):
+        """a + b*sqrt(d) from Fraction a, b and int d, taken as they are."""
+        self = object.__new__(cls)
+        self.a = a
+        self.b = b
+        self.d = d if b else 0
+        return self
 
     @staticmethod
     def sqrt(d):
@@ -46,7 +60,8 @@ class QuadVal:
 
     def __add__(self, other):
         other = self._coerce(other)
-        return QuadVal(self.a + other.a, self.b + other.b, self._field(other))
+        return QuadVal._of(self.a + other.a, self.b + other.b,
+                           self._field(other))
 
     __radd__ = __add__
 
@@ -62,8 +77,8 @@ class QuadVal:
     def __mul__(self, other):
         other = self._coerce(other)
         d = self._field(other)
-        return QuadVal(self.a * other.a + self.b * other.b * d,
-                       self.a * other.b + self.b * other.a, d)
+        return QuadVal._of(self.a * other.a + self.b * other.b * d,
+                           self.a * other.b + self.b * other.a, d)
 
     __rmul__ = __mul__
 
@@ -81,11 +96,12 @@ class QuadVal:
         return QuadVal(other) / self
 
     def __pow__(self, n):
+        if not isinstance(n, numbers.Integral):
+            raise TypeError(f"exponent {n!r} is not an integer")
         out = QuadVal(1)
-        base = self
-        for _ in range(int(n)):
-            out = out * base
-        return out
+        for _ in range(abs(n)):
+            out = out * self
+        return out if n >= 0 else 1 / out
 
     def __eq__(self, other):
         try:
@@ -95,16 +111,67 @@ class QuadVal:
         return self.a == other.a and self.b == other.b
 
     def __hash__(self):
-        return hash((self.a, self.b, self.d))
+        # a rational value hashes as its Fraction, which it equals
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b, self.d))
 
     def __float__(self):
         return float(self.a) + float(self.b) * math.sqrt(self.d)
 
     def __lt__(self, other):
-        other = self._coerce(other)
-        return float(self) < float(other)
+        return (self - self._coerce(other))._sign() < 0
+
+    def _sign(self):
+        """The sign of a + b*sqrt(d), exactly: when a and b have opposite
+        signs, the larger of a^2 and b^2*d decides."""
+        sa = (self.a > 0) - (self.a < 0)
+        sb = (self.b > 0) - (self.b < 0)
+        if sb == 0 or sa == sb:
+            return sa
+        if sa == 0:
+            return sb
+        diff = self.a * self.a - self.b * self.b * self.d
+        return sa if diff > 0 else sb if diff < 0 else 0
 
     def __repr__(self):
         if self.b == 0:
             return f"QuadVal({self.a})"
         return f"QuadVal({self.a} + {self.b}*sqrt({self.d}))"
+
+
+def exact_product(factors, scale=1):
+    """scale * f1 * f2 * ... for a sequence of factors and an int scale.
+
+    Ints and Fractions are read as (n, 0, den) and a QuadVal a + b*sqrt(d)
+    as (a.num*b.den, b.num*a.den, a.den*b.den); the integer triples are
+    multiplied and each component is reduced once.  The result is a
+    Fraction, or a QuadVal when any factor is one.  A factor of any other
+    type (a float, say) sends the sequence through the left-to-right
+    product Fraction(1) * f1 * f2 * ... * scale, so inexact weights keep
+    their bits.
+    """
+    na, nb, den, d = scale, 0, 1, 0
+    quad = False
+    for f in factors:
+        if isinstance(f, QuadVal):
+            quad = True
+            if f.d:
+                if d and f.d != d:
+                    raise ValueError("mixing different quadratic fields")
+                d = f.d
+            a, b = f.a, f.b
+            fa = a.numerator * b.denominator
+            fb = b.numerator * a.denominator
+            na, nb = na * fa + nb * fb * d, na * fb + nb * fa
+            den *= a.denominator * b.denominator
+        elif isinstance(f, (int, Fraction)):
+            na *= f.numerator
+            nb *= f.numerator
+            den *= f.denominator
+        else:
+            total = Fraction(1)
+            for g in factors:
+                total = total * g
+            return total * scale
+    if not quad:
+        return Fraction(na, den)
+    return QuadVal._of(Fraction(na, den), Fraction(nb, den), d)

@@ -4,6 +4,7 @@ import json
 import math
 import pathlib
 import shlex
+from fractions import Fraction
 
 import pytest
 
@@ -51,7 +52,22 @@ def test_loops_partition(tmp_path, capsys):
                        str(tmp_path / "cube_graph.json"),
                        str(tmp_path / "cube_weights.json"))
     assert code == 0
-    assert json.loads(out)["partition_function"] > 0
+    assert json.loads(out) == {"exact": "124824532800100/1173151100641",
+                               "partition_function": 106.401070358}
+
+
+def test_loops_partition_float_weights(tmp_path, capsys):
+    run(capsys, "fixtures", "--out", str(tmp_path))
+    data = json.loads((tmp_path / "cube_weights.json").read_text())
+    data["faces"] = {fid: [float(Fraction(w)) for w in ws]
+                     for fid, ws in data["faces"].items()}
+    (tmp_path / "float_weights.json").write_text(json.dumps(data))
+    code, out, _ = run(capsys, "loops", "partition",
+                       str(tmp_path / "cube_graph.json"),
+                       str(tmp_path / "float_weights.json"))
+    assert code == 0
+    assert json.loads(out) == {"exact": None,
+                               "partition_function": 106.401070358}
 
 
 def test_dimers_verify(tmp_path, capsys):
@@ -60,7 +76,8 @@ def test_dimers_verify(tmp_path, capsys):
                        str(tmp_path / "cube_graph.json"),
                        str(tmp_path / "cube_weights.json"))
     assert code == 0
-    assert json.loads(out)["equal"]
+    assert json.loads(out) == {"equal": True, "z_dim": 10.3150894498,
+                               "z_loop": 106.401070358}
 
 
 def test_dimers_lobachevsky(capsys):
