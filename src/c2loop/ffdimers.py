@@ -39,7 +39,6 @@ import numpy as np
 
 from .loopmodel import (
     BoundarySpec,
-    _as_complex,
     blue_data,
     enumerate_configs,
     partition_function,
@@ -132,9 +131,8 @@ class DecoratedDimerGraph:
         return z, mass
 
 
-def build_gq(graph, params):
+def build_gq(comp, params):
     """The decorated graph: one city per face, roads across glued sides."""
-    comp = _as_complex(graph)
     vertices = []
     cities = {}
     edges = []
@@ -233,9 +231,8 @@ def road_probability(gq, road):
 # correspondence checks
 # ---------------------------------------------------------------------------
 
-def verify_correspondence(graph, W):
+def verify_correspondence(comp, W):
     """Z_loop against prod(lambda) * Z_dim^2, exactly."""
-    comp = _as_complex(graph)
     if not comp.is_closed():
         raise FFDimersError("correspondence fixture must be a closed surface")
     params = {fid: ff_decompose(W[fid]) for fid in comp.face_ids()}
@@ -260,14 +257,13 @@ def _city_connection(comp, gq, fid, used_city_edges):
     return None
 
 
-def verify_blue_marginal(graph, W, blue_edges, blue_pairings):
+def verify_blue_marginal(comp, W, blue_edges, blue_pairings):
     """Loop mass at fixed blue paths against the constrained double-dimer
     mass.
 
     blue_edges: set of glue keys that the blue paths occupy;
     blue_pairings: {fid: pairing} for every face whose four sides are blue.
     """
-    comp = _as_complex(graph)
     blue_edges = set(blue_edges)
     blue_pairings = {f: tuple(tuple(p) for p in pr)
                      for f, pr in blue_pairings.items()}

@@ -13,13 +13,16 @@ Rows 1-2 are monochromatic (variant a red, b blue); rows 3-5 have one path
 of each color, the variant choosing which.  Gluing requires equal colors on
 shared dual edges.
 
-Configurations are enumerated on a FaceComplex: faces with four side slots
-and an explicit gluing involution.  This supports closed surfaces (sphere,
-torus fundamental domains, where a face may see the same vertex twice) as
-well as planar windows with boundary half-edges.  The one backtracker,
-search, also lists the taut configurations of taut.py; every configuration
-carries the closed-loop count the search kept.  _trace walks the strands of
-an assignment on its own, for reconstruction and for checks.
+FaceComplex is the one surface type of the package: faces with four side
+slots, corner 0 black, and an explicit gluing involution on the slots.  It
+holds closed surfaces (spheres, torus fundamental domains where a face may
+see the same vertex twice, spheres with parallel edges) as well as planar
+windows with boundary half-edges.  quadgraph.QuadGraph is a FaceComplex read
+from vertex colors and face cycles, and taut.window_complex gives a stepped
+window's; every function here takes the complex it is given.  The one
+backtracker, search, also lists the taut configurations of taut.py; every
+configuration carries the closed-loop count the search kept.  _trace walks
+the strands of an assignment on its own, for reconstruction and for checks.
 """
 
 from __future__ import annotations
@@ -90,6 +93,11 @@ class FaceComplex:
     def is_closed(self):
         return not self.half_edges()
 
+    def vertices(self):
+        """The distinct corners, sorted by str."""
+        return sorted({c for cyc in self.corner_ids.values() for c in cyc},
+                      key=str)
+
     def edge_of(self, fid, s):
         """The primal edge under side s of face fid: its two corners."""
         cyc = self.corner_ids[fid]
@@ -135,14 +143,8 @@ class FaceComplex:
 
 
 def complex_from_quadgraph(graph):
-    """Slot-glued view of a QuadGraph; edges must bound at most two faces."""
-    return FaceComplex.from_corners({fid: graph.corner_labels(fid)
-                                     for fid in sorted(graph.faces, key=str)})
-
-
-def _as_complex(graph):
-    return graph if isinstance(graph, FaceComplex) \
-        else complex_from_quadgraph(graph)
+    """A plain FaceComplex copy of a QuadGraph's corners and gluing."""
+    return FaceComplex(dict(graph.corner_ids), dict(graph.gluing))
 
 
 @dataclass
@@ -214,11 +216,10 @@ def _check_boundary(comp, boundary):
 def enumerate_configs(graph, boundary=None):
     """All gluing-consistent assignments, in lexicographic order of their
     pictures' CONFIG_ORDER ranks along face_ids()."""
-    comp = _as_complex(graph)
     boundary = boundary or BoundarySpec.free()
-    colors, target = _check_boundary(comp, boundary)
-    fids = comp.face_ids()
-    ids = comp.side_ids(fids)
+    colors, target = _check_boundary(graph, boundary)
+    fids = graph.face_ids()
+    ids = graph.side_ids(fids)
     found = search([tuple(ids[(fid, s)] for s in range(4)) for fid in fids],
                    {ids[he]: c for he, c in colors.items()},
                    target and {ids[a]: ids[b] for a, b in target.items()})
@@ -384,14 +385,14 @@ def _trace(comp, assignment):
 def count_loops(graph, assignment):
     """Number of finite closed monochromatic loops (paths to the boundary
     are not counted)."""
-    cycles, _paths = _trace(_as_complex(graph), assignment)
+    cycles, _paths = _trace(graph, assignment)
     return len(cycles)
 
 
 def crossing_parity_check(graph, assignment):
     """Every closed loop crosses opposite-colored paths an even number of
     times (each row-5 face traversal is one crossing)."""
-    cycles, _paths = _trace(_as_complex(graph), assignment)
+    cycles, _paths = _trace(graph, assignment)
     return all(crossings % 2 == 0 for _chain, _color, crossings in cycles)
 
 
@@ -413,7 +414,6 @@ def partition_function(graph, W, boundary=None):
 def blue_data(graph, config):
     """The blue part of a configuration: its blue glued-edge set plus the
     pairing choice at faces whose four sides are all blue."""
-    comp = _as_complex(graph)
     blue_edges = set()
     pairings = {}
     for fid, name in config.assignment.items():
@@ -421,7 +421,7 @@ def blue_data(graph, config):
         scol = side_colors(name)
         for s in range(4):
             if scol[s] == "B":
-                blue_edges.add(comp.glue_key(fid, s))
+                blue_edges.add(graph.glue_key(fid, s))
         if all(c == "B" for c in scol):
             pairings[fid] = pairs
     return blue_edges, pairings

@@ -15,8 +15,10 @@ from __future__ import annotations
 import math
 import numbers
 from fractions import Fraction
+from functools import total_ordering
 
 
+@total_ordering
 class QuadVal:
     __slots__ = ("a", "b", "d")
 

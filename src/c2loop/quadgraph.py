@@ -1,14 +1,20 @@
 """Bipartite quadrangulations, train tracks, and the weight parametrization.
 
-A QuadGraph is either a finite planar quadrangulation with a boundary (all
-bounded faces have degree 4) or a quadrangulation of a closed surface given
-by explicit face cycles.  Face corner cycles are stored clockwise; the two
-black corners of a face are its (x, y) diagonal and the white corners are
-(u, v), with x the lexicographically-least black corner.
+Every surface here is a loopmodel.FaceComplex: faces with four side slots,
+corner 0 black, glued slot to slot.  A QuadGraph is the complex read from
+vertex colors and face cycles, either a finite planar quadrangulation with a
+boundary (all bounded faces have degree 4) or a quadrangulation of a closed
+surface.  Face corner cycles are stored clockwise; the two black corners of
+a face are its (x, y) diagonal and the white corners are (u, v), with x the
+lexicographically-least black corner, and the two sides over a vertex pair
+are glued.  Complexes that are not read from such a file, like stepped
+windows (taut.window_complex) or spheres with parallel edges, serve the
+functions here just as well.
 
-Train tracks are paths in the dual that always leave a face through the edge
-opposite to the one they entered.  For boundary graphs with no closed track
-the counting identities 2|T| = |E_ext| and |T| + 1 = |V| - |F| hold, and the
+Train tracks are paths in the dual that always leave a face through the side
+opposite the one they entered: in by side s, out by side s + 2, and on into
+the face glued there.  For surfaces with a boundary and no closed track the
+counting identities 2|T| = |E_ext| and |T| + 1 = |V| - |F| hold, and the
 per-face map h -> h_x + h_y - h_u - h_v is onto, which is what lets arbitrary
 free-fermionic weights be rewritten in terms of vertex quantities.
 """
@@ -17,6 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+
+from .loopmodel import FaceComplex
 
 
 class QuadGraphError(Exception):
@@ -56,47 +65,31 @@ class FaceWeights:
         return (self.w1, self.w2, self.w3, self.w4, self.w5)
 
 
-class QuadGraph:
+class QuadGraph(FaceComplex):
     """Vertices carry a color and optionally a 2D position; faces are
-    4-cycles of vertex ids stored in clockwise order."""
+    4-cycles of vertex ids stored in clockwise order.
+
+    The complex is built on first use.  Every face must first pass the check
+    that validate reports (QuadGraphError), and an edge may bound at most
+    two faces (the LoopModelError of FaceComplex.from_corners)."""
 
     def __init__(self, colors, faces, positions=None, closed=False):
         self.colors = dict(colors)              # vertex id -> "black"/"white"
         self.faces = {fid: tuple(c) for fid, c in faces.items()}
         self.positions = dict(positions or {})
         self.closed = closed
-        self._edge_faces = None
 
-    # -- derived structure -------------------------------------------------
+    @cached_property
+    def corner_ids(self):
+        for fid, cyc in self.faces.items():
+            for kind, detail in _face_violations(self.colors, fid, cyc):
+                raise QuadGraphError(f"{kind}: {detail}")
+        return {fid: self.corner_labels(fid)
+                for fid in sorted(self.faces, key=str)}
 
-    def vertices(self):
-        return sorted(self.colors, key=str)
-
-    def face_sides(self, fid):
-        """The four sides of a face as frozenset edges, in cyclic order."""
-        cyc = self.faces[fid]
-        return [frozenset((cyc[k], cyc[(k + 1) % 4])) for k in range(4)]
-
-    def edges(self):
-        out = set()
-        for fid in self.faces:
-            out.update(self.face_sides(fid))
-        return out
-
-    def edge_faces(self):
-        if self._edge_faces is None:
-            ef = {}
-            for fid in sorted(self.faces, key=str):
-                for e in self.face_sides(fid):
-                    ef.setdefault(e, []).append(fid)
-            self._edge_faces = ef
-        return self._edge_faces
-
-    def boundary_half_edges(self):
-        """Edges adjacent to only one face (empty for closed surfaces)."""
-        return sorted((e for e, fs in self.edge_faces().items()
-                       if len(fs) == 1),
-                      key=lambda e: sorted(map(str, e)))
+    @cached_property
+    def gluing(self):
+        return FaceComplex.from_corners(self.corner_ids).gluing
 
     def corner_labels(self, fid):
         """(x, u, y, v) with x, y black, starting at the lex-least black
@@ -107,16 +100,13 @@ class QuadGraph:
         i = cyc.index(x)
         return (cyc[i], cyc[(i + 1) % 4], cyc[(i + 2) % 4], cyc[(i + 3) % 4])
 
-    def degree(self, v):
-        return sum(1 for e in self.edges() if v in e)
-
     def to_json(self):
         return {
             "closed": self.closed,
             "vertices": [{"id": list(v) if isinstance(v, tuple) else v,
                           "color": self.colors[v],
                           "pos": [str(p) for p in self.positions.get(v, ())]}
-                         for v in self.vertices()],
+                         for v in sorted(self.colors, key=str)],
             "faces": {str(fid): [list(c) if isinstance(c, tuple) else c
                                  for c in cyc]
                       for fid, cyc in sorted(self.faces.items(),
@@ -124,31 +114,50 @@ class QuadGraph:
         }
 
 
+_ALTERNATING = (["black", "white"] * 2, ["white", "black"] * 2)
+
+
+def _face_violations(colors, fid, cyc):
+    """The (kind, detail) faults of one face cycle: it needs 4 distinct
+    corners, each a known vertex, with colors alternating around it."""
+    if len(cyc) != 4 or len(set(cyc)) != 4:
+        return [("FaceDegree", f"face {fid} is not a quadrilateral")]
+    unknown = [c for c in cyc if c not in colors]
+    if unknown:
+        return [("UnknownCorner", f"face {fid} corner {c} is not a vertex")
+                for c in unknown]
+    cols = [colors[c] for c in cyc]
+    if cols not in _ALTERNATING:
+        return [("CornerColors", f"face {fid} colors {cols}")]
+    return []
+
+
 def validate(graph):
-    """Bipartiteness, face degrees, corner labels and the Euler count."""
+    """Bipartiteness, face degrees, corner labels and the Euler count, read
+    off the raw face cycles, so that a malformed graph is reported."""
     report = {"valid": True, "violations": []}
 
     def fail(kind, detail):
         report["valid"] = False
         report["violations"].append({"kind": kind, "detail": detail})
 
+    sides = {}          # vertex pair -> face sides over it
     for fid, cyc in graph.faces.items():
-        if len(cyc) != 4 or len(set(cyc)) != 4:
-            fail("FaceDegree", f"face {fid} is not a quadrilateral")
-            continue
-        cols = [graph.colors[c] for c in cyc]
-        if cols != ["black", "white", "black", "white"] and \
-                cols != ["white", "black", "white", "black"]:
-            fail("CornerColors", f"face {fid} colors {cols}")
-    for e in graph.edges():
+        for kind, detail in _face_violations(graph.colors, fid, cyc):
+            fail(kind, detail)
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            e = frozenset((a, b))
+            sides[e] = sides.get(e, 0) + 1
+    for e in sides:
         if len(e) != 2:
-            fail("DegenerateEdge", f"edge {sorted(e)} is a loop")
+            fail("DegenerateEdge", f"edge {sorted(e, key=str)} is a loop")
             continue
-        a, b = sorted(e)
-        if graph.colors[a] == graph.colors[b]:
+        a, b = sorted(e, key=str)
+        if a in graph.colors and b in graph.colors and \
+                graph.colors[a] == graph.colors[b]:
             fail("Bipartite", f"edge {a}-{b} joins equal colors")
     n_v = len(graph.colors)
-    n_e = len(graph.edges())
+    n_e = len(sides)
     n_f = len(graph.faces)
     if graph.closed:
         targets = {2: "sphere", 0: "torus"}
@@ -157,79 +166,67 @@ def validate(graph):
     else:
         if n_v - n_e + n_f != 1:
             fail("Euler", f"{n_v}-{n_e}+{n_f} != 1")
-    for e, fs in graph.edge_faces().items():
-        if len(fs) > 2:
-            fail("EdgeIncidence", f"edge {sorted(e)} on {len(fs)} faces")
+    for e, n in sides.items():
+        if n > 2:
+            fail("EdgeIncidence", f"edge {sorted(e, key=str)} on {n} faces")
     return report
 
 
 @dataclass
 class TrainTrack:
-    dual_edge_path: list
+    dual_edge_path: list        # the edges crossed, as FaceComplex.edge_of
     is_loop: bool
+    crossings: list             # (fid, s): in by side s, out by side s + 2
 
 
-def _opposite_side(graph, fid, e):
-    sides = graph.face_sides(fid)
-    return sides[(sides.index(e) + 2) % 4]
-
-
-def train_tracks(graph):
-    """Partition of the dual edges into tracks that cross each face through
-    opposite sides."""
-    ef = graph.edge_faces()
-    unused = set(ef)
+def train_tracks(comp):
+    """Partition of the glued and free sides of a FaceComplex into tracks
+    that cross each face through opposite sides.  Open tracks start at the
+    half-edges, then closed tracks at the remaining sides, each list in the
+    order of the side's edge (its sorted corner names), face and slot; the
+    tracks come back sorted by their edges."""
+    used = set()
     tracks = []
-    # open tracks start at boundary half-edges
-    for start in graph.boundary_half_edges():
-        if start not in unused:
-            continue
-        path = [start]
-        unused.discard(start)
-        fid = ef[start][0]
-        prev = start
-        while True:
-            nxt = _opposite_side(graph, fid, prev)
-            path.append(nxt)
-            unused.discard(nxt)
-            fs = [f for f in ef[nxt] if f != fid]
-            if not fs:
-                break
-            fid = fs[0]
-            prev = nxt
-        tracks.append(TrainTrack(path, False))
-    # what remains are closed tracks
-    while unused:
-        start = min(unused, key=lambda e: sorted(map(str, e)))
-        path = [start]
-        unused.discard(start)
-        fid = sorted(ef[start], key=str)[0]
-        prev = start
-        while True:
-            nxt = _opposite_side(graph, fid, prev)
-            if nxt == path[0] and len(path) > 1:
-                break
-            path.append(nxt)
-            unused.discard(nxt)
-            fs = [f for f in ef[nxt] if f != fid]
-            if not fs:
-                break
-            fid = fs[0]
-            prev = nxt
-        tracks.append(TrainTrack(path, True))
-    tracks.sort(key=lambda t: sorted(sorted(map(str, e)) for e in t.dual_edge_path))
+
+    def walk_from(starts):
+        for start in sorted(starts, key=lambda slot: (
+                sorted(map(str, comp.edge_of(*slot))), str(slot[0]),
+                slot[1])):
+            if start in used:
+                continue
+            back = comp.gluing.get(start)   # a closed track returns here
+            fid, s = start
+            crossings = []
+            while True:
+                crossings.append((fid, s))
+                out = (fid, (s + 2) % 4)
+                used.update(((fid, s), out))
+                if out == back:
+                    break
+                nxt = comp.gluing.get(out)
+                if nxt is None:
+                    break
+                fid, s = nxt
+            path = [comp.edge_of(*slot) for slot in crossings]
+            if back is None:
+                path.append(comp.edge_of(*out))
+            tracks.append(TrainTrack(path, back is not None, crossings))
+
+    walk_from(comp.half_edges())
+    walk_from([slot for slot in comp.gluing if slot not in used])
+    tracks.sort(key=lambda t: sorted(sorted(map(str, e))
+                                     for e in t.dual_edge_path))
     return tracks
 
 
-def track_census(graph):
-    tracks = train_tracks(graph)
+def track_census(comp):
+    tracks = train_tracks(comp)
     if any(t.is_loop for t in tracks):
         raise LoopTrackPresent("census requires loop-free tracks")
     n_t = len(tracks)
-    ext = graph.boundary_half_edges()
-    n_ext = len(ext)
-    n_int = len(graph.edges()) - n_ext
-    n_v, n_f = len(graph.colors), len(graph.faces)
+    n_ext = len(comp.half_edges())
+    n_int = len(comp.gluing) // 2
+    n_v, n_f = len(comp.vertices()), len(comp.corner_ids)
     return {
         "T": n_t,
         "E_ext": n_ext,
@@ -241,24 +238,16 @@ def track_census(graph):
     }
 
 
-def phi(graph, h):
+def phi(comp, h):
     """Per-face h_x + h_y - h_u - h_v."""
     out = {}
-    for fid in sorted(graph.faces, key=str):
-        x, u, y, v = graph.corner_labels(fid)
+    for fid in comp.face_ids():
+        x, u, y, v = comp.corner_ids[fid]
         try:
             out[fid] = h[x] + h[y] - h[u] - h[v]
         except KeyError as exc:
             raise MissingValue(f"h missing at {exc}") from exc
     return out
-
-
-def degree2_boundary(graph):
-    """Vertices of degree exactly 2 lying on the outer boundary."""
-    boundary_vertices = set()
-    for e in graph.boundary_half_edges():
-        boundary_vertices.update(e)
-    return sorted(v for v in boundary_vertices if graph.degree(v) == 2)
 
 
 # -- the parametrization solver ---------------------------------------------
@@ -311,7 +300,7 @@ class MulValue:
         return f"MulValue({self.exps})"
 
 
-def solve_parametrization(graph, weights):
+def solve_parametrization(comp, weights):
     """Vertex quantities g with g_x g_y / (g_u g_v) = (w1/w5)^2 on every face.
 
     Solves Phi(h) = log R_f in the multiplicative group: each g_v is a formal
@@ -325,54 +314,55 @@ def solve_parametrization(graph, weights):
     zero at the base vertex vertices()[0], and on every track the increment
     is zero at the track's first edge in sorted key order.  It is built by
     walking the tracks, with no linear solve.  Crossing face f from its side
-    i to side i + 2, a track's increment changes by exactly +e_f when the
-    corner after the entry side (cycle[i + 1]) is black and by -e_f when it
-    is white.  Each track is walked outward from its first edge, then one
-    traversal from the base vertex sets h_w = h_v +- increment along every
-    edge; a mismatch on any edge raises Inconsistent.
+    s to side s + 2, a track's increment changes by exactly +e_f when the
+    corner after the entry side (corner s + 1) is black, that is when s is
+    odd, and by -e_f when it is white.  Each track is walked outward from its
+    first edge, then one traversal from the base vertex sets
+    h_w = h_v +- increment along every edge; a mismatch on any edge raises
+    Inconsistent.
     """
     from .ffdimers import ff_check  # local import to avoid a cycle
 
     for fid, w in weights.items():
         if not ff_check(w):
             raise NotFreeFermionic(f"face {fid} fails the weight relations")
-    tracks = train_tracks(graph)
+    tracks = train_tracks(comp)
     if any(t.is_loop for t in tracks):
         raise LoopTrackPresent("parametrization requires loop-free tracks")
 
-    ef = graph.edge_faces()
-    flank = {}      # edge -> (left, right, increment h_right - h_left)
+    flank = {}      # glue key -> (left, right, increment h_right - h_left)
     for t in tracks:
-        path = t.dual_edge_path
+        keys = []       # the glue key of each edge of the path
         steps = []      # +-e_f for each face the track crosses, in order
-        fid = ef[path[0]][0]
-        for e, nxt in zip(path, path[1:]):
-            cyc, sides = graph.faces[fid], graph.face_sides(fid)
-            i = sides.index(e)
-            sign = 1 if graph.colors[cyc[(i + 1) % 4]] == "black" else -1
-            steps.append(MulValue({fid: sign}))
+        for fid, s in t.crossings:
+            cyc = comp.corner_ids[fid]
+            steps.append(MulValue({fid: 1 if s % 2 else -1}))
             # the clockwise cycles keep the flanks of an edge coherent
             # between the two faces it separates
-            for edge, lr in ((e, (cyc[(i + 1) % 4], cyc[i])),
-                             (nxt, (cyc[(i + 2) % 4], cyc[(i + 3) % 4]))):
-                if flank.setdefault(edge, lr) != lr:
-                    raise Inconsistent(
-                        f"incoherent track flanks at {sorted(edge)}")
-            fid = next((f for f in ef[nxt] if f != fid), None)
+            for side, lr in ((s, (cyc[(s + 1) % 4], cyc[s])),
+                             ((s + 2) % 4, (cyc[(s + 2) % 4],
+                                            cyc[(s + 3) % 4]))):
+                key = comp.glue_key(fid, side)
+                if flank.setdefault(key, lr) != lr:
+                    raise Inconsistent("incoherent track flanks at "
+                                       f"{sorted(lr, key=str)}")
+            keys.append(comp.glue_key(fid, s))
+        keys.append(comp.glue_key(fid, (s + 2) % 4))
+        path = t.dual_edge_path
         k0 = min(range(len(path)), key=lambda k: sorted(map(str, path[k])))
-        inc = {path[k0]: MulValue()}
+        inc = {keys[k0]: MulValue()}
         for k in range(k0, len(steps)):
-            inc[path[k + 1]] = inc[path[k]] * steps[k]
+            inc[keys[k + 1]] = inc[keys[k]] * steps[k]
         for k in range(k0 - 1, -1, -1):
-            inc[path[k]] = inc[path[k + 1]] / steps[k]
-        for edge, d in inc.items():
-            flank[edge] += (d,)
+            inc[keys[k]] = inc[keys[k + 1]] / steps[k]
+        for key, d in inc.items():
+            flank[key] += (d,)
 
     adj = {}
     for left, right, d in flank.values():
         adj.setdefault(left, []).append((right, d, True))
         adj.setdefault(right, []).append((left, d, False))
-    verts = graph.vertices()
+    verts = comp.vertices()
     g_formal = {verts[0]: MulValue()}
     stack = [verts[0]]
     while stack:
@@ -387,12 +377,12 @@ def solve_parametrization(graph, weights):
     if len(g_formal) != len(verts):
         raise Inconsistent("graph is not connected")
 
-    fids = sorted(graph.faces, key=str)
+    fids = comp.face_ids()
     ratios = {fid: ff_ratio(weights[fid]) for fid in fids}
     g_num = {v: g_formal[v].value(ratios) for v in verts}
     scales = {}
     for fid in fids:
-        x, u, y, v = graph.corner_labels(fid)
+        x, u, y, v = comp.corner_ids[fid]
         prod = (g_formal[x] * g_formal[y] * g_formal[u] * g_formal[v]).root()
         scales[fid] = prod.value(ratios) / float(weights[fid].w5)
     return {"g": g_num, "g_formal": g_formal, "scales": scales,

@@ -33,13 +33,11 @@ from .limitshape import (
     rho_oracle,
     s_from_r,
 )
-from .loopmodel import BoundarySpec, complex_from_quadgraph, enumerate_configs, \
-    weight as loop_weight
-from .quadgraph import grid_quadgraph, solve_parametrization, track_census, \
-    QuadGraph
+from .loopmodel import BoundarySpec, enumerate_configs, weight as loop_weight
+from .quadgraph import grid_quadgraph, solve_parametrization, track_census
 from .stepped import enumerate_solids, random_fill_order, surface_graph
 from .taut import build_taut_window, reconstruct_from_monomial, taut_weight, \
-    verify_partition_identity, verify_monomial_bijection, \
+    verify_partition_identity, verify_monomial_bijection, window_complex, \
     yang_baxter_classes, yang_baxter_row_class
 
 
@@ -49,7 +47,7 @@ def _report(name, passed, details=None, warnings=None):
 
 
 def criterion_1_correspondence(n_random=20, seed=2024):
-    comp = complex_from_quadgraph(cube_sphere())
+    comp = cube_sphere()
     fids = comp.face_ids()
     configs = enumerate_configs(comp, BoundarySpec.closed())
     rng = random.Random(seed)
@@ -164,7 +162,7 @@ def criterion_6_free_energy(grid=512):
 
 
 def criterion_7_road_probability():
-    comp = complex_from_quadgraph(cube_sphere())
+    comp = cube_sphere()
     params = {f: ff_decompose(ff_fixture_weights()) for f in comp.face_ids()}
     gq = build_gq(comp, params)
     half = Fraction(1, 2)
@@ -238,14 +236,12 @@ def criterion_11_tracks_and_parametrization(seed=17, n_windows=20):
     while count < n_windows:
         U = solids[rng.randrange(len(solids))]
         sg = surface_graph(U)
-        colors = {v: "black" if sum(v) % 2 == 0 else "white"
-                  for v in sg.vertices}
-        g = QuadGraph(colors, dict(sg.faces), dict(sg.positions))
-        ok &= all(track_census(g)["checks"].values())
-        W = {fid: rational_ff_weights(rng) for fid in g.faces}
-        res = solve_parametrization(g, W)
-        for fid in g.faces:
-            x, u, y, v = g.corner_labels(fid)
+        comp = window_complex(sg)
+        ok &= all(track_census(comp)["checks"].values())
+        W = {fid: rational_ff_weights(rng) for fid in sg.faces}
+        res = solve_parametrization(comp, W)
+        for fid in sg.faces:
+            x, u, y, v = comp.corner_ids[fid]
             gf = res["g_formal"]
             ratio = (gf[x] * gf[y]) / (gf[u] * gf[v])
             ok &= ratio.exps == {fid: Fraction(1)}

@@ -9,7 +9,8 @@ from pathlib import Path
 
 from c2loop.kashaev import solve_origin
 from c2loop.loopmodel import enumerate_configs, weight
-from c2loop.stepped import SteppedSolid
+from c2loop.quadgraph import QuadGraph
+from c2loop.stepped import SteppedSolid, surface_graph
 from c2loop.taut import build_taut_window, taut_weight
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -58,6 +59,15 @@ def window_reads():
         attribute_paths(fn, "res")
 
 
+def graph_reads():
+    """What parametrization_op reads off the graphs it builds: `sg.*` off
+    the stepped window and `g.*` off the QuadGraph."""
+    fn, = (node for node in ast.parse(OPS.read_text()).body
+           if isinstance(node, ast.FunctionDef)
+           and node.name == "parametrization_op")
+    return attribute_paths(fn, "sg"), attribute_paths(fn, "g")
+
+
 def test_traced_targets_exist():
     targets = traced_targets()
     assert len(targets) > 20
@@ -95,3 +105,21 @@ def test_benchmark_window_reads_exist():
         for attr in path:
             assert hasattr(obj, attr), ".".join(("win",) + path)
             obj = getattr(obj, attr)
+
+
+def test_benchmark_graph_reads_exist():
+    # a SurfaceGraph or QuadGraph attribute the benchmark reads must survive
+    # a refactor of either
+    sg_paths, g_paths = graph_reads()
+    assert {("faces",), ("vertices",), ("positions",)} <= sg_paths
+    assert {("faces",), ("corner_labels",)} <= g_paths
+    sg = surface_graph(SteppedSolid.from_removed([(-1, -1, -1)]))
+    colors = {v: "black" if sum(v) % 2 == 0 else "white"
+              for v in sg.vertices}
+    g = QuadGraph(colors, dict(sg.faces), dict(sg.positions))
+    for root, graph, paths in (("sg", sg, sg_paths), ("g", g, g_paths)):
+        for path in paths:
+            obj = graph
+            for attr in path:
+                assert hasattr(obj, attr), ".".join((root,) + path)
+                obj = getattr(obj, attr)

@@ -1,14 +1,17 @@
 """Command-line behaviour: wiring, exit codes, determinism."""
 
+import contextlib
 import json
 import math
 import pathlib
 import shlex
+import signal
 from fractions import Fraction
 
 import pytest
 
 from c2loop.cli import main
+from c2loop.quadgraph import grid_quadgraph
 from c2loop.stepped import slab_solid
 
 
@@ -456,6 +459,67 @@ MALFORMED.update({
     for name, value in (("zero", 0), ("negative", -1), ("tiny", 1e-200),
                         ("nan", float("nan")))})
 
+# grid22_graph.json edited to break the face check or to put an edge on
+# three faces: (edit, error start of the commands that read the complex,
+# violation kinds `graph validate` reports with exit 1)
+BAD_GRAPHS = {
+    "face-three-corners": (
+        lambda g: g["faces"]["(0, 0)"].pop(),
+        "QuadGraphError: FaceDegree: face (0, 0)",
+        ["FaceDegree", "Bipartite"]),
+    "edge-on-three-faces": (
+        lambda g: g["faces"].update(extra=g["faces"]["(0, 0)"]),
+        "LoopModelError: edge [(0, 1), (1, 1)] bounds 3 faces",
+        ["Euler", "EdgeIncidence", "EdgeIncidence"]),
+    "every-vertex-white": (
+        lambda g: [v.update(color="white") for v in g["vertices"]],
+        "QuadGraphError: CornerColors: face (0, 0)",
+        ["CornerColors"] * 4 + ["Bipartite"] * 12),
+    "corner-not-a-vertex": (
+        lambda g: g["faces"]["(0, 0)"].__setitem__(1, [9, 9]),
+        "QuadGraphError: UnknownCorner: face (0, 0) corner (9, 9)",
+        ["UnknownCorner", "Euler"]),
+}
+GRID22 = json.dumps(grid_quadgraph(2, 2).to_json())
+# free-fermionic weights on every face, the extra one included
+BAD_GRAPH_WEIGHTS = {"faces": {
+    fid: ["9/25", "16/25", "3/5", "4/5", "12/25"]
+    for fid in [*json.loads(GRID22)["faces"], "extra"]}}
+GRAPH_COMMANDS = [["graph", "validate", "{d}/g.json"],
+                  ["graph", "tracks", "{d}/g.json"],
+                  ["param", "solve", "{d}/g.json", "{d}/w.json"],
+                  ["loops", "partition", "{d}/g.json", "{d}/w.json"],
+                  ["dimers", "verify", "{d}/g.json", "{d}/w.json"]]
+
+
+def _bad_graph(edit):
+    graph = json.loads(GRID22)
+    edit(graph)
+    return graph
+
+
+MALFORMED.update({
+    f"{argv[0]}-{argv[1]}-{name}": (
+        {"g.json": _bad_graph(edit), "w.json": BAD_GRAPH_WEIGHTS}, argv)
+    for name, (edit, _start, _kinds) in BAD_GRAPHS.items()
+    for argv in GRAPH_COMMANDS})
+VALIDATE_KINDS = {f"graph-validate-{name}": kinds
+                  for name, (_edit, _start, kinds) in BAD_GRAPHS.items()}
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail, instead of hanging, when the body runs longer than seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
 
 # the start of the error some rows must report
 ERROR_START = {
@@ -470,16 +534,29 @@ ERROR_START = {
                      "shape-rho-tiny-r", "shape-curve-tiny-r"],
                     "LimitShapeError: "),
 }
+ERROR_START.update({
+    f"{argv[0]}-{argv[1]}-{name}": start
+    for name, (_edit, start, _kinds) in BAD_GRAPHS.items()
+    for argv in GRAPH_COMMANDS[1:]})
 
 
-@pytest.mark.parametrize("files, argv, start", [
-    (*case, ERROR_START.get(name, "")) for name, case in MALFORMED.items()],
-    ids=MALFORMED)
-def test_malformed_input_is_json_error(tmp_path, capsys, files, argv, start):
+@pytest.mark.parametrize("files, argv, start, kinds", [
+    (*case, ERROR_START.get(name, ""), VALIDATE_KINDS.get(name))
+    for name, case in MALFORMED.items()], ids=MALFORMED)
+def test_malformed_input_is_json_error(tmp_path, capsys, files, argv, start,
+                                       kinds):
     run(capsys, "fixtures", "--out", str(tmp_path))
     for name, payload in files.items():
         (tmp_path / name).write_text(json.dumps(payload))
-    code, out, err = run(capsys, *[a.format(d=tmp_path) for a in argv])
+    with time_limit(10):
+        code, out, err = run(capsys, *[a.format(d=tmp_path) for a in argv])
+    if kinds is not None:
+        # validate reports what is wrong with a graph, and exits 1
+        assert code == 1 and err == ""
+        report = _strict_json(out)
+        assert not report["valid"]
+        assert [v["kind"] for v in report["violations"]] == kinds
+        return
     assert code == 2 and out == ""
     error = _strict_json(err)["error"]
     assert error and error.startswith(start)

@@ -9,7 +9,7 @@ import pytest
 
 from c2loop.ffdimers import build_gq, enumerate_matchings, ff_decompose
 from c2loop.fixtures import cube_sphere, ff_fixture_weights
-from c2loop.loopmodel import BoundarySpec, _as_complex, enumerate_configs
+from c2loop.loopmodel import BoundarySpec, enumerate_configs
 from c2loop.quadfield import QuadVal, exact_product
 from c2loop.stepped import SteppedSolid
 from c2loop.taut import build_taut_window, enumerate_taut
@@ -148,6 +148,17 @@ def test_lt_is_exact():
     assert not QuadVal(2, -1, 4) < 0 and not QuadVal(0) < QuadVal(2, -1, 4)
 
 
+def test_every_comparison_is_exact_on_both_sides():
+    r2 = QuadVal(0, 1, 2)
+    bound = Fraction(14142135623730951, 10 ** 16)       # float(r2) == bound
+    assert r2 > Fraction(1) and r2 >= 1 and r2 <= 2 and r2 <= bound
+    assert Fraction(1) < r2 and 1 < r2 and 2 > r2 and bound >= r2
+    assert not r2 > bound and not bound < r2 and not r2 >= bound
+    assert r2 >= r2 and r2 <= QuadVal(0, 1, 2) and not r2 > r2
+    assert sorted([2, r2, Fraction(1), QuadVal(1, 1, 2)]) == \
+        [1, r2, 2, QuadVal(1, 1, 2)]
+
+
 def _cycle_garbage(fn):
     """Objects the cyclic collector finds after one call of fn."""
     gc.collect()
@@ -160,7 +171,7 @@ def _cycle_garbage(fn):
 
 
 def test_enumerations_leave_no_reference_cycles():
-    comp = _as_complex(cube_sphere())
+    comp = cube_sphere()
     params = {f: ff_decompose(ff_fixture_weights()) for f in comp.face_ids()}
     gq = build_gq(comp, params)
     U = SteppedSolid.from_removed([(-1, -1, -1)])

@@ -1,17 +1,22 @@
 """Validation, train tracks, census identities, parametrization solver."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from c2loop.fixtures import hexagon_y, rational_ff_weights
+from c2loop.ffdimers import verify_correspondence
+from c2loop.fixtures import cube_sphere, ff_fixture_weights, hexagon_y, \
+    pillow_sphere, rational_ff_weights
+from c2loop.loopmodel import BoundarySpec, FaceComplex, enumerate_configs
 from c2loop.quadgraph import (
     FaceWeights,
+    LoopTrackPresent,
     MulValue,
     NotFreeFermionic,
     QuadGraph,
-    degree2_boundary,
     ff_ratio,
     grid_quadgraph,
     phi,
@@ -22,6 +27,7 @@ from c2loop.quadgraph import (
     validate,
 )
 from c2loop.stepped import SteppedSolid, enumerate_solids, surface_graph
+from c2loop.taut import window_complex
 
 
 ROW3 = [(-3, -1, -1), (-2, -1, -1), (-1, -1, -1)]
@@ -32,6 +38,31 @@ def quadgraph_from_surface(sg):
     colors = {v: "black" if sum(v) % 2 == 0 else "white"
               for v in sg.vertices}
     return QuadGraph(colors, dict(sg.faces), dict(sg.positions))
+
+
+# -- reference incidence: primal edges keyed by vertex pair ------------------
+
+def face_sides(graph, fid):
+    """The four sides of a face as frozenset edges, in cyclic order."""
+    cyc = graph.faces[fid]
+    return [frozenset((cyc[k], cyc[(k + 1) % 4])) for k in range(4)]
+
+
+def edge_faces(graph):
+    """Vertex pair -> the faces over it, in sorted face order, read off the
+    raw face cycles and not off the complex's slot gluing."""
+    ef = {}
+    for fid in sorted(graph.faces, key=str):
+        for e in face_sides(graph, fid):
+            ef.setdefault(e, []).append(fid)
+    return ef
+
+
+def degree2_boundary(graph):
+    """Vertices of degree exactly 2 lying on the outer boundary."""
+    ef = edge_faces(graph)
+    boundary = {v for e, fs in ef.items() if len(fs) == 1 for v in e}
+    return sorted(v for v in boundary if sum(v in e for e in ef) == 2)
 
 
 # -- reference: the dense solve the track walk replaced ----------------------
@@ -86,13 +117,13 @@ def _dense_solve(graph):
 def _track_flanks(graph):
     """Per primal edge: (track index, vertex on the track's left, vertex on
     its right), each track walked from the first edge of its path."""
-    ef = graph.edge_faces()
+    ef = edge_faces(graph)
     ann = {}
     for t_i, t in enumerate(train_tracks(graph)):
         e = t.dual_edge_path[0]
         fid = sorted(ef[e], key=str)[0]
         while True:
-            cyc, sides = graph.faces[fid], graph.face_sides(fid)
+            cyc, sides = graph.faces[fid], face_sides(graph, fid)
             i = sides.index(e)
             nxt = sides[(i + 2) % 4]
             ann[e] = (t_i, cyc[(i + 1) % 4], cyc[i])
@@ -115,7 +146,7 @@ def _pin_kernel(graph, q):
                                  key=lambda t: sorted(map(str, t[0]))):
         first_edge.setdefault(t_i, (l, r))
     adj = {}
-    for e in graph.edges():
+    for e in edge_faces(graph):
         a, b = sorted(e)
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
@@ -183,7 +214,7 @@ def test_validate_grid():
     g = grid_quadgraph(2, 2)
     rep = validate(g)
     assert rep["valid"]
-    assert len(g.colors) - len(g.edges()) + len(g.faces) == 1
+    assert len(g.colors) - len(edge_faces(g)) + len(g.faces) == 1
 
 
 def test_validate_single_quad():
@@ -346,3 +377,137 @@ def test_validate_degree3_face():
     rep = validate(g)
     assert not rep["valid"]
     assert any(v["kind"] == "FaceDegree" for v in rep["violations"])
+
+
+# -- outputs pinned before the track walk read slots --------------------------
+
+def pinned_surfaces():
+    """(name, QuadGraph, face order of the weight draw) of the graph
+    fixtures and of the window of every solid of at most 4 cubes."""
+    for nx, ny in ((1, 1), (2, 2), (3, 2), (3, 3), (5, 2)):
+        g = grid_quadgraph(nx, ny)
+        yield f"grid{nx}{ny}", g, g.faces
+    for make in (hexagon_y, cube_sphere, pillow_sphere):
+        g = make()
+        yield make.__name__, g, g.faces
+    for k, U in enumerate(enumerate_solids(4)):
+        sg = surface_graph(U)
+        yield f"solid4_{k}", quadgraph_from_surface(sg), sg.faces
+
+
+def track_digest(comp, faces, seed=33):
+    """The first 16 hex digits of the sha256 of the tracks, the census and
+    the exact part of the parametrization (weights drawn in faces order),
+    as canonical JSON."""
+    out = {"tracks": [[t.is_loop, [sorted(map(str, e))
+                                   for e in t.dual_edge_path]]
+                      for t in train_tracks(comp)]}
+    try:
+        out["census"] = track_census(comp)
+    except LoopTrackPresent:
+        out["census"] = "LoopTrackPresent"
+    else:
+        rng = random.Random(seed)
+        res = solve_parametrization(
+            comp, {fid: rational_ff_weights(rng) for fid in faces})
+        out["g_formal"] = {str(v): {str(k): str(e)
+                                    for k, e in sorted(m.exps.items(),
+                                                       key=str)}
+                           for v, m in res["g_formal"].items()}
+        out["ratios"] = {str(f): str(r) for f, r in res["ratios"].items()}
+    text = json.dumps(out, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# track_digest of each pinned surface, computed by the edge-keyed track walk
+# the slot walk replaced
+PINNED_DIGESTS = {
+    "grid11": "e6d93d065c06ed46",
+    "grid22": "f0d7e314f7d9528e",
+    "grid32": "e449c65f67d5564d",
+    "grid33": "a8201745b1327c4c",
+    "grid52": "0780772f56f18f78",
+    "hexagon_y": "d7bccca3bcbdfbd3",
+    "cube_sphere": "f9415b8115c6b62d",
+    "pillow_sphere": "b421df67134f2494",
+    "solid4_0": "9a1a3837e9473dfd",
+    "solid4_1": "9261cdeacfeb2bfc",
+    "solid4_2": "48fcbbe751a49884",
+    "solid4_3": "83af5644aefa91b6",
+    "solid4_4": "267127cc41127371",
+    "solid4_5": "44467a1a78214cbe",
+    "solid4_6": "0eaa8a35af57f6b3",
+    "solid4_7": "ea3165c56b0960fc",
+    "solid4_8": "d89f976e78be933c",
+    "solid4_9": "8a50507cc35be176",
+    "solid4_10": "264577b086adea21",
+    "solid4_11": "d7ecda5d442a0ff4",
+    "solid4_12": "3033a2156b6fb8ab",
+    "solid4_13": "4ae127d820968c71",
+    "solid4_14": "cf510c48ef6edc84",
+    "solid4_15": "26c414d87a05f11b",
+    "solid4_16": "3b1083a0517fdeb8",
+    "solid4_17": "36095db3a55b2365",
+    "solid4_18": "7be37e7d3ed8dc5d",
+    "solid4_19": "ccbca713d9322e93",
+    "solid4_20": "12838bb27acc7060",
+    "solid4_21": "69d1fac13c084c19",
+    "solid4_22": "040df7182a28e20c",
+    "solid4_23": "52f65fb05fb07c49",
+}
+
+
+def test_tracks_census_and_parametrization_match_pinned_outputs():
+    for name, graph, faces in pinned_surfaces():
+        assert track_digest(graph, faces) == PINNED_DIGESTS[name], name
+
+
+def test_window_complex_is_the_window_quadgraph():
+    for k, U in enumerate(enumerate_solids(4)):
+        sg = surface_graph(U)
+        comp, g = window_complex(sg), quadgraph_from_surface(sg)
+        assert comp.corner_ids == g.corner_ids and comp.gluing == g.gluing
+        assert track_digest(comp, sg.faces) == PINNED_DIGESTS[f"solid4_{k}"]
+
+
+# -- a sphere with parallel edges ---------------------------------------------
+
+def doubled_grid(nx, ny):
+    """Two copies of grid_quadgraph(nx, ny) glued along their boundary into a
+    sphere.  Copy B's cycles are mirrored, so side s of a face of copy A is
+    side 3 - s of its twin in B; the half-edges of A glue to those of B."""
+    grid = grid_quadgraph(nx, ny)
+    corner_ids = {}
+    for fid, (x, u, y, v) in grid.corner_ids.items():
+        corner_ids[("A", fid)] = (x, u, y, v)
+        corner_ids[("B", fid)] = (x, v, y, u)
+    gluing = {}
+    for (f, s), (f2, s2) in grid.gluing.items():
+        gluing[(("A", f), s)] = (("A", f2), s2)
+        gluing[(("B", f), 3 - s)] = (("B", f2), 3 - s2)
+    for f, s in grid.half_edges():
+        gluing[(("A", f), s)] = (("B", f), 3 - s)
+        gluing[(("B", f), 3 - s)] = (("A", f), s)
+    return FaceComplex(corner_ids, gluing)
+
+
+def test_doubled_grid_sphere_with_parallel_edges():
+    comp = doubled_grid(2, 1)
+    assert comp.is_closed()
+    edges = len(comp.gluing) // 2
+    pairs = {comp.edge_of(*slot) for slot in comp.gluing}
+    assert (edges, len(pairs)) == (8, 7)
+    assert len(comp.vertices()) - edges + len(comp.corner_ids) == 2
+    tracks = train_tracks(comp)
+    assert len(tracks) == 3 and all(t.is_loop for t in tracks)
+    # together the tracks cross every face twice, through all four sides
+    assert sorted((f, s % 2) for t in tracks for f, s in t.crossings) == \
+        sorted((f, s) for f in comp.face_ids() for s in (0, 1))
+    with pytest.raises(LoopTrackPresent):
+        track_census(comp)
+    assert len(enumerate_configs(comp, BoundarySpec.closed())) == 98
+    rng = random.Random(18)
+    for W in ({f: ff_fixture_weights() for f in comp.face_ids()},
+              {f: rational_ff_weights(rng) for f in comp.face_ids()}):
+        rep = verify_correspondence(comp, W)
+        assert rep["equal"] and rep["z_loop"] == rep["rhs"]
