@@ -12,19 +12,20 @@ every partition-function identity in the tests is checked with equality, not
 tolerances, whenever the inputs are exact.
 
 Sphere and torus share one Kasteleyn path: faces read off the complex by
-gq_faces, never from coordinates; one GF(2) solve making them odd; one
-entry builder ranking the vertices and signing the edges; and one builder,
-kasteleyn_matrix, filling every Kasteleyn matrix: the signed white-by-black
-matrix sum c * z**m * w**n over those entries.  The sphere determinant
-evaluates it at z = w = 1; on the torus it is the magnetically modified
-matrix of a fundamental domain, whose determinant is the spectral curve
-P(z, w).  P is a Laurent polynomial with a handful of monomials: its
-coefficients come from one batch of determinants on a grid of roots of
-unity as wide as its exponent ranges.  The free energy integrates log|P|
-over the unit torus on half-shifted uniform grids, evaluating P there from
-those coefficients (with one step of Richardson extrapolation, since the
-plain grid sum converges like 1/grid^2, slower than the verification
-tolerance).
+gq_faces, never from coordinates (the cities, and the links around primal
+vertices as the closed strands of the rule s -> s + 1, loopmodel.strands);
+one GF(2) solve making them odd; one entry builder ranking the vertices and
+signing the edges; and one builder, kasteleyn_matrix, filling every
+Kasteleyn matrix: the signed white-by-black matrix sum c * z**m * w**n over
+those entries.  The sphere determinant evaluates it at z = w = 1; on the
+torus it is the magnetically modified matrix of a fundamental domain, whose
+determinant is the spectral curve P(z, w).  P is a Laurent polynomial with a
+handful of monomials: its coefficients come from one batch of determinants
+on a grid of roots of unity as wide as its exponent ranges.  The free energy
+integrates log|P| over the unit torus on half-shifted uniform grids,
+evaluating P there from those coefficients (with one step of Richardson
+extrapolation, since the plain grid sum converges like 1/grid^2, slower than
+the verification tolerance).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .loopmodel import (
     blue_data,
     enumerate_configs,
     partition_function,
+    strands,
     weight as loop_weight,
 )
 from .fixtures import torus_two_faces
@@ -336,56 +338,29 @@ def _gq_colors(gq):
 
 
 def gq_faces(comp, gq):
-    """Face cycles of the decorated graph on the surface: the city 4-cycles
-    plus the closed links around primal vertices.  Each cycle is a list of
-    (edge index, traversed u->v flag)."""
+    """Face cycles of the decorated graph on the surface: the city 4-cycles,
+    then the links around primal vertices, which are the closed strands of
+    the turning rule s -> s + 1 (loopmodel.strands).  A link is keyed by the
+    face corner it starts at; the corners of a face are tried in order.
+    Each cycle is a list of (edge index, traversed u->v flag)."""
     eidx = {}
     for i, (u, v, _w, _k) in enumerate(gq.edges):
         eidx[(u, v)] = (i, True)
         eidx[(v, u)] = (i, False)
-    faces = []
-    for fid in comp.face_ids():
-        cyc = []
-        for s in range(4):
-            cyc.append(eidx[((fid, s), (fid, (s + 1) % 4))])
-        faces.append(("city", fid, cyc))
-    # links: walk around each primal corner occurrence
-    visited = set()
-    for fid in comp.face_ids():
-        for c in range(4):
-            if (fid, c) in visited:
-                continue
-            # corner c of face fid sits between slots c-1 and c
-            walk = []
-            cur = (fid, c)
+    fids = comp.face_ids()
+    turn = {(fid, s): (fid, (s + 1) % 4) for fid in fids for s in range(4)}
+    faces = [("city", fid, [eidx[((fid, s), turn[(fid, s)])]
+                            for s in range(4)]) for fid in fids]
+    # corner c of a face sits between its sides c - 1 and c
+    for entries, _end, closed in strands(
+            comp, turn, [(fid, (c - 1) % 4) for fid in fids for c in range(4)]):
+        if closed:
             cycle = []
-            closed = True
-            while cur not in visited:
-                visited.add(cur)
-                f, cc = cur
-                s_in, s_out = (cc - 1) % 4, cc
-                cycle.append(eidx[((f, s_in), (f, s_out))])
-                partner = comp.gluing.get((f, s_out))
-                if partner is None:
-                    closed = False
-                    break
-                cycle.append(eidx[((f, s_out), partner)])
-                f2, s2 = partner
-                # the primal corner shared by slot s2 as "entry": next corner
-                # index is s2 + 1 (slots s2 and s2+1 surround corner s2+1)
-                cur = (f2, (s2 + 1) % 4)
-            if closed and cycle:
-                faces.append(("link", (fid, c), cycle))
-            elif not closed:
-                # unwind: mark the rest of the open walk as visited
-                f, cc = cur
-                while (f, cc) not in visited:
-                    visited.add((f, cc))
-                    partner = comp.gluing.get((f, cc))
-                    if partner is None:
-                        break
-                    f, s2 = partner
-                    cc = (s2 + 1) % 4
+            for slot in entries:
+                out = turn[slot]
+                cycle += (eidx[(slot, out)], eidx[(out, comp.gluing[out])])
+            fid, s = entries[0]
+            faces.append(("link", (fid, (s + 1) % 4), cycle))
     return faces
 
 

@@ -21,8 +21,14 @@ windows with boundary half-edges.  quadgraph.QuadGraph is a FaceComplex read
 from vertex colors and face cycles, and taut.window_complex gives a stepped
 window's; every function here takes the complex it is given.  The one
 backtracker, search, also lists the taut configurations of taut.py; every
-configuration carries the closed-loop count the search kept.  _trace walks
-the strands of an assignment on its own, for reconstruction and for checks.
+configuration carries the closed-loop count the search kept.
+
+strands is the one strand walker of the package: enter a face by a side,
+leave by the side a local rule gives, cross into the face glued there.  The
+rule of an assignment's pictures gives its colored loops and paths (_trace,
+on its own for reconstruction and for checks), s -> s + 2 the train tracks
+(quadgraph.train_tracks) and s -> s + 1 the links around primal vertices
+(ffdimers.gq_faces).
 """
 
 from __future__ import annotations
@@ -227,8 +233,9 @@ def enumerate_configs(graph, boundary=None):
                        loops) for ranks, loops in found]
 
 
+_SIDE_COLORS = {name: side_colors(name) for name in CONFIG_ORDER}
 # (side colors, side pairs) of every local picture, in CONFIG_ORDER
-_PICTURES = tuple((side_colors(name), LOCAL_CONFIGS[name][1])
+_PICTURES = tuple((_SIDE_COLORS[name], LOCAL_CONFIGS[name][1])
                   for name in CONFIG_ORDER)
 
 
@@ -323,77 +330,76 @@ def search(sides, colors, target=None):
     return found
 
 
-def _trace(comp, assignment):
-    """Walk the strands of an assignment (fid -> local picture name),
-    independently of the search.
+def strands(comp, exits, starts):
+    """The strands of a local rule on a complex.
 
-    Returns (cycles, paths): cycles as lists of (fid, pair_idx) with their
-    color and row-5 traversal count; paths as (endpoints, color, nodes),
-    each list in the assignment's order.
+    exits maps every slot (fid, s) to the slot of the same face a strand
+    entering there leaves by.  From each start slot not yet used, a strand
+    enters its face there, leaves by exits[slot] and crosses into the face
+    glued to that side, until it reaches a free side or comes back to its
+    start.  A slot is used once a strand enters by it, and also once a strand
+    leaves by it when exits leads straight back, so under an involutive rule
+    each strand is walked once.  Returns (entry slots, last exit slot,
+    closed) for each strand, in the order of their starts.
     """
-    nodes = {}
-    for fid, name in assignment.items():
-        _row, pairs, cols = LOCAL_CONFIGS[name]
-        for pi, (p, c) in enumerate(zip(pairs, cols)):
-            nodes[(fid, pi)] = (p, c)
-    # slot -> node carrying it
-    slot_node = {}
-    for (fid, pi), (p, _c) in nodes.items():
-        for s in p:
-            slot_node[(fid, s)] = (fid, pi)
-    cycles, paths = [], []
-    seen = set()
-    for start in nodes:
-        if start in seen:
+    gluing = comp.gluing
+    used = set()
+    out = []
+    for start in starts:
+        if start in used:
             continue
-        seen.add(start)
-        chain = [start]
-        end_slots = []
-        closed = False
-        for d in (0, 1):
-            if closed:
+        entries = []
+        slot = start
+        while True:
+            entries.append(slot)
+            used.add(slot)
+            end = exits[slot]
+            if exits[end] == slot:
+                used.add(end)
+            slot = gluing.get(end)
+            if slot is None or slot == start:
                 break
-            slot = (start[0], nodes[start][0][d])
-            while True:
-                partner = comp.gluing.get(slot)
-                if partner is None:
-                    end_slots.append(slot)
-                    break
-                nxt = slot_node[partner]
-                if nxt == start:
-                    closed = True
-                    break
-                seen.add(nxt)
-                if d == 0:
-                    chain.append(nxt)
-                else:
-                    chain.insert(0, nxt)
-                p2 = nodes[nxt][0]
-                other = p2[1] if partner[1] == p2[0] else p2[0]
-                slot = (nxt[0], other)
-        color = nodes[start][1]
+        out.append((entries, end, slot is not None))
+    return out
+
+
+def _trace(comp, assignment):
+    """Walk the strands of an assignment (fid -> local picture name) with
+    strands, independently of the search: free sides first, so that every
+    path is walked from one of its ends.
+
+    Returns (loops, paths): each closed loop as (color, row-5 faces it
+    crosses), each path as ((end, end), color) with its two half-edges.
+    """
+    exits = {}
+    for fid, name in assignment.items():
+        for a, b in LOCAL_CONFIGS[name][1]:
+            exits[(fid, a)], exits[(fid, b)] = (fid, b), (fid, a)
+    loops, paths = [], []
+    for entries, end, closed in strands(
+            comp, exits, sorted(exits, key=comp.gluing.__contains__)):
+        fid, s = entries[0]
+        color = _SIDE_COLORS[assignment[fid]][s]
         if closed:
-            crossings = sum(
-                1 for (fid, _pi) in chain
-                if LOCAL_CONFIGS[assignment[fid]][0] == 5)
-            cycles.append((chain, color, crossings))
+            loops.append((color, sum(LOCAL_CONFIGS[assignment[f]][0] == 5
+                                     for f, _s in entries)))
         else:
-            paths.append((tuple(end_slots), color, chain))
-    return cycles, paths
+            paths.append(((entries[0], end), color))
+    return loops, paths
 
 
 def count_loops(graph, assignment):
     """Number of finite closed monochromatic loops (paths to the boundary
     are not counted)."""
-    cycles, _paths = _trace(graph, assignment)
-    return len(cycles)
+    loops, _paths = _trace(graph, assignment)
+    return len(loops)
 
 
 def crossing_parity_check(graph, assignment):
     """Every closed loop crosses opposite-colored paths an even number of
     times (each row-5 face traversal is one crossing)."""
-    cycles, _paths = _trace(graph, assignment)
-    return all(crossings % 2 == 0 for _chain, _color, crossings in cycles)
+    loops, _paths = _trace(graph, assignment)
+    return all(crossings % 2 == 0 for _color, crossings in loops)
 
 
 def weight(graph, config, W):

@@ -26,6 +26,13 @@ class QuadVal:
         self.a = Fraction(a)
         self.b = Fraction(b)
         self.d = int(d)
+        if self.d < 0:
+            raise ValueError(f"d = {self.d} is negative: not a real field")
+        root = math.isqrt(self.d)
+        if root * root == self.d:
+            # sqrt(d) is an integer (d = 0 included): fold it into a
+            self.a += self.b * root
+            self.b = Fraction(0)
         if self.b == 0:
             self.d = 0
 

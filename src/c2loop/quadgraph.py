@@ -12,8 +12,8 @@ windows (taut.window_complex) or spheres with parallel edges, serve the
 functions here just as well.
 
 Train tracks are paths in the dual that always leave a face through the side
-opposite the one they entered: in by side s, out by side s + 2, and on into
-the face glued there.  For surfaces with a boundary and no closed track the
+opposite the one they entered: the strands (loopmodel.strands) of the rule
+s -> s + 2.  For surfaces with a boundary and no closed track the
 counting identities 2|T| = |E_ext| and |T| + 1 = |V| - |F| hold, and the
 per-face map h -> h_x + h_y - h_u - h_v is onto, which is what lets arbitrary
 free-fermionic weights be rewritten in terms of vertex quantities.
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .loopmodel import FaceComplex
+from .loopmodel import FaceComplex, strands
 
 
 class QuadGraphError(Exception):
@@ -180,40 +180,29 @@ class TrainTrack:
 
 
 def train_tracks(comp):
-    """Partition of the glued and free sides of a FaceComplex into tracks
-    that cross each face through opposite sides.  Open tracks start at the
-    half-edges, then closed tracks at the remaining sides, each list in the
-    order of the side's edge (its sorted corner names), face and slot; the
-    tracks come back sorted by their edges."""
-    used = set()
+    """The strands of the rule s -> s + 2 (loopmodel.strands), which
+    partition the glued and free sides of a FaceComplex into tracks crossing
+    each face through opposite sides.  Open tracks start at the half-edges,
+    then closed tracks at the remaining glued sides, each list in the order
+    of the side's edge (its sorted corner names), face and slot; the tracks
+    come back sorted by their edges."""
+    exits = {(fid, s): (fid, (s + 2) % 4)
+             for fid in comp.corner_ids for s in range(4)}
+
+    def order(slot):
+        return sorted(map(str, comp.edge_of(*slot))), str(slot[0]), slot[1]
+
+    walked = strands(comp, exits, sorted(comp.half_edges(), key=order))
+    crossed = {slot for entries, _end, _closed in walked for slot in entries}
+    walked += strands(comp, exits, sorted(
+        (slot for slot in comp.gluing
+         if slot not in crossed and exits[slot] not in crossed), key=order))
     tracks = []
-
-    def walk_from(starts):
-        for start in sorted(starts, key=lambda slot: (
-                sorted(map(str, comp.edge_of(*slot))), str(slot[0]),
-                slot[1])):
-            if start in used:
-                continue
-            back = comp.gluing.get(start)   # a closed track returns here
-            fid, s = start
-            crossings = []
-            while True:
-                crossings.append((fid, s))
-                out = (fid, (s + 2) % 4)
-                used.update(((fid, s), out))
-                if out == back:
-                    break
-                nxt = comp.gluing.get(out)
-                if nxt is None:
-                    break
-                fid, s = nxt
-            path = [comp.edge_of(*slot) for slot in crossings]
-            if back is None:
-                path.append(comp.edge_of(*out))
-            tracks.append(TrainTrack(path, back is not None, crossings))
-
-    walk_from(comp.half_edges())
-    walk_from([slot for slot in comp.gluing if slot not in used])
+    for entries, end, closed in walked:
+        path = [comp.edge_of(*slot) for slot in entries]
+        if not closed:
+            path.append(comp.edge_of(*end))
+        tracks.append(TrainTrack(path, closed, entries))
     tracks.sort(key=lambda t: sorted(sorted(map(str, e))
                                      for e in t.dual_edge_path))
     return tracks
@@ -330,9 +319,10 @@ def solve_parametrization(comp, weights):
     if any(t.is_loop for t in tracks):
         raise LoopTrackPresent("parametrization requires loop-free tracks")
 
-    flank = {}      # glue key -> (left, right, increment h_right - h_left)
+    ids = comp.side_ids(comp.face_ids())
+    flank = {}      # side id -> (left, right, increment h_right - h_left)
     for t in tracks:
-        keys = []       # the glue key of each edge of the path
+        keys = []       # the side id of each edge of the path
         steps = []      # +-e_f for each face the track crosses, in order
         for fid, s in t.crossings:
             cyc = comp.corner_ids[fid]
@@ -342,12 +332,11 @@ def solve_parametrization(comp, weights):
             for side, lr in ((s, (cyc[(s + 1) % 4], cyc[s])),
                              ((s + 2) % 4, (cyc[(s + 2) % 4],
                                             cyc[(s + 3) % 4]))):
-                key = comp.glue_key(fid, side)
-                if flank.setdefault(key, lr) != lr:
+                if flank.setdefault(ids[(fid, side)], lr) != lr:
                     raise Inconsistent("incoherent track flanks at "
                                        f"{sorted(lr, key=str)}")
-            keys.append(comp.glue_key(fid, s))
-        keys.append(comp.glue_key(fid, (s + 2) % 4))
+            keys.append(ids[(fid, s)])
+        keys.append(ids[(fid, (s + 2) % 4)])
         path = t.dual_edge_path
         k0 = min(range(len(path)), key=lambda k: sorted(map(str, path[k])))
         inc = {keys[k0]: MulValue()}

@@ -49,7 +49,7 @@ from typing import NamedTuple
 from .kashaev import agree, positive_value, solve_origin, solve_state
 from .laurent import LaurentPoly
 from .loopmodel import CONFIG_ORDER, FaceComplex, LOCAL_CONFIGS, \
-    LoopConfig, _trace, count_loops, enumerate_configs, search, side_colors
+    LoopConfig, _SIDE_COLORS, _trace, count_loops, enumerate_configs, search
 from .stepped import (
     UNITS,
     SteppedSolid,
@@ -270,10 +270,10 @@ def build_taut_window(U):
         raise TautError("interface mismatch between carved and flat zones")
     # a reference strand crosses glued sides only, so it stays in the flat
     # zone until both its ends reach the interface
-    _cycles, paths = _trace(flat_zone, {
+    _loops, paths = _trace(flat_zone, {
         key: sigma0_type(cyc) for key, cyc in flat_zone.corner_ids.items()})
     target = {}
-    for (a, b), _color, _nodes in paths:
+    for (a, b), _color in paths:
         e, f = flat_zone.edge_of(*a), flat_zone.edge_of(*b)
         target[e], target[f] = f, e
     vnames = {v: sg.vertex_var_name(v) for v in sg.vertices}
@@ -351,9 +351,6 @@ class TautConfig(LoopConfig):
                           sorted(self.assignment.items(), key=str)},
                 "n_loops": self.n_loops,
                 "window_radius": self.window.sg.window_radius}
-
-
-_SIDE_COLORS = {name: side_colors(name) for name in CONFIG_ORDER}
 
 
 def enumerate_taut(U, window=None):
@@ -560,7 +557,7 @@ def cube_flip_sums():
                                         for v, e in exps.items()})
             cls = _boundary_class(
                 (edges[comp.edge_of(*a)], edges[comp.edge_of(*b)], color)
-                for (a, b), color, _nodes in _trace(comp, cfg.assignment)[1])
+                for (a, b), color in _trace(comp, cfg.assignment)[1])
             parities.setdefault(cls, set()).add(
                 tuple(exps.get(v, 0) % 2 for v in ring))
             part = sums.setdefault(cls, ({}, {}))[side]

@@ -1,6 +1,7 @@
 """Free-fermion checks: decomposition, correspondence, Kasteleyn, free energy."""
 
 import cmath
+import hashlib
 import itertools
 import math
 import random
@@ -12,6 +13,7 @@ import pytest
 from c2loop.fixtures import (
     cube_sphere,
     ff_fixture_weights,
+    hexagon_y,
     integrable_weights,
     pillow_sphere,
     rational_ff_weights,
@@ -49,7 +51,9 @@ from c2loop.ffdimers import (
 from c2loop.loopmodel import BoundarySpec, complex_from_quadgraph, \
     enumerate_configs, blue_data
 from c2loop.quadfield import QuadVal
-from c2loop.quadgraph import FaceWeights, NotFreeFermionic
+from c2loop.quadgraph import FaceWeights, NotFreeFermionic, grid_quadgraph
+from c2loop.stepped import enumerate_solids, surface_graph
+from test_quadgraph import doubled_grid, quadgraph_from_surface
 
 CATALAN = 0.915965594177219015
 THETAS = [0.15, 0.3, math.pi / 6, math.pi / 4, math.pi / 3, 1.2]
@@ -438,6 +442,101 @@ def test_kasteleyn_single_city():
     faces = gq_faces(comp, gq)
     assert sum(1 for kind, _k, _c in faces if kind == "city") == 6
     assert sum(1 for kind, _k, _c in faces if kind == "link") == 8
+
+
+def closes_head_to_tail(cycle, edges):
+    """Whether each step of a cycle of (edge index, traversed u -> v) steps
+    ends where the next one starts, the last one where the first starts."""
+    steps = [edges[i][:2] if forward else edges[i][1::-1]
+             for i, forward in cycle]
+    return all(a[1] == b[0] for a, b in zip(steps, steps[1:] + steps[:1]))
+
+
+def interior_vertices(graph):
+    """The vertices of a QuadGraph none of whose edges bounds only one face,
+    read off the raw face cycles."""
+    sides = {}
+    for cyc in graph.faces.values():
+        for e in zip(cyc, cyc[1:] + cyc[:1]):
+            sides[frozenset(e)] = sides.get(frozenset(e), 0) + 1
+    boundary = {v for e, n in sides.items() if n == 1 for v in e}
+    return {v for cyc in graph.faces.values() for v in cyc} - boundary
+
+
+def planar_complexes():
+    """(name, QuadGraph) of grids, hexagon_y and the window of every solid
+    of at most 3 cubes."""
+    for nx, ny in ((1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (5, 2)):
+        yield f"grid{nx}{ny}", grid_quadgraph(nx, ny)
+    yield "hexagon_y", hexagon_y()
+    for k, U in enumerate(enumerate_solids(3)):
+        yield f"solid3_{k}", quadgraph_from_surface(surface_graph(U))
+
+
+def test_planar_kasteleyn_constrains_one_link_per_interior_vertex():
+    rng = random.Random(36)
+    for name, g in planar_complexes():
+        gq = build_gq(g, {f: ff_decompose(rational_ff_weights(rng))
+                          for f in g.face_ids()})
+        links = [cycle for kind, _key, cycle in gq_faces(g, gq)
+                 if kind == "link"]
+        assert all(closes_head_to_tail(c, gq.edges) for c in links), name
+        assert len(links) == len(interior_vertices(g)), name
+        data = kasteleyn_orientation(gq, g)
+        assert kasteleyn_valid(gq, data, g), name
+        if name.startswith("grid") and len(g.faces) <= 9 \
+                or name == "hexagon_y":
+            z = dimer_partition_bruteforce(gq)
+            assert kasteleyn_determinant(gq, data) == pytest.approx(
+                float(z), rel=1e-12), name
+
+
+@pytest.mark.parametrize("make, n_links", [
+    (lambda: complex_from_quadgraph(cube_sphere()), 8),
+    (lambda: complex_from_quadgraph(pillow_sphere()), 4),
+    (torus_two_faces, 2)])
+def test_closed_surface_links_are_its_vertices(make, n_links):
+    comp = make()
+    gq = build_gq(comp, dict.fromkeys(comp.face_ids(),
+                                      FFParams(1.0, 0.6, 0.8)))
+    links = [cycle for kind, _key, cycle in gq_faces(comp, gq)
+             if kind == "link"]
+    assert len(links) == len(comp.vertices()) == n_links
+    assert all(closes_head_to_tail(c, gq.edges) for c in links)
+
+
+# the first 16 hex digits of the sha256 of repr(gq_faces) and the Kasteleyn
+# bits (every face odd) of closed complexes, pinned before gq_faces walked
+# its links with loopmodel.strands
+PINNED_GQ_FACES = {
+    "cube_sphere": ("34cd2e025dd69db4",
+                    "000100010001000100010001000000010100"),
+    "pillow_sphere": ("fbb09bc97c46ea4c", "000100010101"),
+    "torus_two_faces": ("c142f7310fae7d1c", "000100010001"),
+    "doubled_grid21": ("9cfb4b901cfd2562", "000100010001000101010100"),
+}
+
+
+def test_closed_gq_faces_and_kasteleyn_bits_match_pinned():
+    for name, comp in (
+            ("cube_sphere", complex_from_quadgraph(cube_sphere())),
+            ("pillow_sphere", complex_from_quadgraph(pillow_sphere())),
+            ("torus_two_faces", torus_two_faces()),
+            ("doubled_grid21", doubled_grid(2, 1))):
+        gq = build_gq(comp, dict.fromkeys(comp.face_ids(),
+                                          FFParams(1.0, 0.6, 0.8)))
+        faces = gq_faces(comp, gq)
+        if name == "torus_two_faces":
+            # the torus solve of TorusDimerGraph
+            color = ffdimers._gq_colors(gq)
+            bits = ffdimers._odd_orientation(
+                [cycle for _kind, _key, cycle in faces],
+                [color[u] == 1 for u, *_rest in gq.edges])
+        else:
+            bits = kasteleyn_orientation(gq, comp)["bits"]
+        digest = hashlib.sha256(repr(faces).encode()).hexdigest()[:16]
+        assert (digest, "".join(map(str, bits))) == \
+            PINNED_GQ_FACES[name], name
 
 
 def test_char_poly_fig_octa_values():

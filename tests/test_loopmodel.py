@@ -211,7 +211,7 @@ def _enumerate_by_face_order(comp, boundary):
         if k == len(fids):
             if boundary.mode == "fixed_connections":
                 _cycles, paths = _trace(comp, assign)
-                if {frozenset(ends): c for ends, c, _ in paths} != want:
+                if {frozenset(ends): c for ends, c in paths} != want:
                     return
             out.append(list(assign.items()))
             return

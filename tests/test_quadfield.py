@@ -115,6 +115,21 @@ def test_hash_agrees_with_equality():
     assert hash(QuadVal(1, 1, 2)) != hash(QuadVal(1, 1, 3))
 
 
+def test_perfect_square_d_is_rational():
+    # 2 - sqrt 4 is zero, 1 + 5 sqrt 0 is one and sqrt 4 is two
+    zero = QuadVal(2, -1, 4)
+    assert zero == 0 and zero >= 0 and zero <= 0
+    assert parts(zero) == (QuadVal, 0, 0, 0)
+    assert QuadVal(1, 5, 0) == 1
+    assert QuadVal(0, 1, 4) == 2 and QuadVal(3, Fraction(1, 2), 9) == 4.5
+    for value, rational in ((zero, 0), (QuadVal(0, 1, 4), 2),
+                            (QuadVal(Fraction(1, 3), 2, 1), Fraction(7, 3))):
+        assert hash(value) == hash(Fraction(rational))
+        assert len({value, Fraction(rational)}) == 1
+    with pytest.raises(ValueError, match="negative"):
+        QuadVal(1, 1, -2)
+
+
 def test_pow_exponents():
     two = QuadVal(2)
     assert parts(two ** -1) == (QuadVal, Fraction(1, 2), 0, 0)
