@@ -356,9 +356,9 @@ def gq_faces(comp, gq):
             comp, turn, [(fid, (c - 1) % 4) for fid in fids for c in range(4)]):
         if closed:
             cycle = []
-            for slot in entries:
+            for slot, nxt in zip(entries, entries[1:] + entries[:1]):
                 out = turn[slot]
-                cycle += (eidx[(slot, out)], eidx[(out, comp.gluing[out])])
+                cycle += (eidx[(slot, out)], eidx[(out, nxt)])
             fid, s = entries[0]
             faces.append(("link", (fid, (s + 1) % 4), cycle))
     return faces

@@ -336,11 +336,12 @@ def strands(comp, exits, starts):
     exits maps every slot (fid, s) to the slot of the same face a strand
     entering there leaves by.  From each start slot not yet used, a strand
     enters its face there, leaves by exits[slot] and crosses into the face
-    glued to that side, until it reaches a free side or comes back to its
-    start.  A slot is used once a strand enters by it, and also once a strand
-    leaves by it when exits leads straight back, so under an involutive rule
-    each strand is walked once.  Returns (entry slots, last exit slot,
-    closed) for each strand, in the order of their starts.
+    glued to that side, until it reaches a free side or a used slot.  A slot
+    is used once a strand enters by it, and also once a strand leaves by it
+    when exits leads straight back, so every slot is walked at most once,
+    under an involutive rule too.  Returns (entry slots, last exit slot,
+    closed) for each strand, in the order of their starts; a strand is
+    closed when it came back to its start.
     """
     gluing = comp.gluing
     used = set()
@@ -357,9 +358,9 @@ def strands(comp, exits, starts):
             if exits[end] == slot:
                 used.add(end)
             slot = gluing.get(end)
-            if slot is None or slot == start:
+            if slot is None or slot in used:
                 break
-        out.append((entries, end, slot is not None))
+        out.append((entries, end, slot == start))
     return out
 
 

@@ -53,7 +53,7 @@ from c2loop.loopmodel import BoundarySpec, complex_from_quadgraph, \
 from c2loop.quadfield import QuadVal
 from c2loop.quadgraph import FaceWeights, NotFreeFermionic, grid_quadgraph
 from c2loop.stepped import enumerate_solids, surface_graph
-from test_quadgraph import doubled_grid, quadgraph_from_surface
+from c2loop.taut import window_complex
 
 CATALAN = 0.915965594177219015
 THETAS = [0.15, 0.3, math.pi / 6, math.pi / 4, math.pi / 3, 1.2]
@@ -452,39 +452,42 @@ def closes_head_to_tail(cycle, edges):
     return all(a[1] == b[0] for a, b in zip(steps, steps[1:] + steps[:1]))
 
 
-def interior_vertices(graph):
-    """The vertices of a QuadGraph none of whose edges bounds only one face,
-    read off the raw face cycles."""
+def interior_vertices(faces):
+    """The vertices none of whose edges bounds only one face, read off the
+    raw face cycles."""
     sides = {}
-    for cyc in graph.faces.values():
+    for cyc in faces.values():
         for e in zip(cyc, cyc[1:] + cyc[:1]):
             sides[frozenset(e)] = sides.get(frozenset(e), 0) + 1
     boundary = {v for e, n in sides.items() if n == 1 for v in e}
-    return {v for cyc in graph.faces.values() for v in cyc} - boundary
+    return {v for cyc in faces.values() for v in cyc} - boundary
 
 
 def planar_complexes():
-    """(name, QuadGraph) of grids, hexagon_y and the window of every solid
-    of at most 3 cubes."""
+    """(name, complex, raw face cycles) of grids, hexagon_y and the window of
+    every solid of at most 3 cubes."""
     for nx, ny in ((1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (5, 2)):
-        yield f"grid{nx}{ny}", grid_quadgraph(nx, ny)
-    yield "hexagon_y", hexagon_y()
+        g = grid_quadgraph(nx, ny)
+        yield f"grid{nx}{ny}", g, g.faces
+    g = hexagon_y()
+    yield "hexagon_y", g, g.faces
     for k, U in enumerate(enumerate_solids(3)):
-        yield f"solid3_{k}", quadgraph_from_surface(surface_graph(U))
+        sg = surface_graph(U)
+        yield f"solid3_{k}", window_complex(sg), sg.faces
 
 
 def test_planar_kasteleyn_constrains_one_link_per_interior_vertex():
     rng = random.Random(36)
-    for name, g in planar_complexes():
-        gq = build_gq(g, {f: ff_decompose(rational_ff_weights(rng))
-                          for f in g.face_ids()})
-        links = [cycle for kind, _key, cycle in gq_faces(g, gq)
+    for name, comp, faces in planar_complexes():
+        gq = build_gq(comp, {f: ff_decompose(rational_ff_weights(rng))
+                          for f in comp.face_ids()})
+        links = [cycle for kind, _key, cycle in gq_faces(comp, gq)
                  if kind == "link"]
         assert all(closes_head_to_tail(c, gq.edges) for c in links), name
-        assert len(links) == len(interior_vertices(g)), name
-        data = kasteleyn_orientation(gq, g)
-        assert kasteleyn_valid(gq, data, g), name
-        if name.startswith("grid") and len(g.faces) <= 9 \
+        assert len(links) == len(interior_vertices(faces)), name
+        data = kasteleyn_orientation(gq, comp)
+        assert kasteleyn_valid(gq, data, comp), name
+        if name.startswith("grid") and len(faces) <= 9 \
                 or name == "hexagon_y":
             z = dimer_partition_bruteforce(gq)
             assert kasteleyn_determinant(gq, data) == pytest.approx(
@@ -517,12 +520,12 @@ PINNED_GQ_FACES = {
 }
 
 
-def test_closed_gq_faces_and_kasteleyn_bits_match_pinned():
+def test_closed_gq_faces_and_kasteleyn_bits_match_pinned(doubled_grid21):
     for name, comp in (
             ("cube_sphere", complex_from_quadgraph(cube_sphere())),
             ("pillow_sphere", complex_from_quadgraph(pillow_sphere())),
             ("torus_two_faces", torus_two_faces()),
-            ("doubled_grid21", doubled_grid(2, 1))):
+            ("doubled_grid21", doubled_grid21)):
         gq = build_gq(comp, dict.fromkeys(comp.face_ids(),
                                           FFParams(1.0, 0.6, 0.8)))
         faces = gq_faces(comp, gq)

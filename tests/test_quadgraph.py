@@ -10,7 +10,7 @@ import pytest
 from c2loop.ffdimers import verify_correspondence
 from c2loop.fixtures import cube_sphere, ff_fixture_weights, hexagon_y, \
     pillow_sphere, rational_ff_weights
-from c2loop.loopmodel import BoundarySpec, FaceComplex, enumerate_configs
+from c2loop.loopmodel import BoundarySpec, enumerate_configs
 from c2loop.quadgraph import (
     FaceWeights,
     LoopTrackPresent,
@@ -472,27 +472,8 @@ def test_window_complex_is_the_window_quadgraph():
 
 # -- a sphere with parallel edges ---------------------------------------------
 
-def doubled_grid(nx, ny):
-    """Two copies of grid_quadgraph(nx, ny) glued along their boundary into a
-    sphere.  Copy B's cycles are mirrored, so side s of a face of copy A is
-    side 3 - s of its twin in B; the half-edges of A glue to those of B."""
-    grid = grid_quadgraph(nx, ny)
-    corner_ids = {}
-    for fid, (x, u, y, v) in grid.corner_ids.items():
-        corner_ids[("A", fid)] = (x, u, y, v)
-        corner_ids[("B", fid)] = (x, v, y, u)
-    gluing = {}
-    for (f, s), (f2, s2) in grid.gluing.items():
-        gluing[(("A", f), s)] = (("A", f2), s2)
-        gluing[(("B", f), 3 - s)] = (("B", f2), 3 - s2)
-    for f, s in grid.half_edges():
-        gluing[(("A", f), s)] = (("B", f), 3 - s)
-        gluing[(("B", f), 3 - s)] = (("A", f), s)
-    return FaceComplex(corner_ids, gluing)
-
-
-def test_doubled_grid_sphere_with_parallel_edges():
-    comp = doubled_grid(2, 1)
+def test_doubled_grid_sphere_with_parallel_edges(doubled_grid21):
+    comp = doubled_grid21
     assert comp.is_closed()
     edges = len(comp.gluing) // 2
     pairs = {comp.edge_of(*slot) for slot in comp.gluing}
