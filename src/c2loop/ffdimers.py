@@ -348,17 +348,18 @@ def gq_faces(comp, gq):
         eidx[(u, v)] = (i, True)
         eidx[(v, u)] = (i, False)
     fids = comp.face_ids()
-    turn = {(fid, s): (fid, (s + 1) % 4) for fid in fids for s in range(4)}
-    faces = [("city", fid, [eidx[((fid, s), turn[(fid, s)])]
+    turn = (1, 2, 3, 0)
+    faces = [("city", fid, [eidx[((fid, s), (fid, turn[s]))]
                             for s in range(4)]) for fid in fids]
     # corner c of a face sits between its sides c - 1 and c
     for entries, _end, closed in strands(
-            comp, turn, [(fid, (c - 1) % 4) for fid in fids for c in range(4)]):
+            comp, dict.fromkeys(fids, turn),
+            [(fid, (c - 1) % 4) for fid in fids for c in range(4)]):
         if closed:
             cycle = []
-            for slot, nxt in zip(entries, entries[1:] + entries[:1]):
-                out = turn[slot]
-                cycle += (eidx[(slot, out)], eidx[(out, nxt)])
+            for (fid, s), nxt in zip(entries, entries[1:] + entries[:1]):
+                out = (fid, turn[s])
+                cycle += (eidx[((fid, s), out)], eidx[(out, nxt)])
             fid, s = entries[0]
             faces.append(("link", (fid, (s + 1) % 4), cycle))
     return faces

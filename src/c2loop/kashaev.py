@@ -226,8 +226,7 @@ def lift_state(sg, g_init=None, mode="symbolic", faces=()):
     g_values = {v: positive_value(g_init[v], v) for v in sg.vertices}
     face_values = {}
     for key in faces:
-        axis, base = key
-        (a, c), (b, d) = face_diagonals(axis, base)
+        a, b, c, d = sg.faces[key]
         val = math.sqrt(g_values[a] * g_values[c] + g_values[b] * g_values[d])
         if not 0 < val < math.inf:
             raise NonPositive(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stepped import face_diagonals, height, slab_solid, surface_graph
+from .stepped import height, slab_solid, surface_graph
 from .kashaev import solve_origin
 from .taut import build_taut_window, enumerate_taut, taut_weight
 from .loopmodel import LOCAL_CONFIGS
@@ -227,11 +227,10 @@ def rho_oracle(x, a, b, c):
     reg = poly.registry
     # numeric values of the root squares and the target's diagonal partner
     root_info = {}
-    for key in sg.faces:
+    for key, (p1, q1, p2, q2) in sg.faces.items():
         rn = sg.face_root_name(key)
         if rn not in reg.root_vars:
             continue
-        (p1, p2), (q1, q2) = face_diagonals(*key)
         qval = point[p1] * point[p2] + point[q1] * point[q2]
         partner = None
         if target == p1:

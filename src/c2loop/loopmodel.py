@@ -234,6 +234,10 @@ def enumerate_configs(graph, boundary=None):
 
 
 _SIDE_COLORS = {name: side_colors(name) for name in CONFIG_ORDER}
+# per local picture, the side a strand entering by side s leaves by
+_EXITS = {name: tuple(a + b - s for s in range(4) for a, b in pairs
+                      if s in (a, b))
+          for name, (_row, pairs, _cols) in LOCAL_CONFIGS.items()}
 # (side colors, side pairs) of every local picture, in CONFIG_ORDER
 _PICTURES = tuple((_SIDE_COLORS[name], LOCAL_CONFIGS[name][1])
                   for name in CONFIG_ORDER)
@@ -333,15 +337,15 @@ def search(sides, colors, target=None):
 def strands(comp, exits, starts):
     """The strands of a local rule on a complex.
 
-    exits maps every slot (fid, s) to the slot of the same face a strand
-    entering there leaves by.  From each start slot not yet used, a strand
-    enters its face there, leaves by exits[slot] and crosses into the face
-    glued to that side, until it reaches a free side or a used slot.  A slot
-    is used once a strand enters by it, and also once a strand leaves by it
-    when exits leads straight back, so every slot is walked at most once,
-    under an involutive rule too.  Returns (entry slots, last exit slot,
-    closed) for each strand, in the order of their starts; a strand is
-    closed when it came back to its start.
+    exits maps every face to its rule, whose entry s is the side a strand
+    entering by side s leaves by.  From each start slot not yet used, a
+    strand enters its face there, leaves by the side the rule gives and
+    crosses into the face glued to that side, until it reaches a free side
+    or a used slot.  A slot is used once a strand enters by it, and also
+    once a strand leaves by it when the rule leads straight back, so every
+    slot is walked at most once, under an involutive rule too.  Returns
+    (entry slots, last exit slot, closed) for each strand, in the order of
+    their starts; a strand is closed when it came back to its start.
     """
     gluing = comp.gluing
     used = set()
@@ -354,8 +358,10 @@ def strands(comp, exits, starts):
         while True:
             entries.append(slot)
             used.add(slot)
-            end = exits[slot]
-            if exits[end] == slot:
+            fid, s = slot
+            rule = exits[fid]
+            end = (fid, rule[s])
+            if rule[rule[s]] == s:
                 used.add(end)
             slot = gluing.get(end)
             if slot is None or slot in used:
@@ -372,13 +378,12 @@ def _trace(comp, assignment):
     Returns (loops, paths): each closed loop as (color, row-5 faces it
     crosses), each path as ((end, end), color) with its two half-edges.
     """
-    exits = {}
-    for fid, name in assignment.items():
-        for a, b in LOCAL_CONFIGS[name][1]:
-            exits[(fid, a)], exits[(fid, b)] = (fid, b), (fid, a)
+    starts = [(fid, s) for fid, name in assignment.items()
+              for pair in LOCAL_CONFIGS[name][1] for s in pair]
     loops, paths = [], []
     for entries, end, closed in strands(
-            comp, exits, sorted(exits, key=comp.gluing.__contains__)):
+            comp, {fid: _EXITS[name] for fid, name in assignment.items()},
+            sorted(starts, key=comp.gluing.__contains__)):
         fid, s = entries[0]
         color = _SIDE_COLORS[assignment[fid]][s]
         if closed:

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
 
 from .loopmodel import FaceComplex, strands
 
@@ -71,12 +72,14 @@ class QuadGraph(FaceComplex):
 
     The complex is built on first use.  Every face must first pass the check
     that validate reports (QuadGraphError), and an edge may bound at most
-    two faces (the LoopModelError of FaceComplex.from_corners)."""
+    two faces (the LoopModelError of FaceComplex.from_corners).  The colors,
+    faces and positions are read-only, so the complex cannot go stale."""
 
     def __init__(self, colors, faces, positions=None, closed=False):
-        self.colors = dict(colors)              # vertex id -> "black"/"white"
-        self.faces = {fid: tuple(c) for fid, c in faces.items()}
-        self.positions = dict(positions or {})
+        self.colors = MappingProxyType(dict(colors))    # "black"/"white"
+        self.faces = MappingProxyType({fid: tuple(c)
+                                       for fid, c in faces.items()})
+        self.positions = MappingProxyType(dict(positions or {}))
         self.closed = closed
 
     @cached_property
@@ -186,8 +189,7 @@ def train_tracks(comp):
     then closed tracks at the remaining glued sides, each list in the order
     of the side's edge (its sorted corner names), face and slot; the tracks
     come back sorted by their edges."""
-    exits = {(fid, s): (fid, (s + 2) % 4)
-             for fid in comp.corner_ids for s in range(4)}
+    exits = dict.fromkeys(comp.corner_ids, (2, 3, 0, 1))
 
     def order(slot):
         return sorted(map(str, comp.edge_of(*slot))), str(slot[0]), slot[1]
@@ -195,8 +197,9 @@ def train_tracks(comp):
     walked = strands(comp, exits, sorted(comp.half_edges(), key=order))
     crossed = {slot for entries, _end, _closed in walked for slot in entries}
     walked += strands(comp, exits, sorted(
-        (slot for slot in comp.gluing
-         if slot not in crossed and exits[slot] not in crossed), key=order))
+        ((fid, s) for fid, s in comp.gluing
+         if (fid, s) not in crossed and (fid, exits[fid][s]) not in crossed),
+        key=order))
     tracks = []
     for entries, end, closed in walked:
         path = [comp.edge_of(*slot) for slot in entries]

@@ -58,12 +58,17 @@ class WindowTooSmall(SteppedError):
     pass
 
 
+class WindowTooLarge(SteppedError):
+    pass
+
+
 class NotFlippable(SteppedError):
     pass
 
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 UNITS = (E1, E2, E3)
+WINDOW_MAX_RADIUS = 400     # a one-cube window then takes 3.6 s and 606 MiB
 
 
 def vadd(a, b):
@@ -342,7 +347,8 @@ class SurfaceGraph:
 
 def surface_graph(U, window_radius=None):
     """Finite window of G(U): every face with a corner inside the window
-    ball.  The default radius covers the carved region plus a flat collar.
+    ball.  The default radius covers the carved region plus a flat collar;
+    no radius may exceed WINDOW_MAX_RADIUS.
     A window the same solid object still holds at the same resolved radius
     is returned as it is; windows are frozen and shared, so read them and do
     not change them."""
@@ -357,6 +363,9 @@ def surface_graph(U, window_radius=None):
     if window_radius < r_need:
         raise WindowTooSmall(
             f"window radius {window_radius} < R_U = {r_need}")
+    if window_radius > WINDOW_MAX_RADIUS:
+        raise WindowTooLarge(f"window radius {window_radius} > "
+                             f"{WINDOW_MAX_RADIUS}")
     sg = U._windows.get(window_radius)
     if sg is not None:
         return sg

@@ -11,13 +11,15 @@ outside a ball around the origin and reconnects the frozen strands exactly
 as the reference does.  The solid's window is the only surface built: the
 reference zone is the carved zone with the faces the removed cubes toggle
 toggled back, and tracing the reference picture through it pairs the
-interface edges.  Enumeration works on a finite zone of faces around
-the carve: colors propagate through shared sides, strands are maintained as
-chains between interface plugs, and any chain that closes interface-to-
-interface with the wrong partner kills the branch immediately.  The search
-takes next the face with the most sides already colored, starting from the
-interface, so both checks fire as early as possible; the configurations are
-then listed in zone order, deepest wall level first.
+interface sides.  The window numbers the zone's sides once, for the search,
+the peel plan and that pairing, and checks once that its collar holds every
+face at each zone corner.  Enumeration works on a finite zone of faces
+around the carve: colors propagate through shared sides, strands are
+maintained as chains between interface plugs, and any chain that closes
+interface-to-interface with the wrong partner kills the branch immediately.
+The search takes next the face with the most sides already colored,
+starting from the interface, so both checks fire as early as possible; the
+configurations are then listed in zone order, deepest wall level first.
 
 Weights are assembled per vertex: each face type contributes exponent 1 to
 its non-hugged diagonal (rows 1-2), exponent 1/2 plus the face root variable
@@ -54,7 +56,6 @@ from .stepped import (
     UNITS,
     SteppedSolid,
     clockwise_corners,
-    face_diagonals,
     height,
     is_regular,
     norm2,
@@ -108,12 +109,6 @@ def sigma0_type(cyc):
     raise TautError(f"face heights {h} are not a surface pattern")
 
 
-def sigma0(sg):
-    """Reference assignment for every face of a window."""
-    return {key: sigma0_type(_rotate_black_first(cyc))
-            for key, cyc in sg.faces.items()}
-
-
 # type -> per-slot vertex exponent contribution (slot = corner position), in
 # integer half-units: 2 stands for exponent 1, 1 for exponent 1/2
 _ROW_EXP = {1: (2, 0, 2, 0), 2: (0, 2, 0, 2), 3: (1, 0, 1, 0),
@@ -131,13 +126,12 @@ class TautWindow:
     zone: list                    # carved zone face keys, output order
     zone_comp: FaceComplex        # the zone faces, glued among themselves
     frozen: set
-    interface_edges: set          # primal-edge keys on the zone boundary
-    target_pairing: dict          # interface edge -> partner edge
+    sides: dict                   # zone face -> its four side ids
+    pairing: dict                 # interface side id -> partner side id
     vnames: dict
     collar: dict                  # vertex -> frozen exponent - 2, half-units
     vertex_of: dict               # vertex variable name -> vertex
     face_of: dict                 # root variable name -> window face
-    sides: dict                   # zone face -> its four primal edges
 
     @property
     def registry(self):
@@ -167,25 +161,21 @@ class TautWindow:
         the window's corner incidence, never on the monomial.  So the order
         is worked out once: each step gives its pivot, the face, the face's
         corners and sides, and the face's sides already colored (by the
-        interface or by an earlier face) and not yet colored, all as
-        positions in the plan's vertex and side lists.  Raises Stuck when no
-        vertex has a single undecided face, or when a face comes up with no
-        colored side, whose row's two variants could not then be told
-        apart."""
+        interface or by an earlier face) and not yet colored: the pivot and
+        corners as positions in the plan's vertex list, the sides as the
+        window's side ids.  Raises Stuck when no vertex has a single
+        undecided face, or when a face comes up with no colored side, whose
+        row's two variants could not then be told apart."""
         comp = self.comp
         unknown_at = {}
         for key in self.zone:
             for c in comp.corner_ids[key]:
                 unknown_at.setdefault(c, set()).add(key)
         at = {v: i for i, v in enumerate(unknown_at)}
-        side_at = {}
-        for key in self.zone:
-            for e in self.sides[key]:
-                side_at.setdefault(e, len(side_at))
-        colors = [None] * len(side_at)
-        for e in self.interface_edges:
-            colors[side_at[e]] = "B"
-        colored = {side_at[e] for e in self.interface_edges}
+        colors = [None] * (1 + max(map(max, self.sides.values())))
+        for e in self.pairing:
+            colors[e] = "B"
+        colored = set(self.pairing)
         # a vertex's count only falls, so it enters the heap once, and
         # entries whose count has reached zero since are stale
         ready = [v for v, faces in unknown_at.items() if len(faces) == 1]
@@ -199,7 +189,7 @@ class TautWindow:
             v = heapq.heappop(ready)
             key, = unknown_at[v]
             cyc = comp.corner_ids[key]
-            sides = tuple(side_at[e] for e in self.sides[key])
+            sides = self.sides[key]
             known = tuple(s for s in range(4) if sides[s] in colored)
             if not known:
                 raise Stuck(f"variant ambiguous at {key}")
@@ -222,7 +212,7 @@ class PeelPlan(NamedTuple):
     vertices: list      # the vertices of the zone faces
     position: dict      # their variable names -> positions in vertices
     residuals: list     # per vertex, minus its frozen collar, half-units
-    colors: list        # per zone side, its color before any step
+    colors: list        # per side id, its color before any step
     steps: list         # (pivot, pivot on the black diagonal, face,
     #                      corners, sides, colored slots, fresh slots)
 
@@ -255,10 +245,15 @@ def build_taut_window(U):
     zone = sorted((k for k, cyc in comp.corner_ids.items()
                    if min(map(norm2, cyc)) <= r2),
                   key=lambda k: (min(map(height, comp.corner_ids[k])), str(k)))
+    # a weight reads exponents at zone corners, each from all its faces
+    far = max((c for k in zone for c in comp.corner_ids[k]), key=norm2)
+    if norm2(far) > (sg.window_radius - 2.1) ** 2:
+        raise TautError(f"vertex {far} too close to the window boundary; "
+                        "enlarge the collar")
     frozen = set(comp.corner_ids).difference(zone)
     zone_comp = FaceComplex.from_corners(
         {k: comp.corner_ids[k] for k in zone})
-    # interface edges: sides between a zone face and a frozen face
+    # interface: the sides between a zone face and a frozen face
     iface = _unglued_sides(zone_comp)
     if any(side not in comp.gluing for side in iface.values()):
         raise TautError("zone touches the window boundary; "
@@ -266,16 +261,18 @@ def build_taut_window(U):
     flat_zone = FaceComplex.from_corners(
         {key: _rotate_black_first(clockwise_corners(*key))
          for key in sorted(set(zone) ^ toggled)})
-    if iface.keys() != _unglued_sides(flat_zone).keys():
+    flat_iface = _unglued_sides(flat_zone)
+    if iface.keys() != flat_iface.keys():
         raise TautError("interface mismatch between carved and flat zones")
+    ids = zone_comp.side_ids(zone)
+    carved = {flat_iface[e]: ids[side] for e, side in iface.items()}
     # a reference strand crosses glued sides only, so it stays in the flat
     # zone until both its ends reach the interface
     _loops, paths = _trace(flat_zone, {
         key: sigma0_type(cyc) for key, cyc in flat_zone.corner_ids.items()})
-    target = {}
+    pairing = {}
     for (a, b), _color in paths:
-        e, f = flat_zone.edge_of(*a), flat_zone.edge_of(*b)
-        target[e], target[f] = f, e
+        pairing[carved[a]], pairing[carved[b]] = carved[b], carved[a]
     vnames = {v: sg.vertex_var_name(v) for v in sg.vertices}
     # the frozen faces keep their reference pictures, so their share of each
     # vertex exponent, net of the -2 renormalization, is fixed per window
@@ -284,12 +281,11 @@ def build_taut_window(U):
         cyc = comp.corner_ids[key]
         for v, e in zip(cyc, _CORNER_EXP[sigma0_type(cyc)]):
             collar[v] += e
-    return TautWindow(sg, comp, zone, zone_comp, frozen, set(iface), target,
-                      vnames, collar,
+    return TautWindow(sg, comp, zone, zone_comp, frozen,
+                      {k: tuple(ids[(k, s)] for s in range(4)) for k in zone},
+                      pairing, vnames, collar,
                       {name: v for v, name in vnames.items()},
-                      {sg.face_root_name(k): k for k in comp.corner_ids},
-                      {k: tuple(comp.edge_of(k, s) for s in range(4))
-                       for k in zone})
+                      {sg.face_root_name(k): k for k in comp.corner_ids})
 
 
 def window_for(U, window):
@@ -319,9 +315,7 @@ class TautConfig(LoopConfig):
         if self.assignment.keys() != win.sides.keys():  # the zone faces
             raise TautError("the configuration's faces are not the window's "
                             "zone faces")
-        exps, roots = _vertex_contributions(win, self.assignment)
-        _check_vertex_completeness(win, exps)
-        return exps, roots
+        return _vertex_contributions(win, self.assignment)
 
     @cached_property
     def monomial_key(self):
@@ -361,15 +355,11 @@ def enumerate_taut(U, window=None):
     blue and paired as the reference picture pairs them; the search visits
     the faces in constraint order, so colors and the pairing prune early."""
     win = window_for(U, window)
-    zone = win.zone
-    ids = win.comp.side_ids(zone)
-    sides = [tuple(ids[(key, s)] for s in range(4)) for key in zone]
-    term = {win.sides[key][s]: e for (key, s), e in ids.items()
-            if win.sides[key][s] in win.interface_edges}
-    found = search(sides, dict.fromkeys(term.values(), "B"),
-                   {term[e]: term[f] for e, f in win.target_pairing.items()})
-    return [TautConfig({key: CONFIG_ORDER[r] for key, r in zip(zone, ranks)},
-                       loops, win) for ranks, loops in found]
+    found = search(list(win.sides.values()), dict.fromkeys(win.pairing, "B"),
+                   win.pairing)
+    return [TautConfig({key: CONFIG_ORDER[r] for key, r in
+                        zip(win.zone, ranks)}, loops, win)
+            for ranks, loops in found]
 
 
 # ---------------------------------------------------------------------------
@@ -392,16 +382,6 @@ def _vertex_contributions(win, assignment):
     return {v: e for v, e in exps.items() if e}, roots
 
 
-def _check_vertex_completeness(win, verts):
-    """Every vertex with a residual exponent must have all its faces inside
-    the window, i.e. sit well inside the window ball."""
-    lim = (win.sg.window_radius - 2.1) ** 2
-    for v in verts:
-        if norm2(v) > lim:
-            raise TautError(f"vertex {v} too close to the window boundary; "
-                            "enlarge the collar")
-
-
 def taut_weight(win, config, symbolic=True, g_init=None):
     """Weight 2^loops * prod w^f * prod g^-2 of one taut configuration.
 
@@ -422,7 +402,7 @@ def taut_weight(win, config, symbolic=True, g_init=None):
         for v, e in exps.items():
             val *= g(v) ** (e / 2)
         for key in roots:
-            (a, c), (b, d) = face_diagonals(*key)
+            a, b, c, d = win.sg.faces[key]
             val *= math.sqrt(g(a) * g(c) + g(b) * g(d))
     except OverflowError:
         val = math.inf

@@ -466,6 +466,11 @@ MALFORMED = {
         {}, ["stepped", "surface", "{d}/one_cube.json", "--window", "nan"]),
     "stepped-window-inf": (
         {}, ["stepped", "surface", "{d}/one_cube.json", "--window", "inf"]),
+    # finite radii whose window would not fit in memory
+    "stepped-window-1e300": (
+        {}, ["stepped", "surface", "{d}/one_cube.json", "--window", "1e300"]),
+    "stepped-window-1e7": (
+        {}, ["stepped", "surface", "{d}/one_cube.json", "--window", "1e7"]),
     "stepped-cube-two-coordinates": (
         {"s.json": {"removed": [[-1, -1]]}},
         ["stepped", "surface", "{d}/s.json"]),
@@ -586,6 +591,8 @@ ERROR_START = {
     "kashaev-init-tiny": "NonPositive: face (0, (-1, -1, -1)) is 0.0, out of "
                          "float range, from the initial values 1e-200,",
     "kashaev-yb-row-zero": "TautError: row 0 is not one of 1-7",
+    **dict.fromkeys(["stepped-window-1e300", "stepped-window-1e7"],
+                    "WindowTooLarge: "),
     **dict.fromkeys(["dimers-verify-no-graph", "dimers-verify-no-weights",
                      "kashaev-solve-no-solid", "taut-reconstruct-no-monomial"],
                     "a required input file is missing"),

@@ -1,6 +1,8 @@
 """Every name a module under src/c2loop imports is used in that module,
 every module-level private name it defines is read somewhere in the package,
-and every c2loop name the benchmark calls still resolves."""
+every public function, class or method is read by the package or the
+benchmark (apart from a list that may only shrink), and every c2loop name
+the benchmark calls still resolves."""
 
 import ast
 import importlib
@@ -128,3 +130,82 @@ def test_benchmark_names_resolve():
     missing = [f"c2loop.{mod}.{name}" for mod, name in sorted(names)
                if not hasattr(importlib.import_module(f"c2loop.{mod}"), name)]
     assert missing == []
+
+
+def names_read(node):
+    """The names a syntax tree reads, by name or as an attribute."""
+    return {n.id for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)} | \
+        {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
+def unread_public_names(sources, outside=frozenset()):
+    """module.name or module.Class.name of each public function, class or
+    method of the sources that no statement of the sources outside its own
+    definition reads, by name or as an attribute, and that is not in
+    outside.  sources maps module names to their source text."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    parts = []
+    for tree in trees.values():
+        for stmt in tree.body:
+            parts += [*stmt.decorator_list, *stmt.bases, *stmt.body] \
+                if isinstance(stmt, ast.ClassDef) else [stmt]
+    reads = [(part, names_read(part)) for part in parts]
+    found = []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defs = [(stmt.name, stmt)]
+            if isinstance(stmt, ast.ClassDef):
+                defs += [(f"{stmt.name}.{d.name}", d) for d in stmt.body
+                         if isinstance(d, ast.FunctionDef)]
+            for qual, node in defs:
+                name = qual.rsplit(".", 1)[-1]
+                if name.startswith("_") or name in outside:
+                    continue
+                own = {id(n) for n in ast.walk(node)}
+                if not any(name in read for part, read in reads
+                           if id(part) not in own):
+                    found.append(f"{module}.{qual}")
+    return sorted(found)
+
+
+def test_scan_finds_an_unread_public_name():
+    # K is read only inside itself, K.n and unread by nothing but
+    # themselves; outside readers count
+    sources = {"a": "def used():\n    return 1\n\n\n"
+                    "def unread():\n    return unread()\n\n\n"
+                    "class K:\n    def m(self):\n        return K\n\n"
+                    "    def n(self):\n        return self.m()\n",
+               "b": "from a import used\n\nprint(used())\n"}
+    assert unread_public_names(sources) == ["a.K", "a.K.n", "a.unread"]
+    assert unread_public_names(sources, {"n"}) == ["a.K", "a.unread"]
+
+
+# public names that only the tests read (ROADMAP item 10): each is to become
+# a checked row of the battery or move to the tests, so the list only shrinks
+ONLY_TESTS_READ = {
+    "ffdimers.TorusDimerGraph.char_poly", "ffdimers.gauge_transform",
+    "ffdimers.verify_blue_marginal", "fixtures.hexagon_y",
+    "fixtures.integrable_weights", "fixtures.pillow_sphere",
+    "fixtures.taut_example", "groves.grove_is_forest",
+    "groves.grove_to_types", "kashaev.HexState.check_face_invariant",
+    "kashaev.alternative_root", "kashaev.cube_from_bottom",
+    "kashaev.duality_check", "laurent.poly_from_json",
+    "laurent.poly_to_json_str", "limitshape.rho_observable_expectation",
+    "loopmodel.crossing_parity_check", "quadgraph.phi",
+    "quadgraph.single_quad", "stepped.flip_vertex",
+}
+
+
+def test_public_names_have_readers():
+    # a public name of src must be read by src or by the benchmark
+    outside = {name for _module, name in traced_names()}
+    for path in sorted(PERFBENCH.glob("*.py")):
+        outside |= names_read(ast.parse(path.read_text()))
+    found = set(unread_public_names(
+        {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}, outside))
+    assert sorted(found - ONLY_TESTS_READ) == [], "read only by tests"
+    assert sorted(ONLY_TESTS_READ - found) == [], \
+        "read outside the tests now: drop it from ONLY_TESTS_READ"

@@ -221,9 +221,24 @@ def test_validate_single_quad():
     assert validate(single_quad())["valid"]
 
 
-def test_validate_bad_face():
+def with_face(g, fid, cyc):
+    """A new QuadGraph: g with one face added."""
+    return QuadGraph(g.colors, {**g.faces, fid: cyc}, g.positions, g.closed)
+
+
+def test_graph_mappings_are_read_only():
+    # the complex is built once, so a face added afterwards would be unseen
     g = grid_quadgraph(1, 1)
-    g.faces["bad"] = ((0, 0), (1, 1), (0, 1), (1, 0))  # non-alternating
+    assert len(g.corner_ids) == 1
+    for mapping in (g.faces, g.colors, g.positions):
+        with pytest.raises(TypeError):
+            mapping[(1, 0)] = ((1, 0), (1, 1), (2, 1), (2, 0))
+    assert len(g.faces) == 1 and len(train_tracks(g)) == 2
+
+
+def test_validate_bad_face():
+    g = with_face(grid_quadgraph(1, 1), "bad",
+                  ((0, 0), (1, 1), (0, 1), (1, 0)))  # non-alternating
     rep = validate(g)
     assert not rep["valid"]
     kinds = {v["kind"] for v in rep["violations"]}
@@ -372,8 +387,8 @@ def test_parametrization_symmetric_case():
 
 
 def test_validate_degree3_face():
-    g = grid_quadgraph(1, 1)
-    g.faces["tri"] = ((0, 0), (0, 1), (1, 1), (1, 1))
+    g = with_face(grid_quadgraph(1, 1), "tri",
+                  ((0, 0), (0, 1), (1, 1), (1, 1)))
     rep = validate(g)
     assert not rep["valid"]
     assert any(v["kind"] == "FaceDegree" for v in rep["violations"])

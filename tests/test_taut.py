@@ -1,6 +1,7 @@
 """Taut configurations: reference picture, enumeration, weights, theorems."""
 
 import dataclasses
+import hashlib
 import heapq
 import math
 import random
@@ -38,7 +39,6 @@ from c2loop.taut import (
     enumerate_taut,
     reconstruct_from_monomial,
     sample_taut,
-    sigma0,
     sigma0_type,
     taut_weight,
     verify_partition_identity,
@@ -53,9 +53,18 @@ BOX = SteppedSolid.from_removed([(i, j, k) for i in (-1, -2)
                                  for j in (-1, -2) for k in (-1, -2)])
 
 
+def interface_of(comp, zone):
+    """The primal edges between a zone face and a face outside the zone."""
+    zone = set(zone)
+    return {comp.edge_of(k, s) for k in zone for s in range(4)
+            if comp.gluing[(k, s)][0] not in zone}
+
+
 def two_window_oracle(U):
     """TautWindow of U built from two windows: the reference zone, its
-    interface and pairing come from a second window of the flat corner."""
+    interface and pairing come from a second window of the flat corner, and
+    the zone's own complex numbers the sides.  Returns the window, the
+    interface edges and their pairing, edge to edge."""
     r_u = is_regular(U)["R_U"]
     r2 = r_u * r_u
     sg = surface_graph(U, r_u + 4)
@@ -66,15 +75,11 @@ def two_window_oracle(U):
         return {k for k, cyc in c.corner_ids.items()
                 if min(map(norm2, cyc)) <= r2}
 
-    def interface(c, zone):
-        return {c.edge_of(k, s) for k in zone for s in range(4)
-                if c.gluing[(k, s)][0] not in zone}
-
     zone_set, flat_zone = zone_of(comp), zone_of(flat)
     frozen = set(comp.corner_ids) - zone_set
     assert frozen == set(flat.corner_ids) - flat_zone
-    iface = interface(comp, zone_set)
-    assert iface == interface(flat, flat_zone)
+    iface = interface_of(comp, zone_set)
+    assert iface == interface_of(flat, flat_zone)
     slot_of = {flat.edge_of(k, s): (k, s) for k in flat_zone
                for s in range(4)}
     target = {}
@@ -93,6 +98,9 @@ def two_window_oracle(U):
             assert key in flat_zone
     zone = sorted(zone_set, key=lambda k: (
         min(height(c) for c in comp.corner_ids[k]), str(k)))
+    zone_comp = zone_complex_of(comp, zone)
+    ids = zone_comp.side_ids(zone)
+    id_of = {comp.edge_of(*side): i for side, i in ids.items()}
     vnames = {v: sg.vertex_var_name(v) for v in sg.vertices}
     collar = dict.fromkeys(sg.vertices, -4)
     for key in frozen:
@@ -100,10 +108,11 @@ def two_window_oracle(U):
         for v, e in zip(cyc, _CORNER_EXP[sigma0_type(cyc)]):
             collar[v] += e
     return TautWindow(
-        sg, comp, zone, zone_complex_of(comp, zone), frozen, iface, target,
+        sg, comp, zone, zone_comp, frozen,
+        {k: tuple(ids[(k, s)] for s in range(4)) for k in zone},
+        {id_of[e]: id_of[f] for e, f in target.items()},
         vnames, collar, {name: v for v, name in vnames.items()},
-        {sg.face_root_name(k): k for k in comp.corner_ids},
-        {k: tuple(comp.edge_of(k, s) for s in range(4)) for k in zone})
+        {sg.face_root_name(k): k for k in comp.corner_ids}), iface, target
 
 
 def zone_complex_of(comp, zone):
@@ -125,10 +134,19 @@ ORACLE_SOLIDS.update(slab5=slab_solid(5), slab6=slab_solid(6), box=BOX)
 @pytest.mark.parametrize("name", ORACLE_SOLIDS)
 def test_window_matches_two_window_oracle(name):
     U = ORACLE_SOLIDS[name]
-    win, want = build_taut_window(U), two_window_oracle(U)
+    win, want = build_taut_window(U), two_window_oracle(U)[0]
     for f in dataclasses.fields(TautWindow):
         assert getattr(win, f.name) == getattr(want, f.name), f.name
     assert list(win.zone_comp.corner_ids) == win.zone
+
+
+def test_short_collar_is_refused(monkeypatch):
+    # two past R_U, the window misses faces at the outer zone corners, whose
+    # exponents a configuration's weight reads
+    monkeypatch.setattr(c2loop.taut, "_COLLAR", 2.0)
+    for U in (U0, ONE, slab_solid(4)):
+        with pytest.raises(TautError, match="enlarge the collar"):
+            build_taut_window(U)
 
 
 def test_window_builds_one_surface_graph(monkeypatch):
@@ -198,8 +216,9 @@ def test_face_cycles_lead_with_least_black_corner():
 
 
 def test_sigma0_all_blue_turns():
-    sg = surface_graph(U0, 5)
-    s0 = sigma0(sg)
+    # the reference picture of every face of a flat window
+    s0 = {key: sigma0_type(cyc) for key, cyc in
+          window_complex(surface_graph(U0, 5)).corner_ids.items()}
     assert set(s0.values()) <= {"1b", "2b"}
     # deep in a flat sector both variants occur (checkerboard by parity)
     assert {"1b", "2b"} == set(s0.values())
@@ -245,10 +264,11 @@ def test_one_cube_weights_match_monomials():
     assert with_roots[0].n_loops == 1
 
 
-def _enumerate_by_level(win):
+def _enumerate_by_level(win, iface, target):
     """The level-order backtracker: faces in zone order, pictures in
     CONFIG_ORDER, so the results come out in lexicographic order of the
-    pictures' ranks along the zone."""
+    pictures' ranks along the zone.  iface holds the interface edges,
+    preset blue, and target pairs them."""
     comp = win.comp
     zone = win.zone
     zone_set = set(zone)
@@ -256,7 +276,7 @@ def _enumerate_by_level(win):
     for key in zone:
         for s in range(4):
             e = comp.edge_of(key, s)
-            if e in win.interface_edges:
+            if e in iface:
                 a, b = (e, key), (e, "IF")
             else:
                 a, b = (e, key), (e, comp.gluing[(key, s)][0])
@@ -264,7 +284,7 @@ def _enumerate_by_level(win):
             if a not in ends:
                 ends[a] = b
                 ends[b] = a
-    edge_color = {e: "B" for e in win.interface_edges}
+    edge_color = {e: "B" for e in iface}
     results = []
     assign = {}
     n_loops = [0]
@@ -279,7 +299,7 @@ def _enumerate_by_level(win):
         ends[a] = b
         ends[b] = a
         return not (a[1] == "IF" and b[1] == "IF"
-                    and win.target_pairing[a[0]] != b[0])
+                    and target[a[0]] != b[0])
 
     def undo(log):
         for item in reversed(log):
@@ -328,7 +348,33 @@ def test_enumeration_matches_level_order_search():
         win = build_taut_window(U)
         got = [(list(c.assignment.items()), c.n_loops)
                for c in enumerate_taut(U, win)]
-        assert got == _enumerate_by_level(win), sorted(U.removed)
+        _oracle, iface, target = two_window_oracle(U)
+        assert got == _enumerate_by_level(win, iface, target), \
+            sorted(U.removed)
+
+
+# sha256 of every configuration's assignment, loop count and monomial, and
+# of about 40 reconstructions per solid, on every solid of at most four
+# cubes, slab 5 and the box; pinned when the window still keyed its sides by
+# primal edges
+TAUT_DIGEST = \
+    "c9d478af23a20866d136745c3cd669929dd302356e54a7c2800a63a4004ebaff"
+
+
+def test_enumeration_and_reconstruction_digest():
+    digest = hashlib.sha256()
+    for U in [*enumerate_solids(4), slab_solid(5), BOX]:
+        win = build_taut_window(U)
+        cfgs = enumerate_taut(U, win)
+        for cfg in cfgs:
+            digest.update(repr((list(cfg.assignment.items()), cfg.n_loops,
+                                cfg.monomial_key)).encode())
+        for cfg in cfgs[::max(1, len(cfgs) // 40)]:
+            got = reconstruct_from_monomial(U, dict(cfg.monomial_key),
+                                            window=win)
+            digest.update(repr((list(got.assignment.items()),
+                                got.n_loops)).encode())
+    assert digest.hexdigest() == TAUT_DIGEST
 
 
 def test_box_configs_and_numeric_identity():
@@ -457,10 +503,11 @@ def test_reconstruct_rejects_corrupted():
                         reconstruct_from_monomial(U, bad, window=win)
 
 
-def heap_reconstruct(win, monomial):
+def heap_reconstruct(win, iface, monomial):
     """Reconstruction as a search: the least vertex with one unknown zone
     face is found afresh, from a heap, at every step, and the variant is
-    whichever of the row's two fits every colored side."""
+    whichever of the row's two fits every colored side; the interface
+    edges iface start out blue."""
     comp = win.comp
     root_faces = set()
     residual = {}
@@ -480,7 +527,7 @@ def heap_reconstruct(win, monomial):
         for c in comp.corner_ids[key]:
             unknown_at.setdefault(c, set()).add(key)
     res = {v: 2 * residual.get(v, 0) - win.collar[v] for v in unknown_at}
-    edge_color = {e: "B" for e in win.interface_edges}
+    edge_color = {e: "B" for e in iface}
     ready = [v for v, faces in unknown_at.items() if len(faces) == 1]
     heapq.heapify(ready)
     for _ in win.zone:
@@ -491,6 +538,7 @@ def heap_reconstruct(win, monomial):
         v = heapq.heappop(ready)
         key, = unknown_at[v]
         cyc = comp.corner_ids[key]
+        sides = [comp.edge_of(key, s) for s in range(4)]
         on_black_diag = cyc.index(v) % 2 == 0
         r = res[v]
         if key in root_faces:
@@ -503,14 +551,14 @@ def heap_reconstruct(win, monomial):
             row = 5 if r == 1 else 1 if (r == 2) == on_black_diag else 2
         fits = [cand for cand in ROW_TYPES[row]
                 if all(edge_color.get(e, c) == c for e, c in
-                       zip(win.sides[key], side_colors(cand)))]
+                       zip(sides, side_colors(cand)))]
         if len(fits) > 1:
             raise Stuck(f"variant ambiguous at {key}")
         if not fits:
             raise NotAMonomial(f"no variant of row {row} fits at {key}")
         name, = fits
         assign[key] = name
-        for s, (e, c) in enumerate(zip(win.sides[key], side_colors(name))):
+        for s, (e, c) in enumerate(zip(sides, side_colors(name))):
             edge_color.setdefault(e, c)
             res[cyc[s]] -= _CORNER_EXP[name][s]
             unknown_at[cyc[s]].discard(key)
@@ -531,10 +579,11 @@ def heap_reconstruct(win, monomial):
                              len(enumerate_solids(4)))), "slab4"])
 def test_reconstruct_matches_heap_oracle(U):
     win = build_taut_window(U)
+    iface = interface_of(win.comp, win.zone)
     for cfg in enumerate_taut(U, win):
         mono = dict(cfg.monomial_key)
         got = reconstruct_from_monomial(U, mono, window=win)
-        want = heap_reconstruct(win, mono)
+        want = heap_reconstruct(win, iface, mono)
         assert list(got.assignment.items()) == list(want.assignment.items())
         assert got.n_loops == want.n_loops == cfg.n_loops
         assert got.assignment == cfg.assignment
@@ -545,13 +594,13 @@ def test_reconstruct_matches_heap_oracle(U):
 def test_window_without_colored_sides_is_stuck():
     # with no interface colors the first face's variant cannot be read, so
     # the window has no plan, whatever the monomial
-    blind = dataclasses.replace(build_taut_window(ONE), interface_edges=set())
+    blind = dataclasses.replace(build_taut_window(ONE), pairing={})
     with pytest.raises(Stuck, match="variant ambiguous"):
         blind.peel_plan
     with pytest.raises(Stuck, match="variant ambiguous"):
         reconstruct_from_monomial(ONE, {}, window=blind)
     with pytest.raises(Stuck, match="variant ambiguous"):
-        heap_reconstruct(blind, {})
+        heap_reconstruct(blind, set(), {})
 
 
 def test_dropped_solid_is_freed_without_the_collector():
