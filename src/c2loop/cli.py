@@ -296,8 +296,7 @@ def cmd_kashaev(args):
     if args.mode == "numeric":
         sg = surface_graph(U)
         init = load_init(args.init, sg.vertices)
-        val = solve_origin(U, g_init=init, mode="numeric", order=order,
-                           window=sg)
+        val = solve_origin(U, g_init=init, mode="numeric", order=order)
         emit({"origin_value": val})
     else:
         poly = solve_origin(U, mode="symbolic", order=order)

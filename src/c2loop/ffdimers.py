@@ -33,22 +33,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .loopmodel import (
-    BoundarySpec,
-    blue_data,
-    enumerate_configs,
-    partition_function,
-    strands,
-    weight as loop_weight,
-)
+from .loopmodel import BoundarySpec, partition_function, strands
 from .fixtures import torus_two_faces
-from .quadfield import QuadVal, exact_product
-from .quadgraph import NotFreeFermionic
+from .quadfield import exact_product
+from .quadgraph import NotFreeFermionic, ff_check
 
 
 class FFDimersError(Exception):
@@ -67,30 +59,11 @@ class NotFound(FFDimersError):
     pass
 
 
-class UnrealizablePaths(FFDimersError):
-    pass
-
-
-def _exactish(x):
-    return isinstance(x, (int, Fraction, QuadVal))
-
-
 @dataclass
 class FFParams:
     lam: object
     a: object
     b: object
-
-
-def ff_check(w):
-    """w1 w4 = w3 w5, w2 w3 = w4 w5, w5 (w1 + w2) = w3 w4."""
-    w1, w2, w3, w4, w5 = w.as_tuple()
-    lhs = (w1 * w4, w2 * w3, w5 * (w1 + w2))
-    rhs = (w3 * w5, w4 * w5, w3 * w4)
-    if all(_exactish(x) for x in w.as_tuple()):
-        return all(a == b for a, b in zip(lhs, rhs))
-    return all(abs(float(a) - float(b)) <= 1e-12 * (abs(float(a)) + 1)
-               for a, b in zip(lhs, rhs))
 
 
 def ff_decompose(w):
@@ -205,12 +178,6 @@ def dimer_partition_bruteforce(gq):
     return total
 
 
-def gauge_transform(gq, gauge):
-    """Multiply every edge weight by the gauge values of its endpoints."""
-    edges = [(u, v, gauge[u] * gauge[v] * w, k) for (u, v, w, k) in gq.edges]
-    return DecoratedDimerGraph(gq.vertices, edges, gq.cities, gq.road_of)
-
-
 def road_probability(gq, road):
     """Probability that a road (an edge index or a glue key) is covered in
     the single dimer model.  The matchings are enumerated once per graph
@@ -247,68 +214,6 @@ def verify_correspondence(comp, W):
     rhs = lam * z_dim * z_dim
     return {"z_loop": z_loop, "z_dim": z_dim, "lambda_product": lam,
             "rhs": rhs, "equal": z_loop == rhs}
-
-
-def _city_connection(comp, gq, fid, used_city_edges):
-    """Pairing of the four sides induced by two opposite city edges."""
-    slots = sorted(s for (f, s) in used_city_edges if f == fid)
-    if slots == [0, 2]:
-        return ((0, 1), (2, 3))
-    if slots == [1, 3]:
-        return ((3, 0), (1, 2))
-    return None
-
-
-def verify_blue_marginal(comp, W, blue_edges, blue_pairings):
-    """Loop mass at fixed blue paths against the constrained double-dimer
-    mass.
-
-    blue_edges: set of glue keys that the blue paths occupy;
-    blue_pairings: {fid: pairing} for every face whose four sides are blue.
-    """
-    blue_edges = set(blue_edges)
-    blue_pairings = {f: tuple(tuple(p) for p in pr)
-                     for f, pr in blue_pairings.items()}
-    params = {fid: ff_decompose(W[fid]) for fid in comp.face_ids()}
-
-    lhs = 0
-    found = False
-    for cfg in enumerate_configs(comp, BoundarySpec.closed()):
-        edges, pairings = blue_data(comp, cfg)
-        if edges != blue_edges or pairings != blue_pairings:
-            continue
-        found = True
-        lhs = loop_weight(comp, cfg, W) + lhs
-    if not found:
-        raise UnrealizablePaths("no loop configuration has these blue paths")
-
-    gq = build_gq(comp, params)
-    matchings = enumerate_matchings(gq)
-    road_keys = sorted(gq.road_of, key=str)
-    road_idx = {gq.road_of[k]: k for k in road_keys}
-    prepared = []
-    for m, w in matchings:
-        roads = frozenset(road_idx[i] for i in m if i in road_idx)
-        city_edges = [gq.edges[i][0] for i in m if i not in road_idx]
-        prepared.append((roads, m, w, city_edges))
-    lam = 1
-    for fid in comp.face_ids():
-        lam = params[fid].lam * lam
-    rhs = 0
-    for ra, ma, wa, ca in prepared:
-        for rb, mb, wb, cb in prepared:
-            if (ra ^ rb) != blue_edges:
-                continue
-            ok = True
-            for fid, want in blue_pairings.items():
-                got = _city_connection(comp, gq, fid, ca + cb)
-                if got != want:
-                    ok = False
-                    break
-            if ok:
-                rhs = wa * wb + rhs
-    rhs = lam * rhs
-    return {"lhs": lhs, "rhs": rhs, "equal": lhs == rhs}
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +424,7 @@ class TorusDimerGraph:
 
     The constructor solves the Kasteleyn signs (every face odd) and the
     twist sector, chosen so that the spectral determinant vanishes at (1, 1)
-    when possible, into the matrix entries that char_poly evaluates."""
+    when possible, into the matrix entries that char_poly_coeffs reads."""
 
     def __init__(self, white, edges, faces):
         self.white = frozenset(white)
@@ -530,10 +435,6 @@ class TorusDimerGraph:
                    for twist in itertools.product((0, 1), repeat=2)]
         self.entries, self.shape = min(sectors, key=lambda sector: round(
             abs(np.linalg.det(kasteleyn_matrix(*sector, 1.0, 1.0))), 9))
-
-    def char_poly(self, z, w):
-        K = kasteleyn_matrix(self.entries, self.shape, z, w)
-        return complex(np.linalg.det(K))
 
     def char_poly_coeffs(self):
         """(C, zs, ws) with P(z, w) = sum of C[a, b] z**zs[a] w**ws[b].
@@ -670,11 +571,12 @@ def gq_torus_domain(theta):
 # Lobachevsky closed form
 # ---------------------------------------------------------------------------
 
-def lobachevsky(theta, tol=1e-12):
+def lobachevsky(theta):
     """Milnor's function -int_0^theta log|2 sin t| dt.
 
     The endpoint log singularity is integrated in closed form; the smooth
-    remainder log(sin t / t) goes through adaptive Simpson quadrature.
+    remainder log(sin t / t) goes through adaptive Simpson quadrature, each
+    panel refined until its two halves change it by less than 15e-12.
     """
     if theta == 0:
         return 0.0
@@ -692,7 +594,7 @@ def lobachevsky(theta, tol=1e-12):
         flm, frm = f(lm), f(rm)
         left = (m - a) / 6 * (fa + 4 * flm + fm)
         right = (b - m) / 6 * (fm + 4 * frm + fb)
-        if depth <= 0 or abs(left + right - whole) < 15 * tol:
+        if depth <= 0 or abs(left + right - whole) < 15e-12:
             return left + right + (left + right - whole) / 15
         return (simpson(f, a, m, fa, flm, fm, left, depth - 1)
                 + simpson(f, m, b, fm, frm, fb, right, depth - 1))

@@ -29,13 +29,6 @@ def cube_sphere():
     return QuadGraph(colors, faces, closed=True)
 
 
-def pillow_sphere():
-    """Two quadrilaterals glued along their whole boundary."""
-    colors = {0: "black", 1: "white", 2: "black", 3: "white"}
-    faces = {"A": (0, 1, 2, 3), "B": (0, 3, 2, 1)}
-    return QuadGraph(colors, faces, closed=True)
-
-
 def torus_two_faces():
     """Fundamental domain of the periodic square-grid quadrangulation:
     two faces, every side glued to the other face."""
@@ -52,30 +45,6 @@ def torus_two_faces():
     return FaceComplex(corner_ids, gluing)
 
 
-def hexagon_y():
-    """Hexagon split into three quadrilaterals around a center vertex; its
-    three train tracks pairwise cross once.  Stands in for the figure-style
-    bounded quadrangulation with two highlighted tracks."""
-    import math
-    colors = {"o": "white"}
-    positions = {"o": (Fraction(0), Fraction(0))}
-    faces = {}
-    ring = {}
-    for t in range(3):
-        a = f"a{t}"
-        b = f"b{t}"
-        colors[a] = "black"
-        colors[b] = "white"
-        ring[a] = (Fraction(round(100 * math.cos(2 * math.pi * t / 3 + math.pi / 6)), 100),
-                   Fraction(round(100 * math.sin(2 * math.pi * t / 3 + math.pi / 6)), 100))
-        ring[b] = (Fraction(round(100 * 2 * math.cos(2 * math.pi * t / 3 + math.pi / 2)), 100),
-                   Fraction(round(100 * 2 * math.sin(2 * math.pi * t / 3 + math.pi / 2)), 100))
-    positions.update(ring)
-    for t in range(3):
-        faces[f"q{t}"] = (f"a{t}", f"b{t}", f"a{(t + 1) % 3}", "o")
-    return QuadGraph(colors, faces, positions)
-
-
 def ff_fixture_weights():
     """The symmetric point: (1/2, 1/2, 1/sqrt2, 1/sqrt2, 1/2), exact in
     Q(sqrt 2)."""
@@ -84,12 +53,13 @@ def ff_fixture_weights():
     return FaceWeights(half, half, inv_sqrt2, inv_sqrt2, half)
 
 
-def rational_ff_weights(rng, dmax=5):
+def rational_ff_weights(rng):
     """Random free-fermionic weights with all five entries rational:
-    lambda rational, (a, b) a rational point on the unit circle."""
+    lambda rational, (a, b) a rational point on the unit circle drawn from
+    m, n <= 5."""
     while True:
-        m = rng.randint(1, dmax)
-        n = rng.randint(1, dmax)
+        m = rng.randint(1, 5)
+        n = rng.randint(1, 5)
         if m != n:
             break
     m, n = max(m, n), min(m, n)
@@ -100,25 +70,3 @@ def rational_ff_weights(rng, dmax=5):
     lam = Fraction(rng.randint(1, 6), rng.randint(1, 4))
     return FaceWeights(lam * a * a, lam * b * b, lam * a, lam * b,
                        lam * a * b)
-
-
-def integrable_weights(theta):
-    """sin/cos family at fugacity two (floats)."""
-    import math
-    s, c = math.sin(theta), math.cos(theta)
-    return FaceWeights(s * s, c * c, s, c, s * c)
-
-
-def taut_example():
-    """A frozen taut configuration on the one-cube solid: the reference
-    picture everywhere except the three pit faces, whose bichromatic turns
-    close a single red loop around the carved corner.  The loop count was
-    traced by hand when the fixture was frozen."""
-    from .stepped import SteppedSolid
-    solid = SteppedSolid.from_removed([(-1, -1, -1)])
-    deviations = {
-        (0, (-1, -1, -1)): "3b",
-        (1, (-1, -1, -1)): "3a",
-        (2, (-1, -1, -1)): "3b",
-    }
-    return solid, deviations, 1

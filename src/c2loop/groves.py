@@ -1,26 +1,25 @@
-"""The loop-free sector and its spanning-forest counterpart.
+"""The loop-free sector and the all-plus recurrence.
 
 A taut configuration without closed loops is all blue (red paths always
-close up), so every face shows one of the two blue turn pictures, and the
-face can be recorded by its non-hugged diagonal.  The resulting diagonal
-sets are exactly the grove-like essential forests on the even and odd
-sublattices, and the sector's partition function satisfies the all-plus-sign
-recurrence g * g_top = g1 g23 + g2 g13 + g3 g12 instead of the full one.
+close up), so every face shows one of the two blue turn pictures.  The
+sector's partition function satisfies the all-plus-sign recurrence
+g * g_top = g1 g23 + g2 g13 + g3 g12 instead of the full one, and its
+monomials are exactly the monomials with an odd coefficient in the full
+partition function, each with coefficient 1.  Recording every face of the
+sector by its non-hugged diagonal gives the grove-like essential forests on
+the even and odd sublattices; that dictionary and the forest check are test
+oracles (tests/test_groves.py), not part of the package.
 """
 
 from __future__ import annotations
 
 from .kashaev import fill_corners, lift_state
-from .loopmodel import LOCAL_CONFIGS, side_colors
+from .loopmodel import side_colors
 from .stepped import fill_order, is_regular
 from .taut import enumerate_taut, taut_weight, window_for
 
 
 class GrovesError(Exception):
-    pass
-
-
-class HasLoops(GrovesError):
     pass
 
 
@@ -33,39 +32,6 @@ def filter_no_loops(configs):
                 if "R" in side_colors(name):
                     raise GrovesError("loop-free configuration shows red")
             out.append(cfg)
-    return out
-
-
-def to_grove(cfg):
-    """Per-face chosen diagonal: the pair of corners the blue turns avoid."""
-    if cfg.n_loops != 0:
-        raise HasLoops("grove image is defined on the loop-free sector")
-    comp = cfg.window.comp
-    out = {}
-    for key, name in cfg.full_assignment().items():
-        cyc = comp.corner_ids[key]
-        row = LOCAL_CONFIGS[name][0]
-        if row == 1:
-            out[key] = (cyc[0], cyc[2])
-        elif row == 2:
-            out[key] = (cyc[1], cyc[3])
-        else:
-            raise HasLoops(f"face {key} is not a blue turn")
-    return out
-
-
-def grove_to_types(window, grove):
-    """Inverse of the diagonal dictionary on the window's faces."""
-    comp = window.comp
-    out = {}
-    for key, diag in grove.items():
-        cyc = comp.corner_ids[key]
-        if set(diag) == {cyc[0], cyc[2]}:
-            out[key] = "1b"
-        elif set(diag) == {cyc[1], cyc[3]}:
-            out[key] = "2b"
-        else:
-            raise GrovesError(f"{diag} is not a diagonal of {key}")
     return out
 
 
@@ -90,15 +56,17 @@ def verify_grove_equality(U, window=None):
     win = window_for(U, window)
     configs = enumerate_taut(U, win)
     free = filter_no_loops(configs)
+    weights = [taut_weight(win, cfg, symbolic=True) for cfg in configs]
     total = win.registry.zero()
-    for cfg in free:
-        total = total + taut_weight(win, cfg, symbolic=True)
+    for cfg, w in zip(configs, weights):
+        if cfg.n_loops == 0:
+            total = total + w
     rec = cube_recurrence_solve(U, window=win)
     equal = total == rec
     # parity: even coefficients of the full sum are exactly the looped part
     full = win.registry.zero()
-    for cfg in configs:
-        full = full + taut_weight(win, cfg, symbolic=True)
+    for w in weights:
+        full = full + w
     odd_monos = {m for m, c in full.terms.items() if c.numerator % 2 == 1}
     free_monos = set(total.terms)
     parity_ok = odd_monos == free_monos and all(
@@ -106,37 +74,3 @@ def verify_grove_equality(U, window=None):
     return {"equal": equal, "n_loop_free": len(free),
             "parity_match": parity_ok,
             "ok": equal and parity_ok}
-
-
-def grove_is_forest(cfg):
-    """No diagonal cycle on either height-parity class near the carve."""
-    grove = to_grove(cfg)
-    for parity in (0, 1):
-        adj = {}
-        edges = []
-        for key in cfg.window.near_zone:
-            a, b = grove[key]
-            if sum(a) % 2 != parity:
-                continue
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-            edges.append((a, b))
-        seen = set()
-        for start in adj:
-            if start in seen:
-                continue
-            stack = [(start, None)]
-            seen.add(start)
-            comp_nodes = set()
-            while stack:
-                v, parent = stack.pop()
-                comp_nodes.add(v)
-                for w in adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append((w, v))
-            n_edges = sum(1 for (a, b) in edges
-                          if a in comp_nodes and b in comp_nodes)
-            if n_edges >= len(comp_nodes):
-                return False
-    return True

@@ -19,15 +19,15 @@ positive, on a g * g that is 0 or infinite, and on a NaN output; an
 output of +inf from finite divisors is returned as it is.  The
 value type is chosen once, when the initial data are lifted onto the window
 (`lift_state`), whose own registry (`SurfaceGraph.registry`) holds the
-symbolic variables; only the float positivity guards and the
-cross-multiplied symbolic duality check look at the type again, and `agree`
-compares values of either type.
+symbolic variables; only the float positivity guards look at the type
+again, and `agree` compares values of either type.
 
-`solve_origin` iterates the completion over a regular stepped solid, on the
-window the caller hands in or else on `surface_graph(U, window_radius)`:
-`fill_corners` adds cubes back in a fill order, each step reading the seven
-bottom corners, consuming the three pit faces at the cube and producing the
-three new ones, until the value at the origin is known.  Face values of the
+`solve_origin` iterates the completion over a regular stepped solid, on
+`surface_graph(U, window_radius)`, the window a caller still holds for that
+solid and radius when there is one: `fill_corners` adds cubes back in a
+fill order, each step reading the seven bottom corners, consuming the three
+pit faces at the cube and producing the three new ones, until the value at
+the origin is known.  Face values of the
 original surface are first-class root variables; propagated faces carry the
 polynomials from the items above, so no new root symbols ever appear.
 """
@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from .laurent import LaurentPoly
 from .stepped import (
     UNITS,
-    face_diagonals,
     fill_order,
     is_regular,
     surface_graph,
@@ -74,30 +73,16 @@ class CubeData:
     Z3: object = None
 
 
-def kashaev_relation_residual(c):
-    """Left side of the corner relation; zero iff the relation holds."""
-    g, g1, g2, g3 = c.g, c.g1, c.g2, c.g3
-    g12, g13, g23, g123 = c.g12, c.g13, c.g23, c.g123
-    return (g * g * g123 * g123 + g1 * g1 * g23 * g23
-            + g2 * g2 * g13 * g13 + g3 * g3 * g12 * g12
-            - 2 * g2 * g3 * g13 * g12 - 2 * g1 * g3 * g23 * g12
-            - 2 * g1 * g2 * g23 * g13
-            - 2 * g * g123 * (g1 * g23 + g2 * g13 + g3 * g12)
-            - 4 * g * g12 * g23 * g13 - 4 * g123 * g1 * g2 * g3)
-
-
 def _is_poly(x):
     return isinstance(x, LaurentPoly)
 
 
-def agree(got, want, tol=1e-9, size=None):
-    """Exact values must be equal; floats must agree to tol times
-    |size| + 1, where size defaults to want."""
+def agree(got, want):
+    """Exact values must be equal; floats must agree to 1e-9 times
+    |want| + 1."""
     if _is_poly(got) or _is_poly(want):
         return got == want
-    if size is None:
-        size = want
-    return abs(got - want) <= tol * (abs(size) + 1)
+    return abs(got - want) <= 1e-9 * (abs(want) + 1)
 
 
 _STEP_INPUTS = ("g", "g1", "g2", "g3", "g12", "g13", "g23", "X", "Y", "Z")
@@ -132,64 +117,12 @@ def kashaev_step(c):
     return c
 
 
-def cube_from_bottom(g, g1, g2, g3, g12, g13, g23, X=None, Y=None, Z=None):
-    c = CubeData(g=g, g1=g1, g2=g2, g3=g3, g12=g12, g13=g13, g23=g23)
-    c.X = math.sqrt(g * g23 + g2 * g3) if X is None else X
-    c.Y = math.sqrt(g * g13 + g1 * g3) if Y is None else Y
-    c.Z = math.sqrt(g * g12 + g1 * g2) if Z is None else Z
-    return c
-
-
-def alternative_root(c):
-    """The other root of the corner relation in g123 (numeric)."""
-    g, g1, g2, g3 = c.g, c.g1, c.g2, c.g3
-    g12, g13, g23 = c.g12, c.g13, c.g23
-    ssum = (2 * g * (g1 * g23 + g2 * g13 + g3 * g12)
-            + 4 * g1 * g2 * g3) / (g * g)
-    return ssum - c.g123
-
-
-def duality_check(c, tol=1e-9):
-    """Central flip (g <-> g123, g_i <-> g_jk) followed by a completion must
-    return the original corner and swap the face values."""
-    flipped = CubeData(g=c.g123, g1=c.g23, g2=c.g13, g3=c.g12,
-                       g12=c.g3, g13=c.g2, g23=c.g1,
-                       X=c.X1, Y=c.Y2, Z=c.Z3)
-    if _is_poly(c.g):
-        # Cleared-denominator comparison: g * g123^2 == flip numerator.
-        num = (2 * flipped.g1 * flipped.g2 * flipped.g3
-               + flipped.g * (flipped.g1 * flipped.g23
-                              + flipped.g2 * flipped.g13
-                              + flipped.g3 * flipped.g12)
-               + 2 * flipped.X * flipped.Y * flipped.Z)
-        return num == c.g * c.g123 * c.g123
-    kashaev_step(flipped)
-    scale = abs(c.g) + abs(flipped.g123)
-    ok = abs(flipped.g123 - c.g) <= tol * scale
-    ok = ok and abs(flipped.X1 - c.X) <= tol * (abs(c.X) + 1)
-    ok = ok and abs(flipped.Y2 - c.Y) <= tol * (abs(c.Y) + 1)
-    ok = ok and abs(flipped.Z3 - c.Z) <= tol * (abs(c.Z) + 1)
-    return ok
-
-
 class HexState:
     """Evolving vertex and face data while a solid is filled back in."""
 
     def __init__(self, g_values, face_values):
         self.g_values = g_values
         self.face_values = face_values
-
-    def check_face_invariant(self):
-        """Every face value squared equals the sum of its two diagonal
-        g-products: exactly for symbolic values, to 1e-9 for floats."""
-        for key, val in self.face_values.items():
-            axis, base = key
-            (a, c), (b, d) = face_diagonals(axis, base)
-            want = (self.g_values[a] * self.g_values[c]
-                    + self.g_values[b] * self.g_values[d])
-            if not agree(val * val, want):
-                return False
-        return True
 
 
 def positive_value(x, where):
@@ -252,16 +185,13 @@ def fill_corners(order, g_values, complete):
 
 
 def solve_state(U, g_init=None, mode="symbolic", order=None,
-                window_radius=None, check_residuals=False, window=None):
+                window_radius=None):
     """Fill the solid back to the flat corner, returning the final state.
 
-    The initial data live on window, a SurfaceGraph of U, which is built as
-    surface_graph(U, window_radius) when not given."""
-    if window is None:
-        window = surface_graph(U, window_radius)
-    if window.solid != U or window_radius not in (None, window.window_radius):
-        raise KashaevError("window is not one of this solid and radius")
-    state = lift_state(window, g_init, mode, faces=window.faces)
+    The initial data live on surface_graph(U, window_radius), which is the
+    window a caller still holds at that radius, if any."""
+    sg = surface_graph(U, window_radius)
+    state = lift_state(sg, g_init, mode, faces=sg.faces)
     if order is None:
         order = fill_order(U)
     else:
@@ -273,9 +203,6 @@ def solve_state(U, g_init=None, mode="symbolic", order=None,
     def complete(p, corners):
         c = kashaev_step(CubeData(*corners, X=fv.pop((0, p)),
                                   Y=fv.pop((1, p)), Z=fv.pop((2, p))))
-        if check_residuals and not agree(kashaev_relation_residual(c), 0,
-                                         size=c.g * c.g123):
-            raise KashaevError(f"corner relation residual nonzero at {p}")
         fv[(0, vadd(p, UNITS[0]))] = c.X1
         fv[(1, vadd(p, UNITS[1]))] = c.Y2
         fv[(2, vadd(p, UNITS[2]))] = c.Z3
@@ -286,10 +213,9 @@ def solve_state(U, g_init=None, mode="symbolic", order=None,
 
 
 def solve_origin(U, g_init=None, mode="symbolic", order=None,
-                 window_radius=None, check_residuals=False, window=None):
+                 window_radius=None):
     """Value of the recurrence at the origin for initial data on V(U)."""
     if not is_regular(U)["regular"]:
         raise KashaevError("solve_origin requires a regular solid")
-    state = solve_state(U, g_init, mode, order, window_radius,
-                        check_residuals, window)
+    state = solve_state(U, g_init, mode, order, window_radius)
     return state.g_values[(0, 0, 0)]

@@ -34,7 +34,6 @@ integral ones as int inside.  Floats never enter the symbolic path.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 
@@ -455,39 +454,23 @@ def _divide_vertex_exact(p_terms, q, reg):
     return out
 
 
-def lp_eval(p, assign, exact=False):
-    """Evaluate at a point.  Vertex variables must all be assigned positive
-    values; a root variable takes the nonnegative square root of its defining
-    polynomial's value.
-
-    With exact=True the result is a Fraction; this requires that no root
-    variable actually occurs in the polynomial.
+def lp_eval(p, assign):
+    """Evaluate at a point, as a float.  Vertex variables must all be
+    assigned positive values; a root variable takes the nonnegative square
+    root of its defining polynomial's value.
     """
     reg = p.registry
     root_vals = {}
 
     def root_val(name):
         if name not in root_vals:
-            sq = lp_eval(reg.root_square(name), assign, exact=False)
+            sq = lp_eval(reg.root_square(name), assign)
             if sq < 0:
                 raise NegativeUnderRoot(
                     f"defining square of {name!r} is negative at this point")
             root_vals[name] = math.sqrt(sq)
         return root_vals[name]
 
-    if exact:
-        total = Fraction(0)
-        for m, c in p.terms.items():
-            val = Fraction(c)
-            for n, e in m:
-                if reg.is_root(n):
-                    raise LaurentError(
-                        "exact evaluation requires a root-free polynomial")
-                if n not in assign:
-                    raise MissingAssignment(n)
-                val *= Fraction(assign[n]) ** e
-            total += val
-        return total
     total = 0.0
     for m, c in p.terms.items():
         val = float(c)
@@ -519,17 +502,3 @@ def poly_to_json(p):
                   for n in reg.root_vars],
         "terms": term_list(p),
     }
-
-
-def poly_to_json_str(p):
-    return json.dumps(poly_to_json(p), sort_keys=True, separators=(",", ":"))
-
-
-def poly_from_json(data):
-    reg = VarRegistry(data["vars"], {
-        r["name"]: [(t["exps"], Fraction(t["coeff"])) for t in r["square"]]
-        for r in data["roots"]})
-    p = reg.zero()
-    for t in data["terms"]:
-        p = p + reg.monomial(t["exps"], Fraction(t["coeff"]))
-    return p

@@ -18,8 +18,6 @@ import numpy as np
 
 from .stepped import height, slab_solid, surface_graph
 from .kashaev import solve_origin
-from .taut import build_taut_window, enumerate_taut, taut_weight
-from .loopmodel import LOCAL_CONFIGS
 
 
 class LimitShapeError(Exception):
@@ -219,7 +217,7 @@ def rho_oracle(x, a, b, c):
         return 1.0 if x == (0, 0, 0) else 0.0
     U = slab_solid(N)
     sg = surface_graph(U)
-    poly = solve_origin(U, mode="symbolic", window=sg)
+    poly = solve_origin(U, mode="symbolic")
     target = tuple(-t for t in x)
     vname = sg.vertex_var_name(target)
     point = _slab_init(N, a, b, c, sg.vertices)
@@ -263,39 +261,6 @@ def rho_oracle(x, a, b, c):
     return num / den
 
 
-def rho_observable_expectation(x, a, b, c):
-    """The probabilistic form: expectation of (origin exponent plus a
-    multiple of the bichromatic-face count at the deep corner) under the
-    weighted taut measure.  Stated for deep corners on the lowest layer; its
-    published prefactor is reproduced verbatim here.  At a = b = c = 1 it
-    equals rho_oracle at (1,1,1), (2,1,1), (1,1,2) and (2,2,1).  Away from
-    that point it does not: at (a, b, c) = (0.7, 1.3, 0.9) it gives -1.2686
-    at (1,1,1), where rho_oracle gives -1.6166."""
-    N = height(x)
-    U = slab_solid(N)
-    win = build_taut_window(U)
-    target = tuple(-t for t in x)
-    R = a * c / (b * b)
-    point = _slab_init(N, a, b, c, win.sg.vertices)
-    comp = win.comp
-    corner_faces = [key for key in comp.face_ids()
-                    if target in comp.corner_ids[key]]
-    num = 0.0
-    den = 0.0
-    vname = win.vnames[target]
-    for cfg in enumerate_taut(U, win):
-        w = taut_weight(win, cfg, symbolic=False, g_init=point)
-        sym = taut_weight(win, cfg, symbolic=True)
-        (mono, _c), = sym.terms.items()
-        n0 = dict(mono).get(vname, 0)
-        eps = sum(1 for key in corner_faces
-                  if key in cfg.assignment
-                  and LOCAL_CONFIGS[cfg.assignment[key]][0] in (3, 4))
-        num += w * (n0 + eps / (2 * (1 + R)))
-        den += w
-    return num / den
-
-
 # ---------------------------------------------------------------------------
 # generating-function denominator and the dual curve
 # ---------------------------------------------------------------------------
@@ -317,15 +282,17 @@ def h_denominator(R, x, y, z, S=None):
     return form1, form2
 
 
-def h_identity_check(n_r=10, n_points=1000, seed=0, tol=1e-9):
+def h_identity_check(seed=0):
+    """The two forms of h_denominator agree to 1e-9 at 1000 random points
+    for each of 10 random R."""
     import random as _random
     rng = _random.Random(seed)
-    for _ in range(n_r):
+    for _ in range(10):
         R = math.exp(rng.uniform(-2.0, 2.0))
-        for _ in range(n_points):
+        for _ in range(1000):
             pt = [rng.uniform(-2, 2) for _ in range(3)]
             f1, f2 = h_denominator(R, *pt)
-            if abs(f1 - f2) > tol * (1 + abs(f1) + abs(f2)):
+            if abs(f1 - f2) > 1e-9 * (1 + abs(f1) + abs(f2)):
                 return False
     return True
 
@@ -487,17 +454,18 @@ def export_heatmap(field, path):
     return path
 
 
-def export_curve(curve, path, size=600):
-    """SVG with the bounding triangle and the curve polylines."""
+def export_curve(curve, path):
+    """SVG, 600 pixels square, with the bounding triangle and the curve
+    polylines."""
+    size = 600
     corners3 = [(-1, 0, 0), (0, -1, 0), (0, 0, -1)]
 
     def xy(p):
         px, py = _plane_coords(p)
         return (size / 2 + px * size / 2.2, size / 2 - py * size / 2.2)
 
-    def fmt(points, close=True):
-        s = " ".join(f"{x:.6f},{y:.6f}" for x, y in map(xy, points))
-        return s
+    def fmt(points):
+        return " ".join(f"{x:.6f},{y:.6f}" for x, y in map(xy, points))
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
              f'height="{size}" viewBox="0 0 {size} {size}">']

@@ -42,10 +42,6 @@ class LoopModelError(Exception):
     pass
 
 
-class UnrealizablePaths(LoopModelError):
-    pass
-
-
 # name -> (row, pairs, colors-of-pairs)
 LOCAL_CONFIGS = {
     "1a": (1, ((0, 1), (2, 3)), ("R", "R")),
@@ -401,13 +397,6 @@ def count_loops(graph, assignment):
     return len(loops)
 
 
-def crossing_parity_check(graph, assignment):
-    """Every closed loop crosses opposite-colored paths an even number of
-    times (each row-5 face traversal is one crossing)."""
-    loops, _paths = _trace(graph, assignment)
-    return all(crossings % 2 == 0 for _color, crossings in loops)
-
-
 def weight(graph, config, W):
     """2^loops * prod of local weights, with the loop count the search
     reported (graph is not traced), as one exact_product."""
@@ -421,20 +410,3 @@ def partition_function(graph, W, boundary=None):
     for cfg in enumerate_configs(graph, boundary):
         total = weight(graph, cfg, W) + total
     return total
-
-
-def blue_data(graph, config):
-    """The blue part of a configuration: its blue glued-edge set plus the
-    pairing choice at faces whose four sides are all blue."""
-    blue_edges = set()
-    pairings = {}
-    for fid, name in config.assignment.items():
-        _row, pairs, cols = LOCAL_CONFIGS[name]
-        scol = side_colors(name)
-        for s in range(4):
-            if scol[s] == "B":
-                blue_edges.add(graph.glue_key(fid, s))
-        if all(c == "B" for c in scol):
-            pairings[fid] = pairs
-    return blue_edges, pairings
-

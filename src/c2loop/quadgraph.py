@@ -16,7 +16,8 @@ opposite the one they entered: the strands (loopmodel.strands) of the rule
 s -> s + 2.  For surfaces with a boundary and no closed track the
 counting identities 2|T| = |E_ext| and |T| + 1 = |V| - |F| hold, and the
 per-face map h -> h_x + h_y - h_u - h_v is onto, which is what lets arbitrary
-free-fermionic weights be rewritten in terms of vertex quantities.
+free-fermionic weights (those that pass ff_check) be rewritten in terms of
+vertex quantities.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from functools import cached_property
 from types import MappingProxyType
 
 from .loopmodel import FaceComplex, strands
+from .quadfield import QuadVal
 
 
 class QuadGraphError(Exception):
@@ -45,10 +47,6 @@ class Inconsistent(QuadGraphError):
     pass
 
 
-class MissingValue(QuadGraphError):
-    pass
-
-
 @dataclass(frozen=True)
 class FaceWeights:
     w1: object
@@ -64,6 +62,21 @@ class FaceWeights:
 
     def as_tuple(self):
         return (self.w1, self.w2, self.w3, self.w4, self.w5)
+
+
+def _exactish(x):
+    return isinstance(x, (int, Fraction, QuadVal))
+
+
+def ff_check(w):
+    """w1 w4 = w3 w5, w2 w3 = w4 w5, w5 (w1 + w2) = w3 w4."""
+    w1, w2, w3, w4, w5 = w.as_tuple()
+    lhs = (w1 * w4, w2 * w3, w5 * (w1 + w2))
+    rhs = (w3 * w5, w4 * w5, w3 * w4)
+    if all(_exactish(x) for x in w.as_tuple()):
+        return all(a == b for a, b in zip(lhs, rhs))
+    return all(abs(float(a) - float(b)) <= 1e-12 * (abs(float(a)) + 1)
+               for a, b in zip(lhs, rhs))
 
 
 class QuadGraph(FaceComplex):
@@ -230,18 +243,6 @@ def track_census(comp):
     }
 
 
-def phi(comp, h):
-    """Per-face h_x + h_y - h_u - h_v."""
-    out = {}
-    for fid in comp.face_ids():
-        x, u, y, v = comp.corner_ids[fid]
-        try:
-            out[fid] = h[x] + h[y] - h[u] - h[v]
-        except KeyError as exc:
-            raise MissingValue(f"h missing at {exc}") from exc
-    return out
-
-
 # -- the parametrization solver ---------------------------------------------
 
 def ff_ratio(w):
@@ -276,8 +277,9 @@ class MulValue:
     def __truediv__(self, other):
         return self._add(other, -1)
 
-    def root(self, n=2):
-        return MulValue({k: Fraction(v, n) for k, v in self.exps.items()})
+    def root(self):
+        """The square root: every exponent halved."""
+        return MulValue({k: Fraction(v, 2) for k, v in self.exps.items()})
 
     def value(self, bases):
         out = 1.0
@@ -313,7 +315,6 @@ def solve_parametrization(comp, weights):
     h_w = h_v +- increment along every edge; a mismatch on any edge raises
     Inconsistent.
     """
-    from .ffdimers import ff_check  # local import to avoid a cycle
 
     for fid, w in weights.items():
         if not ff_check(w):
@@ -397,7 +398,3 @@ def grid_quadgraph(nx, ny):
             # clockwise with y pointing up
             faces[(i, j)] = ((i, j), (i, j + 1), (i + 1, j + 1), (i + 1, j))
     return QuadGraph(colors, faces, positions)
-
-
-def single_quad():
-    return grid_quadgraph(1, 1)

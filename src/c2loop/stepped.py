@@ -62,10 +62,6 @@ class WindowTooLarge(SteppedError):
     pass
 
 
-class NotFlippable(SteppedError):
-    pass
-
-
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 UNITS = (E1, E2, E3)
 WINDOW_MAX_RADIUS = 400     # a one-cube window then takes 3.6 s and 606 MiB
@@ -99,10 +95,6 @@ class SteppedSolid:
                 raise SteppedError(f"cube {c} outside the negative octant")
             out.add(c)
         return SteppedSolid(frozenset(out))
-
-    def cube_in(self, p):
-        """Is the cube C_p part of the solid?"""
-        return all(x <= -1 for x in p) and p not in self.removed
 
     @cached_property
     def _depth(self):
@@ -195,16 +187,6 @@ def is_regular(U):
     return dict(U._regularity)
 
 
-def addable_positions(U):
-    """Removed cubes that may be added back while staying monotone: the
-    minimal elements of the removed set."""
-    out = []
-    for p in U.removed:
-        if all(vadd(p, (-e[0], -e[1], -e[2])) not in U.removed for e in UNITS):
-            out.append(p)
-    return sorted(out, key=lambda p: (height(p), p))
-
-
 def fill_order(U):
     """Canonical order in which removed cubes are added back to reach U0.
 
@@ -236,11 +218,6 @@ def face_corners(axis, base):
     i, j = [k for k in range(3) if k != axis]
     ei, ej = UNITS[i], UNITS[j]
     return (base, vadd(base, ei), vadd(base, vadd(ei, ej)), vadd(base, ej))
-
-
-def face_diagonals(axis, base):
-    c = face_corners(axis, base)
-    return (c[0], c[2]), (c[1], c[3])
 
 
 # 2D projection along (1,1,1); integral so positions stay exact.
@@ -397,24 +374,6 @@ def surface_graph(U, window_radius=None):
     sg = U._windows[window_radius] = SurfaceGraph(
         U, window_radius, vertices, faces, positions)
     return sg
-
-
-def flip_vertex(surface, x):
-    """Cube flip at a degree-3 vertex: add or remove the cube whose pit or
-    peak sits at x, and rebuild the window.  Applying it twice restores the
-    original incidence structure."""
-    U = surface.solid
-    p_bottom = x
-    p_top = vadd(x, (-1, -1, -1))
-    if p_bottom in U.removed and p_bottom in addable_positions(U):
-        new = SteppedSolid(U.removed - {p_bottom})
-        return surface_graph(new, surface.window_radius)
-    if U.cube_in(p_top):
-        grown = U.removed | {p_top}
-        cand = SteppedSolid(grown)
-        if is_regular(cand)["regular"]:
-            return surface_graph(cand, surface.window_radius)
-    raise NotFlippable(f"vertex {x} is not a flippable corner")
 
 
 def enumerate_solids(max_cubes):

@@ -142,15 +142,8 @@ class TautWindow:
     def symbolic_origin(self):
         """Exact recurrence solution at the origin, in the canonical fill
         order, solved on first use."""
-        return solve_origin(self.sg.solid, mode="symbolic", window=self.sg)
-
-    @cached_property
-    def near_zone(self):
-        """The window faces that share a corner with a zone face, the zone
-        faces included."""
-        corners = {c for key in self.zone for c in self.comp.corner_ids[key]}
-        return {key for key in self.comp.face_ids()
-                if not corners.isdisjoint(self.comp.corner_ids[key])}
+        return solve_origin(self.sg.solid, mode="symbolic",
+                            window_radius=self.sg.window_radius)
 
     @cached_property
     def peel_plan(self):
@@ -334,12 +327,6 @@ class TautConfig(LoopConfig):
         mono.sort(key=lambda t: index(t[0]))
         return tuple(mono)
 
-    def full_assignment(self):
-        out = {key: sigma0_type(self.window.comp.corner_ids[key])
-               for key in self.window.frozen}
-        out.update(self.assignment)
-        return out
-
     def to_json(self):
         return {"faces": {str(k): v for k, v in
                           sorted(self.assignment.items(), key=str)},
@@ -418,17 +405,17 @@ def y_taut(U, g_init=None, symbolic=True, window=None):
                for cfg in enumerate_taut(U, win))
 
 
-def verify_partition_identity(U, mode="symbolic", g_init=None, window=None,
-                              tol=1e-9):
+def verify_partition_identity(U, mode="symbolic", g_init=None, window=None):
     """Partition function against the recurrence solution at the origin:
-    exactly in symbolic mode, to tol in numeric mode at the values g_init
-    (which symbolic mode does not take)."""
+    exactly in symbolic mode, to agree's tolerance in numeric mode at the
+    values g_init (which symbolic mode does not take)."""
     win = window_for(U, window)
     symbolic = mode == "symbolic"
     lhs = y_taut(U, g_init=g_init, symbolic=symbolic, window=win)
     rhs = win.symbolic_origin if symbolic else \
-        solve_origin(U, g_init=g_init, mode=mode, window=win.sg)
-    return agree(lhs, rhs, tol)
+        solve_origin(win.sg.solid, g_init=g_init, mode=mode,
+                     window_radius=win.sg.window_radius)
+    return agree(lhs, rhs)
 
 
 def verify_monomial_bijection(U, window=None):
@@ -511,7 +498,7 @@ def cube_flip_sums():
     U = SteppedSolid.from_removed([_FLIP_CUBE])
     sg = surface_graph(U)
     reg = sg.registry
-    state = solve_state(U, window=sg)
+    state = solve_state(U)
     ring = _FLIP_RING
     edges = {frozenset(e): k
              for k, e in enumerate(zip(ring, ring[1:] + ring[:1]))}

@@ -46,11 +46,11 @@ def _report(name, passed, details=None, warnings=None):
             "warnings": warnings or [], "details": details or {}}
 
 
-def criterion_1_correspondence(n_random=20, seed=2024):
+def criterion_1_correspondence(n_random=20):
     comp = cube_sphere()
     fids = comp.face_ids()
     configs = enumerate_configs(comp, BoundarySpec.closed())
-    rng = random.Random(seed)
+    rng = random.Random(2024)
     draws = [{f: ff_fixture_weights() for f in fids}]
     for _ in range(n_random):
         draws.append({f: rational_ff_weights(rng) for f in fids})
@@ -86,12 +86,12 @@ def criterion_2_yang_baxter():
                    {"rows": rows, "n_classes": len(holds)})
 
 
-def criterion_3_partition_theorem(n_numeric=50, seed=7):
+def criterion_3_partition_theorem(n_numeric=50):
     ok = True
     for U in enumerate_solids(3):
         if not verify_partition_identity(U):
             ok = False
-    rng = random.Random(seed)
+    rng = random.Random(7)
     two_cube = [U for U in enumerate_solids(2) if len(U.removed) == 2]
     wins = {U: build_taut_window(U) for U in two_cube}
     for k in range(n_numeric):
@@ -127,20 +127,21 @@ def criterion_4_monomial_bijection():
     return _report("monomials biject with configurations", ok, details)
 
 
-def criterion_5_laurentness(n_orders=100, seed=5):
-    rng = random.Random(seed)
+def criterion_5_laurentness(n_orders=100):
+    rng = random.Random(5)
     solids = [U for U in enumerate_solids(4) if U.removed]
     ok = True
+    # held, so that surface_graph hands every solve of a solid the same
+    # window and registry instead of building them again
     windows = {U: surface_graph(U) for U in solids}
     base = {}
     try:
         for U in solids:
-            base[U] = solve_origin(U, mode="symbolic", window=windows[U])
+            base[U] = solve_origin(U, mode="symbolic")
         for k in range(n_orders):
             U = solids[k % len(solids)]
             order = random_fill_order(U, rng)
-            if solve_origin(U, mode="symbolic", order=order,
-                            window=windows[U]) != base[U]:
+            if solve_origin(U, mode="symbolic", order=order) != base[U]:
                 ok = False
     except NotDivisible:
         ok = False
@@ -172,7 +173,7 @@ def criterion_7_road_probability():
                    {"n_roads": len(gq.road_of)})
 
 
-def criterion_8_limit_shape_numbers(seed=3):
+def criterion_8_limit_shape_numbers():
     details = {}
     ok = intrinsic_residual(3, 3) == 0
     details["intrinsic_at_3_3"] = intrinsic_residual(3, 3)
@@ -189,13 +190,13 @@ def criterion_8_limit_shape_numbers(seed=3):
     ok &= abs(from_oracle - target) <= 1e-12
     details["rho_111"] = {"recurrence": from_field, "derivative": from_oracle,
                           "target": target}
-    ok &= h_identity_check(10, 1000, seed=seed)
+    ok &= h_identity_check(seed=3)
     details["denominator_identity_points"] = 10 * 1000
     return _report("limit-shape constants and identities", ok, details)
 
 
-def criterion_9_phase_checks(n=40, r=0.2):
-    field = rho_field(n, r)
+def criterion_9_phase_checks(n=40):
+    field = rho_field(n, 0.2)
     warnings = []
     corners = [(n - 2, 1, 1), (1, n - 2, 1), (1, 1, n - 2)]
     corner_vals = [abs(field.values.get(p, 0.0)) for p in corners]
@@ -226,11 +227,11 @@ def criterion_10_groves():
                    {"solids": len(enumerate_solids(3))})
 
 
-def criterion_11_tracks_and_parametrization(seed=17, n_windows=20):
+def criterion_11_tracks_and_parametrization(n_windows=20):
     ok = True
     for g in (grid_quadgraph(2, 2), grid_quadgraph(3, 3)):
         ok &= all(track_census(g)["checks"].values())
-    rng = random.Random(seed)
+    rng = random.Random(17)
     solids = enumerate_solids(3)
     count = 0
     while count < n_windows:

@@ -1,8 +1,9 @@
 """Every name a module under src/c2loop imports is used in that module,
 every module-level private name it defines is read somewhere in the package,
 every public function, class or method is read by the package or the
-benchmark (apart from a list that may only shrink), and every c2loop name
-the benchmark calls still resolves."""
+benchmark, every parameter default is overridden by some call of the package
+or the benchmark (apart from a list that may only shrink), and every c2loop
+name the benchmark calls still resolves."""
 
 import ast
 import importlib
@@ -183,29 +184,127 @@ def test_scan_finds_an_unread_public_name():
     assert unread_public_names(sources, {"n"}) == ["a.K", "a.unread"]
 
 
-# public names that only the tests read (ROADMAP item 10): each is to become
-# a checked row of the battery or move to the tests, so the list only shrinks
-ONLY_TESTS_READ = {
-    "ffdimers.TorusDimerGraph.char_poly", "ffdimers.gauge_transform",
-    "ffdimers.verify_blue_marginal", "fixtures.hexagon_y",
-    "fixtures.integrable_weights", "fixtures.pillow_sphere",
-    "fixtures.taut_example", "groves.grove_is_forest",
-    "groves.grove_to_types", "kashaev.HexState.check_face_invariant",
-    "kashaev.alternative_root", "kashaev.cube_from_bottom",
-    "kashaev.duality_check", "laurent.poly_from_json",
-    "laurent.poly_to_json_str", "limitshape.rho_observable_expectation",
-    "loopmodel.crossing_parity_check", "quadgraph.phi",
-    "quadgraph.single_quad", "stepped.flip_vertex",
-}
-
-
 def test_public_names_have_readers():
     # a public name of src must be read by src or by the benchmark
     outside = {name for _module, name in traced_names()}
     for path in sorted(PERFBENCH.glob("*.py")):
         outside |= names_read(ast.parse(path.read_text()))
-    found = set(unread_public_names(
-        {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}, outside))
-    assert sorted(found - ONLY_TESTS_READ) == [], "read only by tests"
-    assert sorted(ONLY_TESTS_READ - found) == [], \
-        "read outside the tests now: drop it from ONLY_TESTS_READ"
+    found = unread_public_names(
+        {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}, outside)
+    assert found == [], "read only by tests"
+
+
+def _options(fn, offset):
+    """Each parameter of fn that has a default, with its position among the
+    arguments a call passes (offset of them bound first, as self is), or
+    None for a keyword-only one."""
+    args = fn.args
+    pos = args.posonlyargs + args.args
+    first = len(pos) - len(args.defaults)
+    out = {p.arg: k - offset for k, p in enumerate(pos) if k >= first}
+    out.update((p.arg, None) for p, d in zip(args.kwonlyargs,
+                                             args.kw_defaults)
+               if d is not None)
+    return out
+
+
+def unset_options(sources, outside=()):
+    """(function, parameter) of each parameter with a default, of a
+    module-level function or a method of the sources, that no call of the
+    sources or of the outside texts sets: by keyword, by position, or
+    through * or **.  A call is matched to every definition of its name; a
+    call Name(...) counts for Name.__init__.  A dict literal assigned under
+    `if f is name:` counts as keywords set on name, since it is passed as
+    f(**dict).  sources maps module names to their source text."""
+    defs = {}
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, ast.FunctionDef):
+                defs.setdefault(stmt.name, []).append(
+                    (f"{module}.{stmt.name}", _options(stmt, 0)))
+            elif isinstance(stmt, ast.ClassDef):
+                for d in stmt.body:
+                    if not isinstance(d, ast.FunctionDef):
+                        continue
+                    static = any(getattr(x, "id", None) == "staticmethod"
+                                 for x in d.decorator_list)
+                    name = stmt.name if d.name == "__init__" else d.name
+                    defs.setdefault(name, []).append(
+                        (f"{module}.{stmt.name}.{d.name}",
+                         _options(d, 0 if static else 1)))
+    done = set()
+    for source in [*sources.values(), *outside]:
+        for node in ast.walk(ast.parse(source)):
+            test = getattr(node, "test", None)
+            if isinstance(node, ast.If) and isinstance(test, ast.Compare) \
+                    and isinstance(test.ops[0], ast.Is) \
+                    and isinstance(test.comparators[0], ast.Name):
+                keys = {k.value for stmt in node.body
+                        if isinstance(stmt, ast.Assign)
+                        and isinstance(stmt.value, ast.Dict)
+                        for k in stmt.value.keys
+                        if isinstance(k, ast.Constant)}
+                for qual, opts in defs.get(test.comparators[0].id, ()):
+                    done |= {(qual, p) for p in opts if p in keys}
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            star = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords}
+            for qual, opts in defs.get(name, ()):
+                done |= {(qual, p) for p, k in opts.items()
+                         if None in keywords or p in keywords
+                         or (k is not None and (star or k < len(node.args)))}
+    return sorted((qual, p) for entries in defs.values()
+                  for qual, opts in entries for p in opts
+                  if (qual, p) not in done)
+
+
+def test_scan_finds_an_unset_option():
+    # f's b is set by position and c by keyword, h's b through *, k's
+    # options through **, K's size by K(...) and g's x by the dict under
+    # `if run is g:`; f's d, K.m's step and g's y are set by nothing
+    sources = {"a": "def f(a, b=1, *, c=2, d=3):\n    return a\n\n\n"
+                    "def h(a, b=1):\n    return a\n\n\n"
+                    "def k(a=1, *, z=2):\n    return a\n\n\n"
+                    "class K:\n    def __init__(self, size=4):\n"
+                    "        self.size = size\n\n"
+                    "    def m(self, step=1):\n        return step\n\n\n"
+                    "def g(x=1, y=2):\n    return x\n",
+               "b": "from a import K, f, g, h, k\n\n"
+                    "f(0, 5, c=1)\nh(*args)\nk(**kw)\nK(9).m()\n"
+                    "if run is g:\n    kw = {'x': 2}\n"}
+    assert unset_options(sources) == [("a.K.m", "step"), ("a.f", "d"),
+                                      ("a.g", "y")]
+    assert unset_options(sources, ["K(1).m(step=2)\ng(1, 2)\n"]) == \
+        [("a.f", "d")]
+
+
+# defaulted parameters that only tests set, each with the test that needs
+# it; the list only shrinks:
+#   cube_recurrence_solve(g_init, mode): test_groves.py's
+#     test_cube_recurrence_slabs_integer (numeric all-plus values are
+#     integers);
+#   verify_grove_equality(window): test_taut.py's
+#     test_window_of_another_solid_is_rejected;
+#   VarRegistry.var(exp, coeff): test_laurent.py's
+#     test_kernel_matches_reference_powers;
+#   rho_field(S): test_limitshape.py's test_nonpositive_r_rejected.
+ONLY_TESTS_SET = {
+    ("groves.cube_recurrence_solve", "g_init"),
+    ("groves.cube_recurrence_solve", "mode"),
+    ("groves.verify_grove_equality", "window"),
+    ("laurent.VarRegistry.var", "coeff"),
+    ("laurent.VarRegistry.var", "exp"),
+    ("limitshape.rho_field", "S"),
+}
+
+
+def test_options_have_callers():
+    # a default of src must be overridden by src or by the benchmark
+    found = set(unset_options(
+        {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))},
+        [p.read_text() for p in sorted(PERFBENCH.glob("*.py"))]))
+    assert sorted(found - ONLY_TESTS_SET) == [], "set by no program caller"
+    assert sorted(ONLY_TESTS_SET - found) == [], \
+        "set by the program now: drop it from ONLY_TESTS_SET"

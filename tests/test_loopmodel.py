@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import c2loop.loopmodel
-from c2loop.fixtures import cube_sphere, pillow_sphere, torus_two_faces
+from c2loop.fixtures import cube_sphere, torus_two_faces
 from c2loop.loopmodel import (
     BoundarySpec,
     CONFIG_ORDER,
@@ -15,16 +15,15 @@ from c2loop.loopmodel import (
     LoopConfig,
     LoopModelError,
     _trace,
-    blue_data,
     complex_from_quadgraph,
     count_loops,
-    crossing_parity_check,
     enumerate_configs,
     partition_function,
     side_colors,
     weight,
 )
-from c2loop.quadgraph import FaceWeights, grid_quadgraph, single_quad
+from c2loop.quadgraph import FaceWeights, grid_quadgraph
+from conftest import blue_data, crossing_parity_check, pillow_sphere
 
 
 SYMBOLS = FaceWeights(Fraction(2), Fraction(3), Fraction(5), Fraction(7),
@@ -39,7 +38,7 @@ def test_ten_local_configs():
 
 
 def test_single_face_free():
-    cfgs = enumerate_configs(single_quad(), BoundarySpec.free())
+    cfgs = enumerate_configs(grid_quadgraph(1, 1), BoundarySpec.free())
     assert len(cfgs) == 10
 
 
@@ -88,7 +87,7 @@ def test_sigma_window_like_no_loops():
 
 
 def test_weight_rows():
-    g = single_quad()
+    g = grid_quadgraph(1, 1)
     fid = (0, 0)
     for name, wexp in [("1a", SYMBOLS.w1), ("3a", SYMBOLS.w3),
                        ("5b", SYMBOLS.w5)]:
@@ -97,14 +96,14 @@ def test_weight_rows():
 
 
 def test_partition_single_face():
-    g = single_quad()
+    g = grid_quadgraph(1, 1)
     z = partition_function(g, {(0, 0): SYMBOLS}, BoundarySpec.free())
     assert z == 2 * (SYMBOLS.w1 + SYMBOLS.w2 + SYMBOLS.w3 + SYMBOLS.w4
                      + SYMBOLS.w5)
 
 
 def test_partition_fixed_all_blue():
-    g = single_quad()
+    g = grid_quadgraph(1, 1)
     comp = complex_from_quadgraph(g)
     colors = {he: "B" for he in comp.half_edges()}
     z = partition_function(comp, {(0, 0): SYMBOLS},
@@ -170,7 +169,7 @@ def test_weights_read_the_search_loop_count(monkeypatch, comp, z):
 
 
 def test_fixed_connections():
-    g = single_quad()
+    g = grid_quadgraph(1, 1)
     comp = complex_from_quadgraph(g)
     hes = comp.half_edges()
     # connect side 0 to side 1 in blue and side 2 to side 3 in blue: the
@@ -246,7 +245,7 @@ def _grid22_boundaries():
 
 
 ORACLE_CASES = (
-    [(single_quad(), BoundarySpec.free())]
+    [(grid_quadgraph(1, 1), BoundarySpec.free())]
     + [(grid_quadgraph(m, n), BoundarySpec.free())
        for m, n in ((2, 1), (2, 2), (3, 2))]
     + [(grid_quadgraph(2, 2), b) for b in _grid22_boundaries()]

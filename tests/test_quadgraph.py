@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 
 from c2loop.ffdimers import verify_correspondence
-from c2loop.fixtures import cube_sphere, ff_fixture_weights, hexagon_y, \
-    pillow_sphere, rational_ff_weights
+from c2loop.fixtures import cube_sphere, ff_fixture_weights, \
+    rational_ff_weights
 from c2loop.loopmodel import BoundarySpec, enumerate_configs
 from c2loop.quadgraph import (
     FaceWeights,
@@ -19,8 +19,6 @@ from c2loop.quadgraph import (
     QuadGraph,
     ff_ratio,
     grid_quadgraph,
-    phi,
-    single_quad,
     solve_parametrization,
     track_census,
     train_tracks,
@@ -28,6 +26,7 @@ from c2loop.quadgraph import (
 )
 from c2loop.stepped import SteppedSolid, enumerate_solids, surface_graph
 from c2loop.taut import window_complex
+from conftest import hexagon_y, pillow_sphere
 
 
 ROW3 = [(-3, -1, -1), (-2, -1, -1), (-1, -1, -1)]
@@ -202,7 +201,7 @@ def parity_graphs():
     yield "grid32", grid_quadgraph(3, 2)
     yield "grid33", grid_quadgraph(3, 3)
     yield "hexagon", hexagon_y()
-    yield "single", single_quad()
+    yield "single", grid_quadgraph(1, 1)
     for k, U in enumerate(enumerate_solids(2)):
         yield f"solid2_{k}", quadgraph_from_surface(surface_graph(U))
     for name, cubes in (("row3", ROW3), ("ell3", ELL3)):
@@ -218,7 +217,7 @@ def test_validate_grid():
 
 
 def test_validate_single_quad():
-    assert validate(single_quad())["valid"]
+    assert validate(grid_quadgraph(1, 1))["valid"]
 
 
 def with_face(g, fid, cyc):
@@ -252,7 +251,7 @@ def test_tracks_grid():
 
 
 def test_tracks_single_quad():
-    tracks = train_tracks(single_quad())
+    tracks = train_tracks(grid_quadgraph(1, 1))
     assert len(tracks) == 2
     assert all(len(t.dual_edge_path) == 2 for t in tracks)
 
@@ -274,7 +273,7 @@ def test_census():
     c = track_census(grid_quadgraph(3, 3))
     assert c["T"] == 6 and c["E_ext"] == 12
     assert all(c["checks"].values())
-    c = track_census(single_quad())
+    c = track_census(grid_quadgraph(1, 1))
     assert c["T"] == 2 and c["E_ext"] == 4
     assert all(c["checks"].values())
 
@@ -286,6 +285,15 @@ def test_census_stepped_windows():
         g = quadgraph_from_surface(surface_graph(U))
         assert validate(g)["valid"]
         assert all(track_census(g)["checks"].values())
+
+
+def phi(comp, h):
+    """Per-face h_x + h_y - h_u - h_v."""
+    out = {}
+    for fid in comp.face_ids():
+        x, u, y, v = comp.corner_ids[fid]
+        out[fid] = h[x] + h[y] - h[u] - h[v]
+    return out
 
 
 def test_phi_basics():
@@ -312,7 +320,7 @@ def test_phi_linear():
 
 
 def test_degree2_boundary():
-    assert len(degree2_boundary(single_quad())) == 4
+    assert len(degree2_boundary(grid_quadgraph(1, 1))) == 4
     g = grid_quadgraph(2, 2)
     assert set(degree2_boundary(g)) == {(0, 0), (0, 2), (2, 0), (2, 2)}
     # staircase strip of 3 quads
@@ -323,7 +331,7 @@ def test_degree2_boundary():
 
 
 def test_parametrization_single_quad():
-    g = single_quad()
+    g = grid_quadgraph(1, 1)
     # w1/w5 = 2, so the face ratio must come out 4 exactly
     lam, a, b = Fraction(5), Fraction(4, 5), Fraction(3, 5)
     w = FaceWeights(lam * a * a, lam * b * b, lam * a, lam * b, lam * a * b)
@@ -367,7 +375,7 @@ def test_parametrization_roundtrip_exact():
 
 
 def test_parametrization_rejects_non_ff():
-    g = single_quad()
+    g = grid_quadgraph(1, 1)
     with pytest.raises(NotFreeFermionic):
         solve_parametrization(g, {(0, 0): FaceWeights(1, 1, 1, 1, 1)})
 

@@ -13,16 +13,12 @@ import pytest
 
 from c2loop.laurent import VarRegistry
 from c2loop.stepped import (
-    NotFlippable,
     NotRegular,
     SteppedError,
     SteppedSolid,
-    addable_positions,
     enumerate_solids,
     face_corners,
-    face_diagonals,
     fill_order,
-    flip_vertex,
     height,
     is_regular,
     norm2,
@@ -35,6 +31,7 @@ from c2loop.stepped import (
     UNITS,
     WindowTooSmall,
 )
+from conftest import face_diagonals
 
 U0 = SteppedSolid()
 ONE = SteppedSolid.from_removed([(-1, -1, -1)])
@@ -62,9 +59,14 @@ def _toggled_faces_loop(U):
     return out
 
 
+def cube_in(U, p):
+    """Is the cube C_p part of the solid?"""
+    return all(x <= -1 for x in p) and p not in U.removed
+
+
 def _vertex_in(U, x):
     """Reference: is the lattice point x in the solid (as a subset of R^3)?"""
-    return any(U.cube_in(vadd(x, d))
+    return any(cube_in(U, vadd(x, d))
                for d in itertools.product((0, -1), repeat=3))
 
 
@@ -154,6 +156,16 @@ def test_on_surface_mask_matches_scalar_predicate():
 def test_from_removed_rejects_malformed_cubes(cube):
     with pytest.raises(SteppedError, match="not three integers"):
         SteppedSolid.from_removed([(-1, -1, -1), cube])
+
+
+def addable_positions(U):
+    """Removed cubes that may be added back while staying monotone: the
+    minimal elements of the removed set."""
+    out = []
+    for p in U.removed:
+        if all(vadd(p, (-e[0], -e[1], -e[2])) not in U.removed for e in UNITS):
+            out.append(p)
+    return sorted(out, key=lambda p: (height(p), p))
 
 
 def test_addable():
@@ -285,6 +297,28 @@ def test_window_requires_regular_solid():
         surface_graph(SteppedSolid.from_removed([(-2, -1, -1)]))
 
 
+class NotFlippable(SteppedError):
+    pass
+
+
+def flip_vertex(surface, x):
+    """Cube flip at a degree-3 vertex: add or remove the cube whose pit or
+    peak sits at x, and rebuild the window.  Applying it twice restores the
+    original incidence structure."""
+    U = surface.solid
+    p_bottom = x
+    p_top = vadd(x, (-1, -1, -1))
+    if p_bottom in U.removed and p_bottom in addable_positions(U):
+        new = SteppedSolid(U.removed - {p_bottom})
+        return surface_graph(new, surface.window_radius)
+    if cube_in(U, p_top):
+        grown = U.removed | {p_top}
+        cand = SteppedSolid(grown)
+        if is_regular(cand)["regular"]:
+            return surface_graph(cand, surface.window_radius)
+    raise NotFlippable(f"vertex {x} is not a flippable corner")
+
+
 def test_flip_roundtrip():
     sg = surface_graph(ONE, 6)
     flipped = flip_vertex(sg, (-1, -1, -1))
@@ -326,7 +360,7 @@ def _scan_window(U, window_radius):
             cyc = face_corners(axis, base)
             if min(norm2(c) for c in cyc) > rad2:
                 continue
-            if U.cube_in(vadd(base, down)) == U.cube_in(base):
+            if cube_in(U, vadd(base, down)) == cube_in(U, base):
                 continue
             assert all(_on_surface(U, c) for c in cyc)
             pts = [project(c) for c in cyc]

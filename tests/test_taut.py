@@ -12,14 +12,13 @@ import pytest
 import c2loop.groves
 import c2loop.stepped
 import c2loop.taut
-from c2loop.kashaev import cube_from_bottom, kashaev_step, solve_origin
+from c2loop.kashaev import kashaev_step, solve_origin
 from c2loop.laurent import LaurentPoly, _mul, lp_eval
 from c2loop.loopmodel import CONFIG_ORDER, LOCAL_CONFIGS, FaceComplex, \
-    count_loops, crossing_parity_check, side_colors
+    count_loops, side_colors
 from c2loop.stepped import (
     SteppedSolid,
     enumerate_solids,
-    face_diagonals,
     height,
     is_regular,
     norm2,
@@ -46,6 +45,7 @@ from c2loop.taut import (
     window_complex,
     y_taut,
 )
+from conftest import crossing_parity_check, cube_from_bottom, face_diagonals
 
 U0 = SteppedSolid()
 ONE = SteppedSolid.from_removed([(-1, -1, -1)])
@@ -199,8 +199,8 @@ def test_verify_solves_each_window_once(monkeypatch):
     assert verify_partition_identity(ONE, window=win)
     assert verify_monomial_bijection(ONE, window=win)["all"]
     assert modes == ["symbolic"]
-    assert win.symbolic_origin == solve_origin(ONE, mode="symbolic",
-                                               window=win.sg)
+    assert win.symbolic_origin == solve_origin(
+        ONE, mode="symbolic", window_radius=win.sg.window_radius)
 
 
 def test_face_cycles_lead_with_least_black_corner():
@@ -654,8 +654,21 @@ def test_loop_free_configs_have_no_red():
                 assert set(side_colors(name)) == {"B"}
 
 
+def taut_example():
+    """A frozen taut configuration on the one-cube solid: the reference
+    picture everywhere except the three pit faces, whose bichromatic turns
+    close a single red loop around the carved corner.  The loop count was
+    traced by hand when the fixture was frozen."""
+    solid = SteppedSolid.from_removed([(-1, -1, -1)])
+    deviations = {
+        (0, (-1, -1, -1)): "3b",
+        (1, (-1, -1, -1)): "3a",
+        (2, (-1, -1, -1)): "3b",
+    }
+    return solid, deviations, 1
+
+
 def test_frozen_traced_fixture():
-    from c2loop.fixtures import taut_example
     solid, deviations, traced_loops = taut_example()
     win = build_taut_window(solid)
     assignment = {k: sigma0_type(win.comp.corner_ids[k])
