@@ -282,7 +282,7 @@ def h_denominator(R, x, y, z, S=None):
     return form1, form2
 
 
-def h_identity_check(seed=0):
+def h_identity_check(seed):
     """The two forms of h_denominator agree to 1e-9 at 1000 random points
     for each of 10 random R."""
     import random as _random

@@ -21,7 +21,9 @@ windows with boundary half-edges.  quadgraph.QuadGraph is a FaceComplex read
 from vertex colors and face cycles, and taut.window_complex gives a stepped
 window's; every function here takes the complex it is given.  The one
 backtracker, search, also lists the taut configurations of taut.py; every
-configuration carries the closed-loop count the search kept.
+configuration carries the closed-loop count the search kept.  Its face
+order is fixed first, so each step knows which of its face's sides are
+already colored and looks up only the pictures they allow in one table.
 
 strands is the one strand walker of the package: enter a face by a side,
 leave by the side a local rule gives, cross into the face glued there.  The
@@ -33,7 +35,9 @@ on its own for reconstruction and for checks), s -> s + 2 the train tracks
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
+from functools import cache
 
 from .quadfield import exact_product
 
@@ -234,6 +238,8 @@ _SIDE_COLORS = {name: side_colors(name) for name in CONFIG_ORDER}
 _EXITS = {name: tuple(a + b - s for s in range(4) for a, b in pairs
                       if s in (a, b))
           for name, (_row, pairs, _cols) in LOCAL_CONFIGS.items()}
+# per local picture, the FaceWeights field of its row
+_ROW_WEIGHT = {name: f"w{row}" for name, (row, _p, _c) in LOCAL_CONFIGS.items()}
 # (side colors, side pairs) of every local picture, in CONFIG_ORDER
 _PICTURES = tuple((_SIDE_COLORS[name], LOCAL_CONFIGS[name][1])
                   for name in CONFIG_ORDER)
@@ -242,16 +248,42 @@ _PICTURES = tuple((_SIDE_COLORS[name], LOCAL_CONFIGS[name][1])
 def _search_order(sides, decided):
     """Face positions, most constrained first: repeatedly the face with the
     most sides already decided (preset sides or sides of earlier faces),
-    ties broken by position."""
+    ties broken by position, with each face's count kept on a heap."""
     decided = set(decided)
-    left = list(range(len(sides)))
+    faces_of = {}
+    for j, face in enumerate(sides):
+        for e in set(face):
+            faces_of.setdefault(e, []).append(j)
+    count = [len(decided.intersection(face)) for face in sides]
+    heap = [(-c, j) for j, c in enumerate(count)]
+    heapq.heapify(heap)
     order = []
-    while left:
-        i = max(left, key=lambda j: (len(decided.intersection(sides[j])), -j))
-        left.remove(i)
+    while heap:
+        c, i = heapq.heappop(heap)
+        if count[i] != -c:
+            continue                # a stale count, or a face taken
+        count[i] = None
         order.append(i)
-        decided.update(sides[i])
+        for e in set(sides[i]) - decided:
+            decided.add(e)
+            for j in faces_of[e]:
+                if count[j] is not None:
+                    count[j] += 1
+                    heapq.heappush(heap, (-count[j], j))
     return order
+
+
+@cache
+def _candidates(decided, alike):
+    """(rank, colors, pairs) of each picture a step may place, keyed by its
+    colors at the decided positions 0-3 of the face; alike holds the pairs
+    of undecided positions sharing a side id, which it must color alike."""
+    table = {}
+    for rank, (cols, pairs) in enumerate(_PICTURES):
+        if all(cols[p] == cols[q] for p, q in alike):
+            table.setdefault(tuple(cols[p] for p in decided), []).append(
+                (rank, cols, pairs))
+    return table
 
 
 def search(sides, colors, target=None):
@@ -261,8 +293,11 @@ def search(sides, colors, target=None):
     sides glues them, an id on one side is a terminal.  colors presets
     side ids; strands are kept as chains between unjoined plugs, and when
     target (terminal id -> terminal id) is given, a chain may only join two
-    terminals that it pairs.  Faces are taken in _search_order.  Returns
-    (CONFIG_ORDER ranks along sides, closed loops) pairs, sorted.
+    terminals that it pairs.  Faces are taken in _search_order, which fixes
+    the sides of each step's face decided by a preset or an earlier face:
+    the step looks its candidates up in _candidates by their colors, and
+    writes its other sides' colors unchecked, as only later steps read them.
+    Returns (CONFIG_ORDER ranks along sides, closed loops) pairs, sorted.
     """
     n = len(sides)
     top = 4 * n
@@ -277,7 +312,18 @@ def search(sides, colors, target=None):
         a, b = plugs if len(plugs) == 2 else (plugs[0], top + e)
         ends[a], ends[b] = b, a
     color = [colors.get(e) for e in range(len(uses))]
-    order = _search_order(sides, colors)
+    # per step: face, first plug, decided ids, (undecided id, position)s
+    steps = []
+    known = set(colors)
+    for i in _search_order(sides, colors):
+        face = sides[i]
+        decided = tuple(p for p in range(4) if face[p] in known)
+        alike = tuple((p, q) for p in range(4) for q in range(p + 1, 4)
+                      if face[p] == face[q] not in known)
+        steps.append((i, 4 * i, [face[p] for p in decided],
+                      [(e, p) for p, e in enumerate(face) if e not in known],
+                      _candidates(decided, alike)))
+        known.update(face)
     picks = [None] * n
     found = []
     loops = 0
@@ -287,42 +333,33 @@ def search(sides, colors, target=None):
         if k == n:
             found.append((tuple(picks), loops))
             return
-        i = order[k]
-        face = sides[i]
-        base = 4 * i
-        for rank, (cols, pairs) in enumerate(_PICTURES):
-            added = []
-            for e, c in zip(face, cols):
-                if color[e] is None:
-                    color[e] = c
-                    added.append(e)
-                elif color[e] != c:
+        i, base, decided, free, table = steps[k]
+        for rank, cols, pairs in table.get(tuple([color[e] for e in decided]),
+                                           ()):
+            for e, p in free:
+                color[e] = cols[p]
+            log = []
+            for s1, s2 in pairs:
+                p1, p2 = base + s1, base + s2
+                a, b = ends[p1], ends[p2]
+                if a == p2:
+                    loops += 1
+                    log.append(None)
+                    continue
+                ends[a], ends[b] = b, a
+                log.append((a, p1, b, p2))
+                if target is not None and a >= top and b >= top \
+                        and target[a - top] != b - top:
                     break
             else:
-                log = []
-                for s1, s2 in pairs:
-                    p1, p2 = base + s1, base + s2
-                    a, b = ends[p1], ends[p2]
-                    if a == p2:
-                        loops += 1
-                        log.append(None)
-                        continue
-                    ends[a], ends[b] = b, a
-                    log.append((a, p1, b, p2))
-                    if target is not None and a >= top and b >= top \
-                            and target[a - top] != b - top:
-                        break
+                picks[i] = rank
+                rec(k + 1)
+            for item in reversed(log):
+                if item is None:
+                    loops -= 1
                 else:
-                    picks[i] = rank
-                    rec(k + 1)
-                for item in reversed(log):
-                    if item is None:
-                        loops -= 1
-                    else:
-                        a, p1, b, p2 = item
-                        ends[a], ends[b] = p1, p2
-            for e in added:
-                color[e] = None
+                    a, p1, b, p2 = item
+                    ends[a], ends[b] = p1, p2
 
     rec(0)
     del rec             # rec holds itself through its cell
@@ -400,7 +437,7 @@ def count_loops(graph, assignment):
 def weight(graph, config, W):
     """2^loops * prod of local weights, with the loop count the search
     reported (graph is not traced), as one exact_product."""
-    return exact_product([W[fid].as_tuple()[LOCAL_CONFIGS[name][0] - 1]
+    return exact_product([getattr(W[fid], _ROW_WEIGHT[name])
                           for fid, name in config.assignment.items()],
                          2 ** config.n_loops)
 

@@ -152,7 +152,8 @@ def exact_product(factors, scale=1):
 
     Ints and Fractions are read as (n, 0, den) and a QuadVal a + b*sqrt(d)
     as (a.num*b.den, b.num*a.den, a.den*b.den); the integer triples are
-    multiplied and each component is reduced once.  The result is a
+    multiplied and each component is reduced once; the sqrt(d) component
+    is multiplied only from the first QuadVal on.  The result is a
     Fraction, or a QuadVal when any factor is one.  A factor of any other
     type (a float, say) sends the sequence through the left-to-right
     product Fraction(1) * f1 * f2 * ... * scale, so inexact weights keep
@@ -161,21 +162,23 @@ def exact_product(factors, scale=1):
     na, nb, den, d = scale, 0, 1, 0
     quad = False
     for f in factors:
-        if isinstance(f, QuadVal):
+        if isinstance(f, (int, Fraction)):
+            n, q = f.as_integer_ratio()
+            na *= n
+            den *= q
+            if quad:
+                nb *= n
+        elif isinstance(f, QuadVal):
             quad = True
             if f.d:
                 if d and f.d != d:
                     raise ValueError("mixing different quadratic fields")
                 d = f.d
-            a, b = f.a, f.b
-            fa = a.numerator * b.denominator
-            fb = b.numerator * a.denominator
+            an, ad = f.a.as_integer_ratio()
+            bn, bd = f.b.as_integer_ratio()
+            fa, fb = an * bd, bn * ad
             na, nb = na * fa + nb * fb * d, na * fb + nb * fa
-            den *= a.denominator * b.denominator
-        elif isinstance(f, (int, Fraction)):
-            na *= f.numerator
-            nb *= f.numerator
-            den *= f.denominator
+            den *= ad * bd
         else:
             total = Fraction(1)
             for g in factors:

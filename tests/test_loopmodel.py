@@ -1,6 +1,7 @@
 """Local pictures, gluing enumeration, loop counting, weights."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,8 @@ from c2loop.loopmodel import (
     LOCAL_CONFIGS,
     LoopConfig,
     LoopModelError,
+    _candidates,
+    _search_order,
     _trace,
     complex_from_quadgraph,
     count_loops,
@@ -23,6 +26,8 @@ from c2loop.loopmodel import (
     weight,
 )
 from c2loop.quadgraph import FaceWeights, grid_quadgraph
+from c2loop.stepped import enumerate_solids
+from c2loop.taut import build_taut_window
 from conftest import blue_data, crossing_parity_check, pillow_sphere
 
 
@@ -192,8 +197,9 @@ def test_blue_data_roundtrip():
 
 def _enumerate_by_face_order(comp, boundary):
     """The face-order backtracker: faces in face_ids() order, pictures in
-    CONFIG_ORDER, colors keyed by glue_key, and a fixed_connections spec
-    checked by tracing every leaf."""
+    CONFIG_ORDER, colors keyed by glue_key (a face glued to itself colors
+    both sides alike), and a fixed_connections spec checked by tracing every
+    leaf."""
     fids = comp.face_ids()
     fixed = {}
     if boundary.mode == "fixed_colors":
@@ -220,6 +226,7 @@ def _enumerate_by_face_order(comp, boundary):
             cols = side_colors(name)
             if any(edge_color.get(keys[s], cols[s]) != cols[s]
                    or fixed.get((fid, s), cols[s]) != cols[s]
+                   or cols[keys.index(keys[s])] != cols[s]
                    for s in range(4)):
                 continue
             added = [k2 for k2 in dict.fromkeys(keys) if k2 not in edge_color]
@@ -244,13 +251,26 @@ def _grid22_boundaries():
             BoundarySpec.fixed_connections(conn)]
 
 
+def one_face(*pairs):
+    """One face whose sides are glued in the given pairs."""
+    gluing = {}
+    for a, b in pairs:
+        gluing[("f", a)], gluing[("f", b)] = ("f", b), ("f", a)
+    return FaceComplex({"f": ("B", "W", "B", "W")}, gluing)
+
+
 ORACLE_CASES = (
     [(grid_quadgraph(1, 1), BoundarySpec.free())]
     + [(grid_quadgraph(m, n), BoundarySpec.free())
        for m, n in ((2, 1), (2, 2), (3, 2))]
     + [(grid_quadgraph(2, 2), b) for b in _grid22_boundaries()]
     + [(g, BoundarySpec.closed())
-       for g in (cube_sphere(), pillow_sphere(), torus_two_faces())])
+       for g in (cube_sphere(), pillow_sphere(), torus_two_faces())]
+    # a face glued to itself: the one-face torus and annulus
+    + [(one_face((0, 2), (1, 3)), BoundarySpec.closed()),
+       (one_face((1, 3)), BoundarySpec.free()),
+       (one_face((1, 3)), BoundarySpec.fixed_colors(
+           {("f", 0): "R", ("f", 2): "R"}))])
 
 
 @pytest.mark.parametrize("graph, boundary", ORACLE_CASES)
@@ -263,6 +283,111 @@ def test_search_matches_face_order_oracle(graph, boundary):
         _enumerate_by_face_order(comp, boundary)
     assert [c.n_loops for c in cfgs] == \
         [count_loops(comp, c.assignment) for c in cfgs]
+
+
+def test_one_face_torus_colors_glued_sides_alike():
+    cfgs = enumerate_configs(one_face((0, 2), (1, 3)), BoundarySpec.closed())
+    assert [c.assignment["f"] for c in cfgs] == \
+        ["1a", "1b", "2a", "2b", "5a", "5b"]
+
+
+def _quadratic_search_order(sides, decided):
+    """The search order by its rule, one face at a time: the face with the
+    most distinct side ids decided, ties to the lowest position."""
+    decided = set(decided)
+    left = list(range(len(sides)))
+    order = []
+    while left:
+        i = max(left, key=lambda j: (len(decided.intersection(sides[j])), -j))
+        left.remove(i)
+        order.append(i)
+        decided.update(sides[i])
+    return order
+
+
+def _random_sides(rng, max_faces):
+    """Up to max_faces faces over side ids each on one or two face sides, a
+    face glued to itself included, and a random set of preset ids."""
+    n = rng.randint(1, max_faces)
+    slots = list(range(4 * n))
+    rng.shuffle(slots)
+    ids = [None] * (4 * n)
+    e = 0
+    while slots:
+        take = 2 if len(slots) > 1 and rng.random() < 0.7 else 1
+        for _ in range(take):
+            ids[slots.pop()] = e
+        e += 1
+    sides = [tuple(ids[4 * i:4 * i + 4]) for i in range(n)]
+    return sides, [x for x in range(e) if rng.random() < 0.2]
+
+
+def test_search_order_matches_quadratic_rule():
+    for U in enumerate_solids(4):
+        win = build_taut_window(U)
+        sides = list(win.sides.values())
+        assert _search_order(sides, win.pairing) == \
+            _quadratic_search_order(sides, win.pairing)
+    rng = random.Random(41)
+    for _ in range(300):
+        sides, preset = _random_sides(rng, 12)
+        assert _search_order(sides, preset) == \
+            _quadratic_search_order(sides, preset)
+
+
+def test_candidate_table_fits_every_face():
+    # every pattern of side ids on a face (an id on at most two sides),
+    # every set of decided ids and every coloring of them: the looked-up
+    # pictures are those that match the decided colors and color the two
+    # sides of a repeated id alike
+    keys = set()
+    for face in itertools.product(range(4), repeat=4):
+        ids = list(dict.fromkeys(face))     # numbered as they first appear
+        if ids != list(range(len(ids))) or max(map(face.count, ids)) > 2:
+            continue
+        for known in itertools.product((False, True), repeat=len(ids)):
+            decided = tuple(p for p in range(4) if known[face[p]])
+            alike = tuple((p, q) for p in range(4) for q in range(p + 1, 4)
+                          if face[p] == face[q] and not known[face[p]])
+            keys.add((decided, alike))
+            table = _candidates(decided, alike)
+            for color in itertools.product("RB", repeat=len(ids)):
+                got = [r for r, _c, _p in table.get(
+                    tuple(color[face[p]] for p in decided), ())]
+                want = [r for r, name in enumerate(CONFIG_ORDER)
+                        if all(side_colors(name)[p] == side_colors(name)[q]
+                               for p, q in itertools.combinations(range(4), 2)
+                               if face[p] == face[q])
+                        and all(side_colors(name)[p] == color[face[p]]
+                                for p in decided)]
+                assert got == want
+    assert len(keys) < 100
+
+
+def test_search_matches_face_order_oracle_on_random_sides():
+    # random gluings, faces glued to themselves included, with colors
+    # preset on some free sides
+    rng = random.Random(7)
+    for _ in range(30):
+        sides, preset = _random_sides(rng, 4)
+        slots = {}
+        for i, face in enumerate(sides):
+            for s, e in enumerate(face):
+                slots.setdefault(e, []).append((i, s))
+        gluing = {}
+        for pair in slots.values():
+            if len(pair) == 2:
+                gluing[pair[0]], gluing[pair[1]] = pair[1], pair[0]
+        comp = FaceComplex(dict.fromkeys(range(len(sides)),
+                                         ("B", "W", "B", "W")), gluing)
+        boundary = BoundarySpec.fixed_colors(
+            {slots[e][0]: rng.choice("RB") for e in preset
+             if len(slots[e]) == 1})
+        cfgs = enumerate_configs(comp, boundary)
+        assert [list(c.assignment.items()) for c in cfgs] == \
+            _enumerate_by_face_order(comp, boundary)
+        assert [c.n_loops for c in cfgs] == \
+            [count_loops(comp, c.assignment) for c in cfgs]
 
 
 @pytest.mark.parametrize("boundary", [

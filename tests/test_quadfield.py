@@ -104,6 +104,40 @@ def test_kernel_floats_are_bit_identical():
             parts(left_to_right(factors, 4))
 
 
+@pytest.mark.parametrize("k", range(6))
+def test_kernel_takes_a_quadval_after_rationals(k):
+    # the sqrt(d) component is carried from the first QuadVal on, however
+    # many ints and Fractions come before it
+    rng = random.Random(k)
+    for d in (2, 3):
+        head = [rng.choice([rng.randint(-9, 9), random_rational(rng)])
+                for _ in range(k)]
+        tail = [QuadVal(random_rational(rng), random_rational(rng), d),
+                random_rational(rng), rng.randint(-9, 9),
+                QuadVal(random_rational(rng), random_rational(rng), d)]
+        for factors in (head + tail, head + tail[:1]):
+            assert parts(exact_product(factors, 2)) == \
+                parts(left_to_right(factors, 2))
+
+
+@pytest.mark.parametrize("factors, scale", [
+    ([True, Fraction(2, 3), QuadVal(1, 1, 5), True], 1),
+    ([Fraction(2, 3), True, 3], 2),
+    ([False, QuadVal(1, 1, 2)], 1),
+    ([Fraction(1, 2), QuadVal(0, 1, 2)], Fraction(3, 7)),
+    ([2, Fraction(1, 3)], Fraction(-5, 2)),
+    ([], Fraction(3, 4)),
+    ([3, Fraction(2, 7), 0.3], 4),
+    ([Fraction(1, 3)] * 5 + [0.1], 1),
+    ([Fraction(1, 3), QuadVal(1, 1, 2), 0.1, 2], 8),
+], ids=["bool", "bool-rational", "false", "fraction-scale-quad",
+        "fraction-scale", "fraction-scale-empty", "float", "float-last",
+        "float-after-quad"])
+def test_kernel_dispatch(factors, scale):
+    assert parts(exact_product(factors, scale)) == \
+        parts(left_to_right(factors, scale))
+
+
 def test_hash_agrees_with_equality():
     half = Fraction(1, 2)
     assert QuadVal(half) == half
