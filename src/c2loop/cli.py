@@ -329,13 +329,12 @@ def cmd_taut(args):
         return 0
     if args.action == "partition":
         if args.symbolic:
-            poly = y_taut(U, symbolic=True, window=win)
+            poly = y_taut(U, window=win)
             emit({"partition_polynomial": poly_to_json(poly),
                   "n_monomials": poly.num_terms()})
         else:
             init = load_init(args.init, win.sg.vertices)
-            emit({"partition_value": y_taut(U, g_init=init, symbolic=False,
-                                            window=win)})
+            emit({"partition_value": y_taut(U, init, window=win)})
         return 0
     if args.action == "verify":
         ok = verify_partition_identity(U, window=win)
@@ -354,8 +353,6 @@ def cmd_taut(args):
         return 0
     init = load_init(args.init, win.sg.vertices)
     cfgs = sample_taut(U, init, seed=args.seed, n=args.n, window=win)
-    if args.n == 1:
-        cfgs = [cfgs]
     emit({"samples": [c.to_json() for c in cfgs]})
     return 0
 

@@ -179,19 +179,12 @@ def dimer_partition_bruteforce(gq):
 
 
 def road_probability(gq, road):
-    """Probability that a road (an edge index or a glue key) is covered in
-    the single dimer model.  The matchings are enumerated once per graph
+    """Probability that a road, given by its glue key, is covered in the
+    single dimer model.  The matchings are enumerated once per graph
     (gq.road_masses), however many roads are asked about."""
-    if isinstance(road, int):
-        if not 0 <= road < len(gq.edges):
-            raise NotARoad(f"{road} is not an edge index")
-        idx = road
-    else:
-        idx = gq.road_of.get(road)
-        if idx is None:
-            raise NotARoad(f"{road} is not a road")
-    if gq.edges[idx][3] != "road":
-        raise NotARoad(f"edge {idx} is a city edge")
+    idx = gq.road_of.get(road)
+    if idx is None:
+        raise NotARoad(f"{road} is not a road")
     z, mass = gq.road_masses
     return mass[idx] / z
 

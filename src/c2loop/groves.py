@@ -16,7 +16,8 @@ from __future__ import annotations
 from .kashaev import fill_corners, lift_state
 from .loopmodel import side_colors
 from .stepped import fill_order, is_regular
-from .taut import enumerate_taut, taut_weight, window_for
+from .taut import build_taut_window, enumerate_taut, taut_weight, \
+    window_for
 
 
 class GrovesError(Exception):
@@ -40,20 +41,21 @@ def _all_plus_step(_p, corners):
     return (g1 * g23 + g2 * g13 + g3 * g12) / g
 
 
-def cube_recurrence_solve(U, g_init=None, mode="symbolic", window=None):
-    """Origin value of the all-plus-sign recurrence along the fill order."""
+def cube_recurrence_solve(U, window=None):
+    """Origin value of the all-plus-sign recurrence along the fill order, as
+    a Laurent polynomial in the window's variables."""
     if not is_regular(U)["regular"]:
         raise GrovesError("requires a regular solid")
     win = window_for(U, window)
-    g = lift_state(win.sg, g_init, mode).g_values
+    g, _faces = lift_state(win.sg)
     fill_corners(fill_order(U), g, _all_plus_step)
     return g[(0, 0, 0)]
 
 
-def verify_grove_equality(U, window=None):
+def verify_grove_equality(U):
     """Loop-free partition function against the all-plus recurrence, as
     Laurent polynomials, plus the coefficient-parity reduction."""
-    win = window_for(U, window)
+    win = build_taut_window(U)
     configs = enumerate_taut(U, win)
     free = filter_no_loops(configs)
     weights = [taut_weight(win, cfg, symbolic=True) for cfg in configs]

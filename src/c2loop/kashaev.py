@@ -8,19 +8,19 @@ corner relation:
     g123 = (2 g1 g2 g3 + g (g1 g23 + g2 g13 + g3 g12) + 2 X Y Z) / g^2
     X1 = (g1 X + Y Z) / g,   Y2 = (g2 Y + X Z) / g,   Z3 = (g3 Z + X Y) / g.
 
-The formulas are written once for both value types: positive floats
-(numeric mode) and Laurent polynomials (symbolic mode), whose `/` is exact
-division.  A division that leaves a remainder is a hard error rather than a
-fallback, because the result is guaranteed to be a Laurent polynomial.  A
-step divides the three faces by g before it forms the corner numerator, so
-a divisor that cannot divide exactly fails before the step's largest
-product.  A numeric step raises `NonPositive` on an input that is not
-positive, on a g * g that is 0 or infinite, and on a NaN output; an
-output of +inf from finite divisors is returned as it is.  The
-value type is chosen once, when the initial data are lifted onto the window
-(`lift_state`), whose own registry (`SurfaceGraph.registry`) holds the
-symbolic variables; only the float positivity guards look at the type
-again, and `agree` compares values of either type.
+The formulas are written once for both value types: positive floats and
+Laurent polynomials, whose `/` is exact division.  A division that leaves a
+remainder is a hard error rather than a fallback, because the result is
+guaranteed to be a Laurent polynomial.  A step divides the three faces by g
+before it forms the corner numerator, so a divisor that cannot divide
+exactly fails before the step's largest product.  A float step raises
+`NonPositive` on an input that is not positive, on a g * g that is 0 or
+infinite, and on a NaN output; an output of +inf from finite divisors is
+returned as it is.  The initial data alone choose the value type, once,
+when they are lifted onto the window (`lift_state`): values given make
+floats, and none make the window's own variables (`SurfaceGraph.registry`).
+Only the float positivity guards look at the type again, and `agree`
+compares values of either type.
 
 `solve_origin` iterates the completion over a regular stepped solid, on
 `surface_graph(U, window_radius)`, the window a caller still holds for that
@@ -35,7 +35,6 @@ polynomials from the items above, so no new root symbols ever appear.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .laurent import LaurentPoly
 from .stepped import (
@@ -55,24 +54,6 @@ class NonPositive(KashaevError):
     pass
 
 
-@dataclass
-class CubeData:
-    g: object = None
-    g1: object = None
-    g2: object = None
-    g3: object = None
-    g12: object = None
-    g13: object = None
-    g23: object = None
-    g123: object = None
-    X: object = None
-    Y: object = None
-    Z: object = None
-    X1: object = None
-    Y2: object = None
-    Z3: object = None
-
-
 def _is_poly(x):
     return isinstance(x, LaurentPoly)
 
@@ -88,41 +69,31 @@ def agree(got, want):
 _STEP_INPUTS = ("g", "g1", "g2", "g3", "g12", "g13", "g23", "X", "Y", "Z")
 
 
-def kashaev_step(c):
-    """Complete the cube from its bottom data, in place; returns c.
+def kashaev_step(g, g1, g2, g3, g12, g13, g23, X, Y, Z):
+    """Complete the cube from its bottom data: (g123, X1, Y2, Z3).
 
-    Numeric mode requires positive inputs and a finite nonzero g * g, and
-    keeps the outputs positive (the greatest root) or +inf; symbolic mode
-    divides exactly, the faces before the corner.
+    Floats must be positive with a finite nonzero g * g, and the outputs
+    stay positive (the greatest root) or +inf; Laurent polynomials divide
+    exactly, the faces before the corner.
     """
-    g, g1, g2, g3 = c.g, c.g1, c.g2, c.g3
-    g12, g13, g23 = c.g12, c.g13, c.g23
-    X, Y, Z = c.X, c.Y, c.Z
     numeric = not _is_poly(g)
     # a NaN fails every comparison, so each guard asks for > 0
     if numeric and not (g > 0 and g1 > 0 and g2 > 0 and g3 > 0 and g12 > 0
                         and g13 > 0 and g23 > 0 and X > 0 and Y > 0
                         and Z > 0 and 0 < g * g < math.inf):
-        for name in _STEP_INPUTS:
-            if not getattr(c, name) > 0:
+        for name, val in zip(_STEP_INPUTS,
+                             (g, g1, g2, g3, g12, g13, g23, X, Y, Z)):
+            if not val > 0:
                 raise NonPositive(f"{name} is not positive in numeric mode")
         raise NonPositive(f"g * g = {g * g} is out of float range")
-    c.X1 = (g1 * X + Y * Z) / g
-    c.Y2 = (g2 * Y + X * Z) / g
-    c.Z3 = (g3 * Z + X * Y) / g
-    c.g123 = (2 * g1 * g2 * g3 + g * (g1 * g23 + g2 * g13 + g3 * g12)
-              + 2 * X * Y * Z) / (g * g)
-    if numeric and not (c.g123 > 0 and c.X1 > 0 and c.Y2 > 0 and c.Z3 > 0):
+    X1 = (g1 * X + Y * Z) / g
+    Y2 = (g2 * Y + X * Z) / g
+    Z3 = (g3 * Z + X * Y) / g
+    g123 = (2 * g1 * g2 * g3 + g * (g1 * g23 + g2 * g13 + g3 * g12)
+            + 2 * X * Y * Z) / (g * g)
+    if numeric and not (g123 > 0 and X1 > 0 and Y2 > 0 and Z3 > 0):
         raise NonPositive("completed cube is not positive")
-    return c
-
-
-class HexState:
-    """Evolving vertex and face data while a solid is filled back in."""
-
-    def __init__(self, g_values, face_values):
-        self.g_values = g_values
-        self.face_values = face_values
+    return g123, X1, Y2, Z3
 
 
 def positive_value(x, where):
@@ -135,27 +106,19 @@ def positive_value(x, where):
     return val
 
 
-def lift_state(sg, g_init=None, mode="symbolic", faces=()):
-    """Initial data on a window: a value at every vertex of sg and at each
-    face key in faces.
+def lift_state(sg, g_init=None, faces=()):
+    """Initial data on a window: (g_values, face_values), a value at every
+    vertex of sg and at each face key in faces.
 
-    Symbolic mode lifts into the window's registry: a vertex takes the
-    exact constant g_init gives for it, or else its variable, and a face
-    takes its root variable.  Numeric mode reads a finite positive float for
-    every vertex from g_init, and a face takes the square root of its two
-    diagonal products, which must be finite and positive.
+    Without g_init every vertex and face takes its variable in the window's
+    registry.  With g_init every vertex reads a finite positive float from
+    it, and a face takes the square root of its two diagonal products, which
+    must be finite and positive.
     """
-    if mode == "symbolic":
-        registry = sg.registry
-        g_init = g_init or {}
-        g_values = {v: registry.zero() + g_init[v] if v in g_init
-                    else registry.var(sg.vertex_var_name(v))
-                    for v in sg.vertices}
-        face_values = {key: registry.var(sg.face_root_name(key))
-                       for key in faces}
-        return HexState(g_values, face_values)
     if g_init is None:
-        raise KashaevError("numeric mode requires initial values")
+        registry = sg.registry
+        return ({v: registry.var(sg.vertex_var_name(v)) for v in sg.vertices},
+                {key: registry.var(sg.face_root_name(key)) for key in faces})
     g_values = {v: positive_value(g_init[v], v) for v in sg.vertices}
     face_values = {}
     for key in faces:
@@ -167,10 +130,10 @@ def lift_state(sg, g_init=None, mode="symbolic", faces=()):
                 f"values {g_values[a]}, {g_values[b]}, {g_values[c]}, "
                 f"{g_values[d]} at its corners")
         face_values[key] = val
-    return HexState(g_values, face_values)
+    return g_values, face_values
 
 
-# offsets of a cube's seven bottom corners, in CubeData order
+# offsets of a cube's seven bottom corners, in kashaev_step's order
 _BOTTOM = ((0, 0, 0), UNITS[0], UNITS[1], UNITS[2],
            (1, 1, 0), (1, 0, 1), (0, 1, 1))
 
@@ -184,38 +147,47 @@ def fill_corners(order, g_values, complete):
         g_values[vadd(p, (1, 1, 1))] = complete(p, corners)
 
 
-def solve_state(U, g_init=None, mode="symbolic", order=None,
-                window_radius=None):
-    """Fill the solid back to the flat corner, returning the final state.
+def solve_state(U, g_init=None, order=None, window_radius=None):
+    """Fill the solid back to the flat corner: the final (g_values,
+    face_values), floats when g_init is given and Laurent polynomials when
+    it is not.
 
     The initial data live on surface_graph(U, window_radius), which is the
     window a caller still holds at that radius, if any."""
     sg = surface_graph(U, window_radius)
-    state = lift_state(sg, g_init, mode, faces=sg.faces)
+    g_values, fv = lift_state(sg, g_init, faces=sg.faces)
     if order is None:
         order = fill_order(U)
     else:
         order = list(order)
         if sorted(order) != sorted(U.removed):
             raise KashaevError("order must enumerate the removed cubes")
-    fv = state.face_values
 
     def complete(p, corners):
-        c = kashaev_step(CubeData(*corners, X=fv.pop((0, p)),
-                                  Y=fv.pop((1, p)), Z=fv.pop((2, p))))
-        fv[(0, vadd(p, UNITS[0]))] = c.X1
-        fv[(1, vadd(p, UNITS[1]))] = c.Y2
-        fv[(2, vadd(p, UNITS[2]))] = c.Z3
-        return c.g123
+        g123, X1, Y2, Z3 = kashaev_step(*corners, fv.pop((0, p)),
+                                        fv.pop((1, p)), fv.pop((2, p)))
+        fv[(0, vadd(p, UNITS[0]))] = X1
+        fv[(1, vadd(p, UNITS[1]))] = Y2
+        fv[(2, vadd(p, UNITS[2]))] = Z3
+        return g123
 
-    fill_corners(order, state.g_values, complete)
-    return state
+    fill_corners(order, g_values, complete)
+    return g_values, fv
 
 
 def solve_origin(U, g_init=None, mode="symbolic", order=None,
                  window_radius=None):
-    """Value of the recurrence at the origin for initial data on V(U)."""
+    """Value of the recurrence at the origin for initial data on V(U).
+
+    mode names the value type that g_init chooses: "numeric" with values,
+    "symbolic" without; any other pairing raises KashaevError."""
     if not is_regular(U)["regular"]:
         raise KashaevError("solve_origin requires a regular solid")
-    state = solve_state(U, g_init, mode, order, window_radius)
-    return state.g_values[(0, 0, 0)]
+    if mode not in ("numeric", "symbolic"):
+        raise KashaevError(f"unknown mode {mode!r}")
+    if mode == "numeric" and g_init is None:
+        raise KashaevError("numeric mode requires initial values")
+    if mode == "symbolic" and g_init is not None:
+        raise KashaevError("symbolic mode takes no initial values")
+    g_values, _faces = solve_state(U, g_init, order, window_radius)
+    return g_values[(0, 0, 0)]

@@ -160,12 +160,10 @@ class VarRegistry:
             return self.zero()
         return LaurentPoly({(): c}, self)
 
-    def var(self, name, exp=1, coeff=1):
+    def var(self, name):
         if name not in self._index:
             raise LaurentError(f"unknown variable {name!r}")
-        if exp == 1 and coeff == 1:
-            return LaurentPoly({((name, 1),): _ONE}, self)
-        return self.monomial({name: exp}, coeff)
+        return LaurentPoly({((name, 1),): _ONE}, self)
 
     def monomial(self, exps, coeff=1):
         """Build coeff * prod(var**e) from a {name: exponent} mapping."""
@@ -225,16 +223,6 @@ class LaurentPoly:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return LaurentPoly({m: -c for m, c in self.terms.items()},
-                           self.registry)
-
-    def __sub__(self, other):
-        return self + (-self._check(other))
-
-    def __rsub__(self, other):
-        return (-self) + self.registry.const(other)
-
     def __mul__(self, other):
         other = self._check(other)
         reg = self.registry
@@ -255,12 +243,6 @@ class LaurentPoly:
                 self.registry != other.registry:
             return False
         return self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.registry, frozenset(self.terms.items())))
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def __repr__(self):
         if not self.terms:
@@ -392,8 +374,6 @@ def lp_div_exact(p, q):
 
 def _divide_vertex_exact(p_terms, q, reg):
     """Exact division of vertex-only term dicts; raises NotDivisible."""
-    if not p_terms:
-        return {}
     # Shift both operands into ordinary (non-negative) polynomials so the
     # classical division algorithm terminates, then shift the quotient back.
     names = reg.vertex_vars

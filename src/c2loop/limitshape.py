@@ -163,7 +163,7 @@ class RhoField:
     values: RhoValues   # (i, j, k) with i, j, k >= 0, i+j+k <= N
 
 
-def rho_field(N, R, S=None):
+def rho_field(N, R):
     """Fill the observable on the nonnegative cone up to height N.
 
     Heights 0..2 carry the delta at the origin (the partition function of
@@ -176,8 +176,7 @@ def rho_field(N, R, S=None):
         raise LimitShapeError("N must be at least 3")
     if N > RHO_MAX_N:
         raise LimitShapeError(f"N must be at most {RHO_MAX_N}, got {N}")
-    if S is None:
-        S = s_from_r(R)
+    S = s_from_r(R)
     alpha, beta, gamma, alpha_p, beta_p, gamma_p = rho_coeffs(R, S)
     n = N + 2
     dx, dy, dz = n * n, n, 1

@@ -3,7 +3,8 @@
 Values are a + b*sqrt(d) with Fraction components.  Mixing two different
 irrationalities is not supported (and not needed: each exact computation in
 this package lives in a single Q(sqrt(d))).  Rationals embed with b = 0 and
-combine with any d.
+combine with any d.  A QuadVal adds, multiplies, divides and compares for
+equality; it is neither hashed nor ordered.
 
 exact_product multiplies a sequence of ints, Fractions and QuadVals as
 integer triples (n_a, n_b, den), standing for (n_a + n_b*sqrt(d)) / den, and
@@ -13,12 +14,9 @@ reduces each component once at the end instead of after every factor.
 from __future__ import annotations
 
 import math
-import numbers
 from fractions import Fraction
-from functools import total_ordering
 
 
-@total_ordering
 class QuadVal:
     __slots__ = ("a", "b", "d")
 
@@ -45,18 +43,6 @@ class QuadVal:
         self.d = d if b else 0
         return self
 
-    @staticmethod
-    def sqrt(d):
-        """sqrt(n) for a nonnegative rational n, exact when possible."""
-        n = Fraction(d)
-        num = math.isqrt(n.numerator)
-        den = math.isqrt(n.denominator)
-        if num * num == n.numerator and den * den == n.denominator:
-            return QuadVal(Fraction(num, den))
-        if n.denominator != 1:
-            raise ValueError("sqrt of non-square rational not supported")
-        return QuadVal(0, 1, n.numerator)
-
     def _coerce(self, other):
         if isinstance(other, QuadVal):
             if self.d and other.d and self.d != other.d:
@@ -73,15 +59,6 @@ class QuadVal:
                            self._field(other))
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return QuadVal(-self.a, -self.b, self.d)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + QuadVal(other)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -101,17 +78,6 @@ class QuadVal:
         prod = self * conj
         return QuadVal(prod.a / norm, prod.b / norm, prod.d)
 
-    def __rtruediv__(self, other):
-        return QuadVal(other) / self
-
-    def __pow__(self, n):
-        if not isinstance(n, numbers.Integral):
-            raise TypeError(f"exponent {n!r} is not an integer")
-        out = QuadVal(1)
-        for _ in range(abs(n)):
-            out = out * self
-        return out if n >= 0 else 1 / out
-
     def __eq__(self, other):
         try:
             other = self._coerce(other)
@@ -119,27 +85,8 @@ class QuadVal:
             return False
         return self.a == other.a and self.b == other.b
 
-    def __hash__(self):
-        # a rational value hashes as its Fraction, which it equals
-        return hash(self.a) if self.b == 0 else hash((self.a, self.b, self.d))
-
     def __float__(self):
         return float(self.a) + float(self.b) * math.sqrt(self.d)
-
-    def __lt__(self, other):
-        return (self - self._coerce(other))._sign() < 0
-
-    def _sign(self):
-        """The sign of a + b*sqrt(d), exactly: when a and b have opposite
-        signs, the larger of a^2 and b^2*d decides."""
-        sa = (self.a > 0) - (self.a < 0)
-        sb = (self.b > 0) - (self.b < 0)
-        if sb == 0 or sa == sb:
-            return sa
-        if sa == 0:
-            return sb
-        diff = self.a * self.a - self.b * self.b * self.d
-        return sa if diff > 0 else sb if diff < 0 else 0
 
     def __repr__(self):
         if self.b == 0:

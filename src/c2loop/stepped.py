@@ -169,9 +169,6 @@ class SteppedSolid:
             return occ[i[..., 0], i[..., 1], i[..., 2]].any(1)
         return vertex_in(x) & ~vertex_in(x + 1)
 
-    def to_json(self):
-        return {"removed": sorted(list(c) for c in self.removed)}
-
 
 # cube and face codes are built from three coordinates of up to this depth,
 # which keeps them inside int64

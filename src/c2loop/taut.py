@@ -142,7 +142,7 @@ class TautWindow:
     def symbolic_origin(self):
         """Exact recurrence solution at the origin, in the canonical fill
         order, solved on first use."""
-        return solve_origin(self.sg.solid, mode="symbolic",
+        return solve_origin(self.sg.solid,
                             window_radius=self.sg.window_radius)
 
     @cached_property
@@ -304,11 +304,7 @@ class TautConfig(LoopConfig):
         """The weight's half-unit vertex exponents and root faces (see
         _vertex_contributions), shared by both weight modes; reading them
         builds no registry."""
-        win = self.window
-        if self.assignment.keys() != win.sides.keys():  # the zone faces
-            raise TautError("the configuration's faces are not the window's "
-                            "zone faces")
-        return _vertex_contributions(win, self.assignment)
+        return _vertex_contributions(self.window, self.assignment)
 
     @cached_property
     def monomial_key(self):
@@ -370,12 +366,11 @@ def _vertex_contributions(win, assignment):
 
 
 def taut_weight(win, config, symbolic=True, g_init=None):
-    """Weight 2^loops * prod w^f * prod g^-2 of one taut configuration.
-
-    A configuration of win reads its cached weight data; one of another
-    window is weighed afresh in win's variables."""
+    """Weight 2^loops * prod w^f * prod g^-2 of one taut configuration of
+    win, from its cached weight data: a Laurent monomial when symbolic, else
+    a float at the values g_init."""
     if config.window is not win:
-        config = TautConfig(config.assignment, config.n_loops, win)
+        raise TautError("the configuration is not one of this window")
     if symbolic:
         coeff = Fraction(2 ** config.n_loops)
         return LaurentPoly({config.monomial_key: coeff}, win.registry)
@@ -398,22 +393,22 @@ def taut_weight(win, config, symbolic=True, g_init=None):
     return val
 
 
-def y_taut(U, g_init=None, symbolic=True, window=None):
-    """Renormalized partition function over all taut configurations."""
+def y_taut(U, g_init=None, window=None):
+    """Renormalized partition function over all taut configurations: a
+    float at the values g_init, or a Laurent polynomial without them."""
     win = window_for(U, window)
-    return sum(taut_weight(win, cfg, symbolic, g_init)
+    return sum(taut_weight(win, cfg, g_init is None, g_init)
                for cfg in enumerate_taut(U, win))
 
 
-def verify_partition_identity(U, mode="symbolic", g_init=None, window=None):
+def verify_partition_identity(U, g_init=None, window=None):
     """Partition function against the recurrence solution at the origin:
-    exactly in symbolic mode, to agree's tolerance in numeric mode at the
-    values g_init (which symbolic mode does not take)."""
+    exactly without g_init, and to agree's tolerance at the values g_init
+    when they are given."""
     win = window_for(U, window)
-    symbolic = mode == "symbolic"
-    lhs = y_taut(U, g_init=g_init, symbolic=symbolic, window=win)
-    rhs = win.symbolic_origin if symbolic else \
-        solve_origin(win.sg.solid, g_init=g_init, mode=mode,
+    lhs = y_taut(U, g_init, window=win)
+    rhs = win.symbolic_origin if g_init is None else \
+        solve_origin(win.sg.solid, g_init=g_init, mode="numeric",
                      window_radius=win.sg.window_radius)
     return agree(lhs, rhs)
 
@@ -498,7 +493,7 @@ def cube_flip_sums():
     U = SteppedSolid.from_removed([_FLIP_CUBE])
     sg = surface_graph(U)
     reg = sg.registry
-    state = solve_state(U)
+    g_values, face_values = solve_state(U)
     ring = _FLIP_RING
     edges = {frozenset(e): k
              for k, e in enumerate(zip(ring, ring[1:] + ring[:1]))}
@@ -515,7 +510,7 @@ def cube_flip_sums():
                 for v, e in zip(comp.corner_ids[key], _CORNER_EXP[name]):
                     exps[v] = exps.get(v, 0) + e
                 if LOCAL_CONFIGS[name][0] in (3, 4):
-                    term = term * (state.face_values[key] if side else
+                    term = term * (face_values[key] if side else
                                    reg.var(sg.face_root_name(key)))
             if exps[centre] % 2:
                 raise TautError(f"half-integer exponent at {centre}")
@@ -531,7 +526,7 @@ def cube_flip_sums():
             part[power] = part.get(power, reg.zero()) + term
     if any(len(p) > 1 for p in parities.values()):
         raise TautError("boundary exponent parities differ within a class")
-    return state.g_values[(0, 0, 0)], sums
+    return g_values[(0, 0, 0)], sums
 
 
 def _same_sum(a, b, top):
@@ -651,7 +646,7 @@ def reconstruct_from_monomial(U, monomial, window=None):
 
 def sample_taut(U, g_init, seed=0, n=1, window=None):
     """Exact sampling proportional to the numeric weight; deterministic for
-    a given seed.  Returns one configuration, or a list when n > 1."""
+    a given seed.  Returns a list of n configurations."""
     win = window_for(U, window)
     configs = enumerate_taut(U, win)
     weights = [taut_weight(win, c, symbolic=False, g_init=g_init)
@@ -672,4 +667,4 @@ def sample_taut(U, g_init, seed=0, n=1, window=None):
                 pick = c
                 break
         out.append(pick)
-    return out[0] if n == 1 else out
+    return out

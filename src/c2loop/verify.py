@@ -99,7 +99,7 @@ def criterion_3_partition_theorem(n_numeric=50):
         win = wins[U]
         init = {v: rng.randint(1, 9) / rng.randint(1, 4)
                 for v in win.sg.vertices}
-        if not verify_partition_identity(U, mode="numeric", g_init=init, window=win):
+        if not verify_partition_identity(U, init, window=win):
             ok = False
     return _report("partition function equals the recurrence solution", ok,
                    {"symbolic_solids": len(enumerate_solids(3)),

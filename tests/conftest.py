@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from c2loop.kashaev import CubeData
+from c2loop.kashaev import kashaev_step
 from c2loop.loopmodel import FaceComplex, LOCAL_CONFIGS, _trace, side_colors
 from c2loop.quadgraph import QuadGraph, grid_quadgraph
 from c2loop.stepped import face_corners
@@ -69,25 +69,40 @@ def hexagon_y():
 
 
 def cube_from_bottom(g, g1, g2, g3, g12, g13, g23, X=None, Y=None, Z=None):
-    """A cube's bottom data, each face value not given the square root of
-    its two diagonal products (numeric)."""
-    c = CubeData(g=g, g1=g1, g2=g2, g3=g3, g12=g12, g13=g13, g23=g23)
-    c.X = math.sqrt(g * g23 + g2 * g3) if X is None else X
-    c.Y = math.sqrt(g * g13 + g1 * g3) if Y is None else Y
-    c.Z = math.sqrt(g * g12 + g1 * g2) if Z is None else Z
-    return c
+    """A cube's bottom data by the names kashaev_step takes, each face value
+    not given the square root of its two diagonal products (numeric)."""
+    return {"g": g, "g1": g1, "g2": g2, "g3": g3,
+            "g12": g12, "g13": g13, "g23": g23,
+            "X": math.sqrt(g * g23 + g2 * g3) if X is None else X,
+            "Y": math.sqrt(g * g13 + g1 * g3) if Y is None else Y,
+            "Z": math.sqrt(g * g12 + g1 * g2) if Z is None else Z}
+
+
+def complete_cube(c):
+    """The bottom data c with kashaev_step's outputs g123, X1, Y2, Z3."""
+    return dict(c, **dict(zip(("g123", "X1", "Y2", "Z3"),
+                              kashaev_step(**c))))
+
+
+def kashaev_relation_sides(c):
+    """The corner relation's terms of each sign, summed: equal iff the
+    relation holds (exactly, for Laurent polynomials)."""
+    g, g1, g2, g3 = c["g"], c["g1"], c["g2"], c["g3"]
+    g12, g13, g23, g123 = c["g12"], c["g13"], c["g23"], c["g123"]
+    plus = (g * g * g123 * g123 + g1 * g1 * g23 * g23
+            + g2 * g2 * g13 * g13 + g3 * g3 * g12 * g12)
+    minus = (2 * g2 * g3 * g13 * g12 + 2 * g1 * g3 * g23 * g12
+             + 2 * g1 * g2 * g23 * g13
+             + 2 * g * g123 * (g1 * g23 + g2 * g13 + g3 * g12)
+             + 4 * g * g12 * g23 * g13 + 4 * g123 * g1 * g2 * g3)
+    return plus, minus
 
 
 def kashaev_relation_residual(c):
-    """Left side of the corner relation; zero iff the relation holds."""
-    g, g1, g2, g3 = c.g, c.g1, c.g2, c.g3
-    g12, g13, g23, g123 = c.g12, c.g13, c.g23, c.g123
-    return (g * g * g123 * g123 + g1 * g1 * g23 * g23
-            + g2 * g2 * g13 * g13 + g3 * g3 * g12 * g12
-            - 2 * g2 * g3 * g13 * g12 - 2 * g1 * g3 * g23 * g12
-            - 2 * g1 * g2 * g23 * g13
-            - 2 * g * g123 * (g1 * g23 + g2 * g13 + g3 * g12)
-            - 4 * g * g12 * g23 * g13 - 4 * g123 * g1 * g2 * g3)
+    """Left side of the corner relation (floats); zero iff the relation
+    holds."""
+    plus, minus = kashaev_relation_sides(c)
+    return plus - minus
 
 
 def face_diagonals(axis, base):

@@ -135,7 +135,8 @@ def _strict_json(text):
 def test_kashaev_solve_non_finite_is_json_error(tmp_path, capsys):
     # all-ones data overflow the numeric recurrence on the 24-slab
     solid, init = tmp_path / "slab24.json", tmp_path / "ones.json"
-    solid.write_text(json.dumps(slab_solid(24).to_json()))
+    solid.write_text(json.dumps(
+        {"removed": [list(c) for c in slab_solid(24).removed]}))
     init.write_text(json.dumps({"default": 1}))
     code, out, _ = run(capsys, "kashaev", "solve", str(solid), str(init),
                        "--mode", "numeric")
@@ -312,6 +313,17 @@ def test_groves_verify(tmp_path, capsys):
     assert json.loads(out)["equal"]
 
 
+def test_groves_verify_box(tmp_path, capsys):
+    # the all-plus recurrence on the 2x2x2 box divides by a multi-term,
+    # root-free g: the program's one path to the general divisor
+    solid = tmp_path / "box.json"
+    solid.write_text(json.dumps({"removed": BOX}))
+    code, out, _ = run(capsys, "groves", "verify", str(solid))
+    assert code == 0
+    assert json.loads(out) == {"equal": True, "n_loop_free": 65,
+                               "parity_match": True}
+
+
 def test_input_error_exit_code(tmp_path, capsys):
     code, _out, err = run(capsys, "graph", "validate",
                           str(tmp_path / "missing.json"))
@@ -330,7 +342,8 @@ def test_param_solve_loop_track_is_input_error(tmp_path, capsys):
 
 def test_stepped_window_too_small_is_input_error(tmp_path, capsys):
     solid = tmp_path / "slab12.json"
-    solid.write_text(json.dumps(slab_solid(12).to_json()))
+    solid.write_text(json.dumps(
+        {"removed": [list(c) for c in slab_solid(12).removed]}))
     code, out, err = run(capsys, "stepped", "surface", str(solid),
                          "--window", "7.5")
     assert code == 2 and out == ""

@@ -241,7 +241,7 @@ def test_ff_decompose():
     assert q.lam == pytest.approx(1.0)
     assert q.a == pytest.approx(math.sin(math.pi / 3))
     # the vertex parametrization at the all-ones point: lambda 2, a = b
-    w = FaceWeights(1, 1, QuadVal.sqrt(2), QuadVal.sqrt(2), 1)
+    w = FaceWeights(1, 1, QuadVal(0, 1, 2), QuadVal(0, 1, 2), 1)
     r = ff_decompose(w)
     assert r.lam == 2 and r.a == r.b
 
@@ -368,8 +368,10 @@ def test_road_probability_rejects_city_edge():
     comp = complex_from_quadgraph(cube_sphere())
     params = {f: ff_decompose(ff_fixture_weights()) for f in comp.face_ids()}
     gq = build_gq(comp, params)
+    # a city edge has no glue key, and its corner pair is not one
+    assert gq.edges[0][3] == "city"
     with pytest.raises(NotARoad):
-        road_probability(gq, 0)  # edge 0 is a city edge
+        road_probability(gq, gq.edges[0][:2])
 
 
 def _road_probability_oracle(gq, idx):
@@ -401,15 +403,15 @@ def test_road_probability_enumerates_once(sphere, monkeypatch):
 
         monkeypatch.setattr(ffdimers, "enumerate_matchings", counted)
         got = {key: road_probability(gq, key) for key in gq.road_of}
-        got_by_index = {key: road_probability(gq, gq.road_of[key])
-                        for key in gq.road_of}
         monkeypatch.undo()
         assert len(calls) == 1
-        assert got == expected == got_by_index
+        assert got == expected
 
 
 @pytest.mark.parametrize("index", [-1, -36, 36, 10 ** 6])
 def test_road_probability_rejects_index_out_of_range(index):
+    # a road is named by its glue key; an edge index is refused as not a
+    # road
     comp = complex_from_quadgraph(cube_sphere())
     params = {f: ff_decompose(ff_fixture_weights()) for f in comp.face_ids()}
     gq = build_gq(comp, params)

@@ -142,10 +142,11 @@ def test_to_grove_rejects_loops():
 
 
 def test_cube_recurrence_numeric():
+    # the all-plus polynomial of one cube is 3 at the all-ones point
     win = build_taut_window(ONE)
-    init = {v: 1.0 for v in win.sg.vertices}
-    assert cube_recurrence_solve(ONE, g_init=init, mode="numeric",
-                                 window=win) == pytest.approx(3.0)
+    p = cube_recurrence_solve(ONE, window=win)
+    ones = dict.fromkeys(p.registry.vertex_vars, 1)
+    assert lp_eval(p, ones) == pytest.approx(3.0)
 
 
 def test_cube_recurrence_symbolic_one_cube():
@@ -156,14 +157,13 @@ def test_cube_recurrence_symbolic_one_cube():
 
 
 def test_cube_recurrence_slabs_integer():
+    # every coefficient of the exact all-plus polynomial is an integer, so
+    # its value at every integer point is one too
     for n in (2, 3, 4):
-        from c2loop.stepped import slab_solid, surface_graph, height
         U = slab_solid(n)
-        win = build_taut_window(U)
-        init = {v: 1.0 for v in win.sg.vertices}
-        val = cube_recurrence_solve(U, g_init=init, mode="numeric",
-                                    window=win)
-        assert val == pytest.approx(round(val)), n
+        p = cube_recurrence_solve(U, window=build_taut_window(U))
+        assert p.terms and all(c.denominator == 1
+                               for c in p.terms.values()), n
 
 
 def test_grove_equality_small_solids():

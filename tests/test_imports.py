@@ -280,31 +280,9 @@ def test_scan_finds_an_unset_option():
         [("a.f", "d")]
 
 
-# defaulted parameters that only tests set, each with the test that needs
-# it; the list only shrinks:
-#   cube_recurrence_solve(g_init, mode): test_groves.py's
-#     test_cube_recurrence_slabs_integer (numeric all-plus values are
-#     integers);
-#   verify_grove_equality(window): test_taut.py's
-#     test_window_of_another_solid_is_rejected;
-#   VarRegistry.var(exp, coeff): test_laurent.py's
-#     test_kernel_matches_reference_powers;
-#   rho_field(S): test_limitshape.py's test_nonpositive_r_rejected.
-ONLY_TESTS_SET = {
-    ("groves.cube_recurrence_solve", "g_init"),
-    ("groves.cube_recurrence_solve", "mode"),
-    ("groves.verify_grove_equality", "window"),
-    ("laurent.VarRegistry.var", "coeff"),
-    ("laurent.VarRegistry.var", "exp"),
-    ("limitshape.rho_field", "S"),
-}
-
-
 def test_options_have_callers():
     # a default of src must be overridden by src or by the benchmark
-    found = set(unset_options(
+    found = unset_options(
         {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))},
-        [p.read_text() for p in sorted(PERFBENCH.glob("*.py"))]))
-    assert sorted(found - ONLY_TESTS_SET) == [], "set by no program caller"
-    assert sorted(ONLY_TESTS_SET - found) == [], \
-        "set by the program now: drop it from ONLY_TESTS_SET"
+        [p.read_text() for p in sorted(PERFBENCH.glob("*.py"))])
+    assert found == [], "set by no program caller"

@@ -9,7 +9,6 @@ import pytest
 import c2loop.kashaev
 import c2loop.stepped
 from c2loop.kashaev import (
-    CubeData,
     KashaevError,
     NonPositive,
     agree,
@@ -33,8 +32,8 @@ from c2loop.taut import (
     yang_baxter_row_check,
 )
 from c2loop.verify import criterion_2_yang_baxter
-from conftest import cube_from_bottom, face_diagonals, \
-    kashaev_relation_residual
+from conftest import complete_cube, cube_from_bottom, face_diagonals, \
+    kashaev_relation_residual, kashaev_relation_sides
 
 ONE = SteppedSolid.from_removed([(-1, -1, -1)])
 # the corners of ONE's cube, by their names in the cube relation
@@ -55,53 +54,44 @@ def cube_variables(sg):
 
 def alternative_root(c):
     """The other root of the corner relation in g123 (numeric)."""
-    g, g1, g2, g3 = c.g, c.g1, c.g2, c.g3
-    g12, g13, g23 = c.g12, c.g13, c.g23
+    g, g1, g2, g3 = c["g"], c["g1"], c["g2"], c["g3"]
+    g12, g13, g23 = c["g12"], c["g13"], c["g23"]
     ssum = (2 * g * (g1 * g23 + g2 * g13 + g3 * g12)
             + 4 * g1 * g2 * g3) / (g * g)
-    return ssum - c.g123
+    return ssum - c["g123"]
 
 
 def duality_check(c, tol=1e-9):
     """Central flip (g <-> g123, g_i <-> g_jk) followed by a completion must
     return the original corner and swap the face values."""
-    flipped = CubeData(g=c.g123, g1=c.g23, g2=c.g13, g3=c.g12,
-                       g12=c.g3, g13=c.g2, g23=c.g1,
-                       X=c.X1, Y=c.Y2, Z=c.Z3)
-    if isinstance(c.g, LaurentPoly):
+    flipped = {"g": c["g123"], "g1": c["g23"], "g2": c["g13"],
+               "g3": c["g12"], "g12": c["g3"], "g13": c["g2"],
+               "g23": c["g1"], "X": c["X1"], "Y": c["Y2"], "Z": c["Z3"]}
+    if isinstance(c["g"], LaurentPoly):
         # Cleared-denominator comparison: g * g123^2 == flip numerator.
-        num = (2 * flipped.g1 * flipped.g2 * flipped.g3
-               + flipped.g * (flipped.g1 * flipped.g23
-                              + flipped.g2 * flipped.g13
-                              + flipped.g3 * flipped.g12)
-               + 2 * flipped.X * flipped.Y * flipped.Z)
-        return num == c.g * c.g123 * c.g123
-    kashaev_step(flipped)
-    scale = abs(c.g) + abs(flipped.g123)
-    ok = abs(flipped.g123 - c.g) <= tol * scale
-    ok = ok and abs(flipped.X1 - c.X) <= tol * (abs(c.X) + 1)
-    ok = ok and abs(flipped.Y2 - c.Y) <= tol * (abs(c.Y) + 1)
-    ok = ok and abs(flipped.Z3 - c.Z) <= tol * (abs(c.Z) + 1)
+        f = flipped
+        num = (2 * f["g1"] * f["g2"] * f["g3"]
+               + f["g"] * (f["g1"] * f["g23"] + f["g2"] * f["g13"]
+                           + f["g3"] * f["g12"])
+               + 2 * f["X"] * f["Y"] * f["Z"])
+        return num == c["g"] * c["g123"] * c["g123"]
+    g, X, Y, Z = kashaev_step(**flipped)
+    ok = abs(g - c["g"]) <= tol * (abs(c["g"]) + abs(g))
+    for got, want in ((X, c["X"]), (Y, c["Y"]), (Z, c["Z"])):
+        ok = ok and abs(got - want) <= tol * (abs(want) + 1)
     return ok
 
 
-def check_face_invariant(state):
-    """Every face value of a HexState squared equals the sum of its two
-    diagonal g-products: exactly for symbolic values, to 1e-9 for floats."""
-    for key, val in state.face_values.items():
+def check_face_invariant(g_values, face_values):
+    """Every face value squared equals the sum of its two diagonal
+    g-products: exactly for symbolic values, to 1e-9 for floats."""
+    for key, val in face_values.items():
         axis, base = key
         (a, c), (b, d) = face_diagonals(axis, base)
-        want = (state.g_values[a] * state.g_values[c]
-                + state.g_values[b] * state.g_values[d])
+        want = g_values[a] * g_values[c] + g_values[b] * g_values[d]
         if not agree(val * val, want):
             return False
     return True
-
-
-def ones_cube(g123=None):
-    c = cube_from_bottom(1, 1, 1, 1, 1, 1, 1)
-    c.g123 = g123
-    return c
 
 
 class _NoProduct:
@@ -119,11 +109,10 @@ def test_step_fails_before_corner_product():
     reg = VarRegistry(["a", "b", "c", "d", "e"],
                       {"s": [({"a": 1, "b": 1}, 1), ({"c": 1, "d": 1}, 1)]})
     a, b, c, d, e, s = (reg.var(n) for n in "abcdes")
-    cube = CubeData(g=a + s, g1=b, g2=c, g3=d, g12=_NoProduct(),
-                    g13=_NoProduct(), g23=_NoProduct(), X=e, Y=a, Z=b)
     with pytest.raises(NotDivisible, match="^general divisor must be free "
                                            "of root variables$"):
-        kashaev_step(cube)
+        kashaev_step(a + s, b, c, d, _NoProduct(), _NoProduct(),
+                     _NoProduct(), e, a, b)
 
 
 @pytest.mark.parametrize("values, X, message", [
@@ -135,7 +124,7 @@ def test_step_fails_before_corner_product():
 ])
 def test_numeric_step_failures_are_typed(values, X, message):
     with pytest.raises(NonPositive, match=f"^{message}"):
-        kashaev_step(cube_from_bottom(*values, X=X, Y=1.0, Z=1.0))
+        kashaev_step(**cube_from_bottom(*values, X=X, Y=1.0, Z=1.0))
 
 
 def test_numeric_step_nan_output_is_typed():
@@ -144,35 +133,36 @@ def test_numeric_step_nan_output_is_typed():
                          X=1.0, Y=1.0, Z=1.0)
     with pytest.raises(NonPositive, match="^completed cube is not "
                                           "positive$"):
-        kashaev_step(c)
+        kashaev_step(**c)
 
 
 def test_numeric_step_keeps_inf_from_finite_divisors():
     # g * g = 1e-320 is finite and positive; the corner overflows to +inf
-    c = kashaev_step(cube_from_bottom(1e-160, 1, 1, 1, 1, 1, 1))
-    assert c.g123 == math.inf and math.isfinite(c.X1)
+    g123, X1, _Y2, _Z3 = kashaev_step(
+        **cube_from_bottom(1e-160, 1, 1, 1, 1, 1, 1))
+    assert g123 == math.inf and math.isfinite(X1)
 
 
 def test_residual_hand_value():
-    assert kashaev_relation_residual(ones_cube(1)) == -16
+    ones = dict(cube_from_bottom(1, 1, 1, 1, 1, 1, 1), g123=1)
+    assert kashaev_relation_residual(ones) == -16
 
 
 def test_residual_after_step():
-    c = ones_cube()
-    kashaev_step(c)
-    assert c.g123 == pytest.approx(5 + 4 * math.sqrt(2), rel=1e-12)
-    assert c.X1 == pytest.approx(2 + math.sqrt(2), rel=1e-12)
+    c = complete_cube(cube_from_bottom(1, 1, 1, 1, 1, 1, 1))
+    assert c["g123"] == pytest.approx(5 + 4 * math.sqrt(2), rel=1e-12)
+    assert c["X1"] == pytest.approx(2 + math.sqrt(2), rel=1e-12)
     assert abs(kashaev_relation_residual(c)) < 1e-9
 
 
 def test_step_slab_formula():
     # Height-only data (a; b,b,b; c,c,c) completes to the closed form d.
     for a, b, c in [(1.0, 1.0, 1.0), (2.0, 1.5, 1.25), (0.7, 1.1, 2.3)]:
-        cube = cube_from_bottom(a, b, b, b, c, c, c)
-        kashaev_step(cube)
+        g123, _X1, _Y2, _Z3 = kashaev_step(
+            **cube_from_bottom(a, b, b, b, c, c, c))
         d = (2 * b ** 3 + 3 * a * b * c
              + 2 * (a * c + b * b) ** 1.5) / a ** 2
-        assert cube.g123 == pytest.approx(d, rel=1e-12)
+        assert g123 == pytest.approx(d, rel=1e-12)
 
 
 def test_symbolic_one_cube_five_monomials():
@@ -184,21 +174,21 @@ def test_symbolic_one_cube_five_monomials():
 
 
 def test_symbolic_residual_vanishes(monkeypatch):
-    residuals = []
+    sides = []
 
-    def checked(c):
-        real(c)
-        residuals.append(kashaev_relation_residual(c))
-        return c
+    def checked(*args):
+        out = real(*args)
+        cube = dict(zip(("g", "g1", "g2", "g3", "g12", "g13", "g23"), args))
+        sides.append(kashaev_relation_sides(dict(cube, g123=out[0])))
+        return out
 
     real = c2loop.kashaev.kashaev_step
     monkeypatch.setattr(c2loop.kashaev, "kashaev_step", checked)
-    sg = surface_graph(ONE)
-    state = solve_state(ONE, mode="symbolic")
+    g_values, face_values = solve_state(ONE)
     # the corner relation holds exactly at every step of the solve
-    assert len(residuals) == len(ONE.removed)
-    assert all(r == 0 for r in residuals)
-    assert check_face_invariant(state)
+    assert len(sides) == len(ONE.removed)
+    assert all(plus == minus for plus, minus in sides)
+    assert check_face_invariant(g_values, face_values)
 
 
 def test_solve_u0_identity():
@@ -238,33 +228,30 @@ def test_duality_numeric_randomized():
     rng = random.Random(23)
     for _ in range(100):
         vals = [rng.uniform(0.2, 4.0) for _ in range(7)]
-        c = cube_from_bottom(*vals)
-        kashaev_step(c)
-        assert duality_check(c)
+        assert duality_check(complete_cube(cube_from_bottom(*vals)))
 
 
 def test_duality_symbolic():
-    c = CubeData(**cube_variables(surface_graph(ONE)))
-    kashaev_step(c)
-    assert duality_check(c)
+    assert duality_check(complete_cube(cube_variables(surface_graph(ONE))))
 
 
 def test_greatest_root_dominates():
     rng = random.Random(31)
     for _ in range(100):
-        c = cube_from_bottom(*[rng.uniform(0.1, 5.0) for _ in range(7)])
-        kashaev_step(c)
-        assert alternative_root(c) <= c.g123 + 1e-12
+        c = complete_cube(
+            cube_from_bottom(*[rng.uniform(0.1, 5.0) for _ in range(7)]))
+        assert alternative_root(c) <= c["g123"] + 1e-12
 
 
 def test_item_ff_invariant_on_solve():
     # (X1 Y2 Z3 + g12 g13 g23)/g123 == (X Y Z + g1 g2 g3)/g on every cube.
     rng = random.Random(7)
     for _ in range(50):
-        c = cube_from_bottom(*[rng.uniform(0.3, 3.0) for _ in range(7)])
-        kashaev_step(c)
-        lhs = (c.X1 * c.Y2 * c.Z3 + c.g12 * c.g13 * c.g23) / c.g123
-        rhs = (c.X * c.Y * c.Z + c.g1 * c.g2 * c.g3) / c.g
+        c = complete_cube(
+            cube_from_bottom(*[rng.uniform(0.3, 3.0) for _ in range(7)]))
+        lhs = (c["X1"] * c["Y2"] * c["Z3"]
+               + c["g12"] * c["g13"] * c["g23"]) / c["g123"]
+        rhs = (c["X"] * c["Y"] * c["Z"] + c["g1"] * c["g2"] * c["g3"]) / c["g"]
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
@@ -469,10 +456,12 @@ def test_row_table_pins_the_derivation():
 
 def test_criterion_2_fails_on_a_mutated_step(monkeypatch):
     # g123 with one X Y Z in its numerator instead of two
-    def mutated(c):
-        kashaev_step(c)
-        c.g123 = c.g123 - c.X * c.Y * c.Z / (c.g * c.g)
-        return c
+    def mutated(g, g1, g2, g3, g12, g13, g23, X, Y, Z):
+        _g123, X1, Y2, Z3 = kashaev_step(g, g1, g2, g3, g12, g13, g23,
+                                         X, Y, Z)
+        g123 = (2 * g1 * g2 * g3 + g * (g1 * g23 + g2 * g13 + g3 * g12)
+                + X * Y * Z) / (g * g)
+        return g123, X1, Y2, Z3
 
     monkeypatch.setattr("c2loop.kashaev.kashaev_step", mutated)
     holds = yang_baxter_classes()
@@ -489,15 +478,15 @@ def test_slab_solve_matches_nested_radicals():
     # Climbing the slab: Y3 = d, then Y4 = step(b, c,c,c, d,d,d).
     a = b = c = 1.0
     d = 5 + 4 * math.sqrt(2)
-    cube = cube_from_bottom(b, c, c, c, d, d, d)
-    kashaev_step(cube)
+    g123, _X1, _Y2, _Z3 = kashaev_step(**cube_from_bottom(b, c, c, c,
+                                                          d, d, d))
     sg = surface_graph(slab_solid(4))
     init = {}
     for v in sg.vertices:
         h = sum(v)
         init[v] = {0: a, 1: b, 2: c}.get(h + 4, 1.0)
     got = solve_origin(slab_solid(4), g_init=init, mode="numeric")
-    assert got == pytest.approx(cube.g123, rel=1e-9)
+    assert got == pytest.approx(g123, rel=1e-9)
 
 
 def test_solve_on_given_window_builds_none(monkeypatch):
@@ -527,3 +516,16 @@ def test_solve_on_given_window_builds_none(monkeypatch):
     # a window at another radius is built, and the count sees it
     surface_graph(U, sg.window_radius + 1)
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("g_init, mode, message", [
+    (None, "numeric", "numeric mode requires initial values"),
+    ({}, "symbolic", "symbolic mode takes no initial values"),
+    (None, "exact", "unknown mode 'exact'"),
+    ({}, "floats", "unknown mode 'floats'"),
+], ids=["numeric-without-values", "symbolic-with-values", "unknown-exact",
+        "unknown-floats"])
+def test_solve_origin_mode_must_match_values(g_init, mode, message):
+    # the initial data choose the value type; mode only names it
+    with pytest.raises(KashaevError, match=f"^{message}$"):
+        solve_origin(ONE, g_init=g_init, mode=mode)

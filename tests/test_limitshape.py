@@ -6,7 +6,7 @@ import random
 import pytest
 
 from c2loop import limitshape
-from c2loop.kashaev import kashaev_step, solve_origin
+from c2loop.kashaev import solve_origin
 from c2loop.limitshape import (
     DualCurve,
     _convex_hull,
@@ -85,11 +85,11 @@ def test_y_satisfies_cube_relation():
             y0 = y_closed_form(n, a, b, c)[0]
             y1 = y_closed_form(n + 1, a, b, c)[0]
             y2 = y_closed_form(n + 2, a, b, c)[0]
-            cube = cube_from_bottom(y0, y1, y1, y1, y2, y2, y2)
-            kashaev_step(cube)
-            cube.g123 = y_closed_form(n + 3, a, b, c)[0]
+            y3 = y_closed_form(n + 3, a, b, c)[0]
+            cube = dict(cube_from_bottom(y0, y1, y1, y1, y2, y2, y2),
+                        g123=y3)
             res = kashaev_relation_residual(cube)
-            scale = (y0 * cube.g123 + y1 * y2) ** 2
+            scale = (y0 * y3 + y1 * y2) ** 2
             assert abs(res) <= 1e-9 * scale, (n, a, b, c)
 
 
@@ -409,4 +409,4 @@ def test_nonpositive_r_rejected():
         with pytest.raises(LimitShapeError):
             lambda_param(R)
     with pytest.raises(LimitShapeError):
-        rho_field(8, -1.0, -1.0)
+        rho_coeffs(-1.0, -1.0)
